@@ -41,10 +41,8 @@ from .spaces import (
     format_space,
     functional_apply,
     load_space_file,
-    norm,
     parse_space,
     space_to_dict,
-    support_set,
     unit_vector_at_angle,
     validate_space,
 )
@@ -70,8 +68,6 @@ from .preserver import (
     RadonPlaneMap,
     SumMap,
     VerificationReport,
-    apply_inverse,
-    apply_preserver,
     build_preserver,
     compose_inf_sum,
     solve_eta,

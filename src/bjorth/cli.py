@@ -1,10 +1,11 @@
 """Command line front end.
 
-Verbs map one-to-one onto library operations; every run prints the tool
-version (and seed where one applies) and exits 0 on pass/success, 1 on a
-verification failure (reports are still written), 2 on usage or parse
-errors.  The BJORTH_OUTDIR environment variable sets the default directory
-for relative output paths.
+Verbs map one-to-one onto library operations, except ``certify``, which
+runs the full certification sweep and writes every artifact through the same
+writers as the single verbs.  Every run prints the tool version (and seed
+where one applies) and exits 0 on pass/success, 1 on a verification failure
+(reports are still written), 2 on usage or parse errors.  The BJORTH_OUTDIR
+environment variable sets the default directory for relative output paths.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +30,13 @@ from .analysis import (
 )
 from .errors import BjorthError
 from .orthogonality import MARGIN, classify_angle, is_bj_orthogonal, is_mutually_orthogonal
-from .preserver import build_preserver, verify_preserver
+from .preserver import IdentityMap, build_preserver, compose_inf_sum, verify_preserver
 from .serialize import fmt_float, write_csv, write_json
 from .spaces import (
+    DayJames,
+    InfSum,
+    LInf,
+    Lp,
     NormedSpace,
     format_space,
     load_space_file,
@@ -70,6 +76,36 @@ def _print_header(seed=None) -> None:
     print(line)
 
 
+def _write_radon(path, scan) -> None:
+    write_csv(path, ["theta", "theta_star", "forward_residual", "reverse_deficit"], scan.rows)
+
+
+def _write_circle(path, plane: NormedSpace, grid: int) -> None:
+    rows = []
+    for t in np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False):
+        u = unit_vector_at_angle(plane, float(t))
+        rows.append((float(t), float(u[0]), float(u[1])))
+    write_csv(path, ["theta", "x", "y"], rows)
+
+
+def _sections_record(space: NormedSpace, count: int, pair_samples: int, tol: float,
+                     seed: int) -> dict:
+    """Search seeded section candidates; the record lists flagged indices."""
+    candidates = section_candidates(space, count, seed=seed)
+    flagged = euclidean_section_search(
+        space, candidates, pair_samples=pair_samples, tol=tol, seed=seed
+    )
+    return {
+        "space": format_space(space),
+        "candidates": len(candidates),
+        "flagged": [i for i, c in enumerate(candidates) if any(c is f for f in flagged)],
+        "pair_samples": pair_samples,
+        "tol": tol,
+        "seed": seed,
+        "tool_version": __version__,
+    }
+
+
 def cmd_check(args) -> int:
     space = load_space(args.space)
     _print_header()
@@ -93,7 +129,7 @@ def cmd_radon(args) -> int:
         print(f"witness: theta={fmt_float(scan.witness[0])} theta_star={fmt_float(scan.witness[1])}")
     out = _out_path(args.out)
     if out is not None:
-        write_csv(out, ["theta", "theta_star", "forward_residual", "reverse_deficit"], scan.rows)
+        _write_radon(out, scan)
         print(f"wrote {out}")
     return 0 if scan.defect <= args.margin else 1
 
@@ -142,25 +178,13 @@ def cmd_preserver_verify(args) -> int:
 def cmd_sections(args) -> int:
     space = load_space(args.space)
     _print_header(seed=args.seed)
-    candidates = section_candidates(space, args.candidates, seed=args.seed)
-    flagged = euclidean_section_search(
-        space, candidates, pair_samples=args.pair_samples, tol=args.tol, seed=args.seed
-    )
-    ids = [i for i, c in enumerate(candidates) if any(c is f for f in flagged)]
-    print(f"space: {format_space(space)}")
-    print(f"candidates: {len(candidates)}")
-    print(f"flagged: {len(flagged)}")
+    record = _sections_record(space, args.candidates, args.pair_samples, args.tol, args.seed)
+    print(f"space: {record['space']}")
+    print(f"candidates: {record['candidates']}")
+    print(f"flagged: {len(record['flagged'])}")
     out = _out_path(args.out)
     if out is not None:
-        write_json(out, {
-            "space": format_space(space),
-            "candidates": len(candidates),
-            "flagged": ids,
-            "pair_samples": args.pair_samples,
-            "tol": args.tol,
-            "seed": args.seed,
-            "tool_version": __version__,
-        })
+        write_json(out, record)
         print(f"wrote {out}")
     return 0
 
@@ -202,14 +226,93 @@ def cmd_orthograph(args) -> int:
 def cmd_circle(args) -> int:
     space = load_space(args.space)
     _print_header()
-    rows = []
-    for t in np.linspace(0.0, 2.0 * math.pi, args.grid, endpoint=False):
-        u = unit_vector_at_angle(space, float(t))
-        rows.append((float(t), float(u[0]), float(u[1])))
     out = _out_path(args.out)
-    write_csv(out, ["theta", "x", "y"], rows)
+    _write_circle(out, space, args.grid)
     print(f"wrote {out}")
     return 0
+
+
+def cmd_certify(args) -> int:
+    """Symmetry scans, the plane preserver and its max-sum lifts, the acute
+    trichotomy, section searches and the orthograph, all seeded; exits 1 when
+    any preserver or sum-acute report fails."""
+    out = _out_path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    grid = 256 if args.fast else 1024
+    radon_grid = 180 if args.fast else 720
+    samples = 1000 if args.fast else 10000
+    candidates = 200 if args.fast else 1000
+    t_start = time.perf_counter()
+    checks = {}
+    passed = True
+    _print_header(seed=args.seed)
+
+    # Symmetry scans across the conjugate family and the asymmetric planes.
+    for label, plane in [
+        ("dayjames_1.5", DayJames(1.5, 3.0)),
+        ("dayjames_2", DayJames(2.0, 2.0)),
+        ("dayjames_3", DayJames(3.0, 1.5)),
+        ("dayjames_4", DayJames(4.0, 4.0 / 3.0)),
+        ("lp_1.5", Lp(2, 1.5)),
+        ("lp_3", Lp(2, 3.0)),
+        ("lp_4", Lp(2, 4.0)),
+    ]:
+        scan = radon_defect(plane, grid=radon_grid)
+        _write_radon(out / f"radon_{label}.csv", scan)
+        checks[f"radon_{label}"] = scan.defect
+        print(f"  radon {label:14s} defect={scan.defect:.3e}")
+
+    # Plane preserver: pairing table, unit circle, then the verification
+    # reports of the plane map and of its max-sum lifts.
+    dj = DayJames(3.0, 1.5)
+    pmap = build_preserver(dj, grid)
+    pmap.eta.to_csv(out / "eta_dayjames_3.csv")
+    _write_circle(out / "circle_dayjames_3.csv", dj, 720)
+    maps = [("dayjames_3", pmap)] + [
+        (f"sum_linf{n}", compose_inf_sum([pmap, IdentityMap(LInf(n))])) for n in (1, 2, 8)
+    ]
+    for label, m in maps:
+        report = verify_preserver(m, samples, seed=args.seed)
+        write_json(out / f"preserver_{label}.json", report.to_dict())
+        checks[f"preserver_{label}"] = report.passed
+        passed = passed and report.passed
+        print(f"  preserver {label:14s} pass={report.passed} "
+              f"disagreements={report.disagreements}")
+
+    # Acute trichotomy on max-sums.
+    for label, sx, sy in [
+        ("l2_linf1", Lp(2, 2.0), LInf(1)),
+        ("dj3_linf2", dj, LInf(2)),
+    ]:
+        report = sum_acute_equivalence_check(sx, sy, n_samples=samples, seed=args.seed)
+        write_json(out / f"sum_acute_{label}.json", report.to_dict())
+        checks[f"sum_acute_{label}"] = report.passed
+        passed = passed and report.passed
+        print(f"  sum-acute {label:14s} pass={report.passed} "
+              f"excluded={report.excluded_fraction:.4f}")
+
+    # Euclidean-section search on both sum families.
+    for label, space in [
+        ("l2_linf1", InfSum((Lp(2, 2.0), LInf(1)))),
+        ("dj3_linf1", InfSum((dj, LInf(1)))),
+    ]:
+        record = _sections_record(space, candidates, pair_samples=64, tol=1e-6, seed=args.seed)
+        write_json(out / f"sections_{label}.json", record)
+        checks[f"sections_{label}_flagged"] = len(record["flagged"])
+        print(f"  sections {label:15s} flagged={len(record['flagged'])}")
+
+    # Orthograph of the Radon plane.  Every direction has one orthogonal
+    # partner, but an edge needs that partner on the grid as well, which of
+    # the 180 uniform directions holds only for the axis and diagonal pairs.
+    graph = sample_orthograph(dj, 180, margin=1e-7)
+    graph.write_edges(out / "orthograph_dayjames_3.txt")
+    checks["orthograph_edges"] = len(graph.edge_list())
+    print(f"  orthograph dayjames_3     edges={checks['orthograph_edges']}")
+
+    write_json(out / "summary.json",
+               {"seed": args.seed, "tool_version": __version__, "checks": checks})
+    print(f"done in {time.perf_counter() - t_start:.1f}s; artifacts in {out}/")
+    return 0 if passed else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -286,6 +389,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=360)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_circle)
+
+    p = sub.add_parser("certify", help="run the full certification sweep and write every artifact")
+    p.add_argument("--out", default="out")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--fast", action="store_true",
+                   help="smaller grids and sample counts for a quick pass")
+    p.set_defaults(func=cmd_certify)
 
     return parser
 

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .orthogonality import MARGIN, classify_angle, orthogonal_direction
 from .sampling import random_nonzero
-from .serialize import fmt_float
+from .serialize import write_csv
 from .spaces import DayJames, InfSum, Lp, NormedSpace, unit_vector_at_angle
 
 HALF_PI = 0.5 * math.pi
@@ -68,20 +68,6 @@ def _bisect_decreasing(g, lo: float, hi: float) -> float:
             break
         m = 0.5 * (a + b)
         if g(m) >= 0.0:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
-
-
-def _bisect_increasing(g, lo: float, hi: float) -> float:
-    """Root of a continuous g with g(lo) <= 0 <= g(hi)."""
-    a, b = lo, hi
-    for _ in range(64):
-        if b - a <= ANGLE_RESOLUTION:
-            break
-        m = 0.5 * (a + b)
-        if g(m) <= 0.0:
             a = m
         else:
             b = m
@@ -166,11 +152,8 @@ class EtaTable:
             raise MonotonicityViolation("paired angles are not strictly increasing")
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["theta", "eta", "residual"])
-            for t, e, r in zip(self.grid, self.values, self.residuals):
-                writer.writerow([fmt_float(t), fmt_float(e), fmt_float(r)])
+        write_csv(path, ["theta", "eta", "residual"],
+                  zip(self.grid, self.values, self.residuals))
 
     @classmethod
     def from_csv(cls, path, plane: NormedSpace) -> "EtaTable":
@@ -305,8 +288,8 @@ class RadonPlaneMap(PreserverMap):
     def _eta_inverse(self, psi: float) -> float:
         """Solve eta(t) = psi for psi in [pi/2, pi] by monotone bisection.
 
-        h(t) = f_{y(t)}(y(psi)) runs from nonpositive at t = 0 to
-        nonnegative at t = pi/2, with the single root at the preimage; the
+        h(t) = -f_{y(t)}(y(psi)) runs from nonnegative at t = 0 to
+        nonpositive at t = pi/2, with the single root at the preimage; the
         table brackets the root, the full interval is the fallback.
         """
         grid, values = self.eta.grid, self.eta.values
@@ -319,17 +302,17 @@ class RadonPlaneMap(PreserverMap):
 
         def h(t: float) -> float:
             fa, fb = plane._grad2(math.cos(t), math.sin(t))
-            return fa * w0 + fb * w1
+            return -(fa * w0 + fb * w1)
 
         j = int(np.searchsorted(values, psi))
         j = min(max(j, 1), len(values) - 1)
         lo = max(float(grid[j - 1]) - BRACKET_PAD, 0.0)
         hi = min(float(grid[j]) + BRACKET_PAD, HALF_PI)
-        if not (h(lo) <= 0.0 <= h(hi)):
+        if not (h(lo) >= 0.0 >= h(hi)):
             lo, hi = 0.0, HALF_PI
-            if not (h(lo) <= 0.0 <= h(hi)):
+            if not (h(lo) >= 0.0 >= h(hi)):
                 raise NonConvergence(f"no pairing preimage bracket at psi={psi}")
-        return _bisect_increasing(h, lo, hi)
+        return _bisect_decreasing(h, lo, hi)
 
     def _inverse_upper(self, a: float, b: float) -> np.ndarray:
         r = self.eta.plane._norm2(a, b)
@@ -406,20 +389,7 @@ def build_preserver(plane: NormedSpace, grid_size: int = 1024) -> RadonPlaneMap:
 
 def compose_inf_sum(parts) -> SumMap:
     """Componentwise map between the max-sums of the part sources/targets."""
-    parts = tuple(parts)
-    if len(parts) < 2:
-        raise EmptyParts(f"need at least 2 parts, got {len(parts)}")
-    return SumMap(parts=parts)
-
-
-def apply_preserver(pmap: PreserverMap, v) -> np.ndarray:
-    """Image of v under the map (module-level alias for pmap.apply)."""
-    return pmap.apply(v)
-
-
-def apply_inverse(pmap: PreserverMap, w) -> np.ndarray:
-    """Preimage of w under the map (module-level alias for pmap.apply_inverse)."""
-    return pmap.apply_inverse(w)
+    return SumMap(parts=tuple(parts))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import bjorth as bj
+from bjorth.sampling import random_nonzero  # noqa: F401  re-exported to the test modules
 
 settings.register_profile(
     "ci",
@@ -31,10 +32,3 @@ SPACE_ZOO = [
 @pytest.fixture(scope="session")
 def space_zoo():
     return SPACE_ZOO
-
-
-def random_nonzero(space, rng, min_norm=1e-3):
-    while True:
-        v = rng.standard_normal(space.dim)
-        if space.norm(v) >= min_norm:
-            return v

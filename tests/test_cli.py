@@ -3,6 +3,7 @@ import json
 import pytest
 
 import bjorth as bj
+from bjorth import cli
 from bjorth.cli import load_space, main
 from bjorth.errors import InvalidExponent, ParseError
 
@@ -173,3 +174,45 @@ def test_outdir_env_var(capsys, tmp_path, monkeypatch):
                      "--out", "rel.csv")
     assert code == 0
     assert (tmp_path / "rel.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# The certification sweep.
+
+CERTIFY_ARTIFACTS = sorted(
+    [f"radon_{label}.csv" for label in ("dayjames_1.5", "dayjames_2", "dayjames_3",
+                                        "dayjames_4", "lp_1.5", "lp_3", "lp_4")]
+    + ["eta_dayjames_3.csv", "circle_dayjames_3.csv", "preserver_dayjames_3.json"]
+    + [f"preserver_sum_linf{n}.json" for n in (1, 2, 8)]
+    + ["sum_acute_l2_linf1.json", "sum_acute_dj3_linf2.json",
+       "sections_l2_linf1.json", "sections_dj3_linf1.json",
+       "orthograph_dayjames_3.txt", "summary.json"]
+)
+
+
+def test_certify_artifacts_are_byte_identical_across_runs(capsys, tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["certify", "--fast", "--out", str(a)]) == 0
+    assert main(["certify", "--fast", "--out", str(b)]) == 0
+    capsys.readouterr()
+    assert len(CERTIFY_ARTIFACTS) == 19
+    assert sorted(p.name for p in a.iterdir()) == CERTIFY_ARTIFACTS
+    assert sorted(p.name for p in b.iterdir()) == CERTIFY_ARTIFACTS
+    for name in CERTIFY_ARTIFACTS:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_certify_failing_report_exits_one_and_writes_everything(capsys, tmp_path,
+                                                                monkeypatch):
+    failing = bj.VerificationReport(
+        samples=1, boundary_excluded=0, orth_disagreements=1, acute_disagreements=0,
+        max_norm_error=0.0, max_homog_error=0.0, continuity_modulus=0.0, seed=0,
+        passed=False)
+    monkeypatch.setattr(cli, "verify_preserver", lambda *args, **kwargs: failing)
+    monkeypatch.setenv("BJORTH_OUTDIR", str(tmp_path))
+    code, _, _ = run(capsys, "certify", "--fast", "--out", "rel")
+    assert code == 1
+    out = tmp_path / "rel"
+    assert sorted(p.name for p in out.iterdir()) == CERTIFY_ARTIFACTS
+    assert json.loads((out / "preserver_dayjames_3.json").read_text())["pass"] is False
+    assert json.loads((out / "summary.json").read_text())["checks"]["preserver_sum_linf8"] is False

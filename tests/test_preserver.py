@@ -131,7 +131,7 @@ def test_apply_zero_maps_to_zero(dj_map):
 
 
 def test_apply_preserves_norm(dj_map):
-    w = bj.apply_preserver(dj_map, [3.0, 4.0])
+    w = dj_map.apply([3.0, 4.0])
     assert DJ.norm(w) == pytest.approx(5.0, rel=1e-9)
     rng = np.random.default_rng(2)
     for _ in range(200):
