@@ -49,8 +49,10 @@ from .spaces import (
 from .orthogonality import (
     MARGIN,
     AngleRelation,
+    AngleRelations,
     AngleTag,
     classify_angle,
+    classify_many,
     directional_bounds,
     is_bj_orthogonal,
     is_bj_orthogonal_oracle,

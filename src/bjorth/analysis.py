@@ -19,8 +19,9 @@ import numpy as np
 from .errors import DegenerateSection, NotAPlane, NotSmooth
 from .orthogonality import (
     MARGIN,
+    AngleTag,
     classify_angle,
-    is_mutually_orthogonal,
+    classify_many,
     one_sided_acute_oracle,
     oracle_exclusion_band,
     oracle_min_over_line,
@@ -28,6 +29,10 @@ from .orthogonality import (
 from .preserver import _bisect_decreasing
 from .sampling import random_nonzero, random_unit
 from .spaces import InfSum, LInf, NormedSpace, unit_vector_at_angle
+
+# Orthograph pairs judged per pair of classify_many calls (all of them up to
+# 362 directions); bounds the array temporaries to about 12 MB for any n.
+PAIR_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,8 +401,7 @@ class Orthograph:
     adjacency: np.ndarray
 
     def edge_list(self) -> list[tuple[int, int]]:
-        n = len(self.vectors)
-        return [(i, j) for i in range(n) for j in range(i + 1, n) if self.adjacency[i, j]]
+        return [tuple(e) for e in np.argwhere(np.triu(self.adjacency, 1)).tolist()]
 
     def write_edges(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -426,9 +430,18 @@ def sample_orthograph(space: NormedSpace, directions, margin: float = MARGIN) ->
         else:
             vectors = [space.check_vector(v) for v in items]
     n = len(vectors)
+    V = np.reshape(vectors, (n, space.dim))
+    i, j = np.triu_indices(n, 1)
+
+    def orthogonal(rel):
+        # is_bj_orthogonal's rule: the zero vector is orthogonal both ways.
+        return rel.is_orthogonal | (rel.tag == AngleTag.DEGENERATE_LEFT)
+
+    mutual = np.empty(len(i), dtype=bool)
+    for s in range(0, len(i), PAIR_BLOCK):
+        a, b = V[i[s : s + PAIR_BLOCK]], V[j[s : s + PAIR_BLOCK]]
+        mutual[s : s + PAIR_BLOCK] = (orthogonal(classify_many(space, a, b, margin))
+                                      & orthogonal(classify_many(space, b, a, margin)))
     adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if is_mutually_orthogonal(space, vectors[i], vectors[j], margin):
-                adj[i, j] = adj[j, i] = True
-    return Orthograph(vectors=vectors, adjacency=adj)
+    adj[i[mutual], j[mutual]] = True
+    return Orthograph(vectors=vectors, adjacency=adj | adj.T)

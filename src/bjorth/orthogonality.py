@@ -8,8 +8,9 @@ is nonnegative on y, and strictly acute when all of them are positive.
 
 Over the finite extreme-point representation of the norming set these
 conditions become min/max tests on finitely many dual pairings, which is how
-``classify_angle`` decides.  An independent cross-check is provided by direct
-golden-section minimization of the convex map t -> ||x + t*y||.
+``classify_angle`` decides (``classify_many`` on whole arrays of pairs).  An
+independent cross-check is provided by direct golden-section minimization of
+the convex map t -> ||x + t*y||.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroDirection, ZeroVector
-from .spaces import TAU_TIE, DayJames, InfSum, LInf, Lp, NormedSpace
+from .errors import DimensionMismatch, ZeroDirection, ZeroVector
+from .spaces import TAU_TIE, TAU_ZERO, DayJames, InfSum, LInf, Lp, NormedSpace
 
 # Default decision margin, relative to the norm of the right argument.
 MARGIN = 1e-9
@@ -51,18 +52,20 @@ class AngleRelation:
     max_bound: float
     scale: float
 
+    # The predicates use == and |, so they hold elementwise for the array
+    # fields of AngleRelations too.
     @property
     def is_orthogonal(self) -> bool:
-        return self.tag is AngleTag.ORTHOGONAL
+        return self.tag == AngleTag.ORTHOGONAL
 
     @property
     def is_acute(self) -> bool:
         """x at an acute angle to y: orthogonal or strictly acute."""
-        return self.tag in (AngleTag.ORTHOGONAL, AngleTag.STRICTLY_ACUTE)
+        return self.is_orthogonal | (self.tag == AngleTag.STRICTLY_ACUTE)
 
     @property
     def is_obtuse(self) -> bool:
-        return self.tag in (AngleTag.ORTHOGONAL, AngleTag.STRICTLY_OBTUSE)
+        return self.is_orthogonal | (self.tag == AngleTag.STRICTLY_OBTUSE)
 
     def orthogonality_distance(self) -> float:
         """Normalized distance of the witness bounds from straddling zero.
@@ -81,6 +84,26 @@ class AngleRelation:
         if self.scale == 0.0 or self.tag is AngleTag.DEGENERATE_LEFT:
             return math.inf
         return abs(self.max_bound) / self.scale
+
+
+class AngleRelations(AngleRelation):
+    """An AngleRelation whose fields are arrays, row i holding the relation
+    of the pair (X[i], Y[i]); ``tag`` is an object array of AngleTag
+    members, and the predicates and distances are elementwise."""
+
+    def _per_scale(self, values: np.ndarray) -> np.ndarray:
+        # inf where AngleRelation's distances are: zero scale or zero x.
+        out = np.full(len(values), math.inf)
+        defined = (self.scale != 0.0) & (self.tag != AngleTag.DEGENERATE_LEFT)
+        return np.divide(values, self.scale, out=out, where=defined)
+
+    def orthogonality_distance(self) -> np.ndarray:
+        mn, mx = self.min_bound, self.max_bound
+        straddle = (mn <= 0.0) & (0.0 <= mx)
+        return self._per_scale(np.where(straddle, 0.0, np.minimum(np.abs(mn), np.abs(mx))))
+
+    def acute_distance(self) -> np.ndarray:
+        return self._per_scale(np.abs(self.max_bound))
 
 
 def directional_bounds(space: NormedSpace, x, y) -> tuple[float, float]:
@@ -119,6 +142,32 @@ def classify_angle(space: NormedSpace, x, y, margin: float = MARGIN) -> AngleRel
     else:
         tag = AngleTag.ORTHOGONAL
     return AngleRelation(tag, mn, mx, scale)
+
+
+def classify_many(space: NormedSpace, X, Y, margin: float = MARGIN) -> AngleRelations:
+    """classify_angle on every row pair (X[i], Y[i]) in a few array passes.
+
+    The zero rule, margin test and witness bounds are classify_angle's,
+    which stays the reference; the bounds agree with it to rounding.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if X.ndim != 2 or X.shape[1] != space.dim or Y.shape != X.shape:
+        raise DimensionMismatch(
+            f"expected two (n, {space.dim}) arrays, got shapes {X.shape} and {Y.shape}"
+        )
+    n = len(X)
+    zero = space._norms(X) <= TAU_ZERO * np.maximum(1.0, np.abs(X).max(axis=1))
+    live = ~zero
+    mn, mx, scale = np.zeros(n), np.zeros(n), np.zeros(n)
+    mn[live], mx[live] = space._bounds(X[live], Y[live])
+    scale[live] = space._norms(Y[live])
+    thr = margin * scale
+    tag = np.full(n, AngleTag.ORTHOGONAL, dtype=object)
+    tag[mx < -thr] = AngleTag.STRICTLY_OBTUSE
+    tag[mn > thr] = AngleTag.STRICTLY_ACUTE
+    tag[zero] = AngleTag.DEGENERATE_LEFT
+    return AngleRelations(tag, mn, mx, scale)
 
 
 def is_bj_orthogonal(space: NormedSpace, x, y, margin: float = MARGIN) -> bool:

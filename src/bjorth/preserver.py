@@ -37,7 +37,7 @@ from .errors import (
     NotRadonPlane,
     NotSmooth,
 )
-from .orthogonality import MARGIN, classify_angle, orthogonal_direction
+from .orthogonality import MARGIN, AngleRelations, classify_many, orthogonal_direction
 from .sampling import random_nonzero
 from .serialize import write_csv
 from .spaces import DayJames, InfSum, Lp, NormedSpace, unit_vector_at_angle
@@ -428,39 +428,25 @@ class VerificationReport:
         }
 
 
-def _pair_agreement(src: NormedSpace, tgt: NormedSpace, x, y, tx, ty,
-                    margin: float, band: float) -> tuple[int, int, int]:
-    """Compare source and image classifications of one pair.
+def _pair_agreement(rel_s: AngleRelations, rel_t: AngleRelations,
+                    band: float) -> tuple[int, int, int]:
+    """Compare source and image classifications, pair by pair.
 
-    Returns (excluded, orth_disagreements, acute_disagreements).  A pair is
-    excluded from the orthogonality comparison when either side is
-    non-orthogonal but within the band of the decision boundary; pairs
-    classified orthogonal are always kept (they are the informative ones).
-    The acute comparison is excluded when either side's right derivative
-    sits within the band of zero.
+    Returns (excluded, orth_disagreements, acute_disagreements) summed over
+    the pairs.  A pair is excluded from the orthogonality comparison when
+    either side is non-orthogonal but within the band of the decision
+    boundary; pairs classified orthogonal are always kept (they are the
+    informative ones).  The acute comparison is excluded when either side's
+    right derivative sits within the band of zero.
     """
-    rel_s = classify_angle(src, x, y, margin)
-    rel_t = classify_angle(tgt, tx, ty, margin)
-    excluded = 0
-
     orth_skip = (
-        (not rel_s.is_orthogonal and rel_s.orthogonality_distance() <= band)
-        or (not rel_t.is_orthogonal and rel_t.orthogonality_distance() <= band)
+        (~rel_s.is_orthogonal & (rel_s.orthogonality_distance() <= band))
+        | (~rel_t.is_orthogonal & (rel_t.orthogonality_distance() <= band))
     )
-    orth_dis = 0
-    if orth_skip:
-        excluded += 1
-    elif rel_s.is_orthogonal != rel_t.is_orthogonal:
-        orth_dis = 1
-
-    acute_skip = rel_s.acute_distance() <= band or rel_t.acute_distance() <= band
-    acute_dis = 0
-    if acute_skip:
-        excluded += 1
-    elif rel_s.is_acute != rel_t.is_acute:
-        acute_dis = 1
-
-    return excluded, orth_dis, acute_dis
+    acute_skip = (rel_s.acute_distance() <= band) | (rel_t.acute_distance() <= band)
+    orth_dis = ~orth_skip & (rel_s.is_orthogonal != rel_t.is_orthogonal)
+    acute_dis = ~acute_skip & (rel_s.is_acute != rel_t.is_acute)
+    return int(orth_skip.sum() + acute_skip.sum()), int(orth_dis.sum()), int(acute_dis.sum())
 
 
 def verify_preserver(pmap: PreserverMap, n_samples: int, margin: float = MARGIN,
@@ -472,19 +458,25 @@ def verify_preserver(pmap: PreserverMap, n_samples: int, margin: float = MARGIN,
     (x, y_perp) with exact source orthogonality; random pairs are never
     orthogonal, so the constructed ones are what make the orthogonality
     comparison informative in both directions.  Homogeneity is probed on
-    every fifth sample and the continuity modulus on every tenth.  Each
-    sample uses an independent child generator keyed by (seed, index), so
-    the sweep can be partitioned across workers without changing results.
+    every fifth sample and the continuity modulus on every tenth.
+
+    The sweep runs in two phases.  The draw phase loops over the samples in
+    order: each sample uses an independent child generator keyed by
+    (seed, index), draws its pairs, applies the map, and takes the norm
+    error and the homogeneity and continuity probes.  The judge phase then
+    classifies every source pair and every image pair with classify_many
+    and compares them.  Results depend only on (seed, index) per sample, so
+    the sweep can be partitioned across workers without changing them.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     band = 10.0 * margin if boundary_band is None else boundary_band
     src, tgt = pmap.source, pmap.target
 
-    excluded = orth_dis = acute_dis = 0
     max_norm_err = 0.0
     max_homog_err = 0.0
     continuity = 0.0
+    pairs = []  # (x, y, T x, T y) of every pair to judge
 
     for i in range(n_samples):
         rng = np.random.default_rng([seed, i])
@@ -496,17 +488,9 @@ def verify_preserver(pmap: PreserverMap, n_samples: int, margin: float = MARGIN,
         nx = src.norm(x)
         max_norm_err = max(max_norm_err, abs(tgt.norm(tx) - nx) / nx)
 
-        e, od, ad = _pair_agreement(src, tgt, x, y, tx, ty, margin, band)
-        excluded += e
-        orth_dis += od
-        acute_dis += ad
-
         yp = orthogonal_direction(src, x, rng)
         typ = pmap.apply(yp)
-        e, od, ad = _pair_agreement(src, tgt, x, yp, tx, typ, margin, band)
-        excluded += e
-        orth_dis += od
-        acute_dis += ad
+        pairs += [(x, y, tx, ty), (x, yp, tx, typ)]
 
         if i % 5 == 0:
             c = float(rng.choice([-1.0, 1.0])) * math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
@@ -521,6 +505,11 @@ def verify_preserver(pmap: PreserverMap, n_samples: int, margin: float = MARGIN,
             den = src.norm(d)
             if den > 0.0:
                 continuity = max(continuity, num / den)
+
+    xs, ys, txs, tys = zip(*pairs)
+    excluded, orth_dis, acute_dis = _pair_agreement(
+        classify_many(src, xs, ys, margin), classify_many(tgt, txs, tys, margin), band
+    )
 
     passed = (
         orth_dis == 0

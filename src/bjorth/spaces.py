@@ -32,6 +32,7 @@ from .errors import (
     EmptySum,
     InvalidExponent,
     NotAPlane,
+    NotSmooth,
     ParseError,
     ZeroVector,
 )
@@ -94,11 +95,38 @@ def _pgrad2(a: float, b: float, r: float) -> tuple[float, float]:
     )
 
 
+def _pscaled(X: np.ndarray, r):
+    """Max-scaling of the rows of X: (M, T, S) with |X| = M * T and S the
+    r-norm of each row of T.  r is a number or a column of per-row
+    exponents; zero rows give M = S = 0."""
+    A = np.abs(X)
+    M = A.max(axis=1, keepdims=True)
+    T = A / np.where(M > 0.0, M, 1.0)
+    return M, T, np.sum(T**r, axis=1, keepdims=True) ** (1.0 / r)
+
+
+def _pnorms(X: np.ndarray, r) -> np.ndarray:
+    """Row-wise p-norms: the array form of _pnorm2."""
+    M, _, S = _pscaled(X, r)
+    return (M * S)[:, 0]
+
+
+def _pbounds(X: np.ndarray, Y: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise f(y) for the unique norming functional f (_pgrad2's array
+    form) at the nonzero rows of X; both bounds coincide."""
+    _, T, S = _pscaled(X, r)
+    b = np.sum(np.sign(X) * T ** (r - 1.0) / S ** (r - 1.0) * Y, axis=1)
+    return b, b
+
+
 class NormedSpace(ABC):
     """Common interface: a norm and extreme points of the norming set.
 
     Subclasses expose ``dim`` (field or property), ``_norm`` on a checked
-    array, and ``_support`` on a checked nonzero array.
+    array, and ``_support`` on a checked nonzero array, plus their row-wise
+    array forms: ``_norms`` on an (n, dim) array, and ``_bounds``, the
+    (min, max) of f(y) over the extreme norming functionals f of x, row by
+    row, for nonzero rows x of X and rows y of Y.
     """
 
     dim: int
@@ -132,6 +160,12 @@ class NormedSpace(ABC):
     @abstractmethod
     def _support(self, arr: np.ndarray) -> list[np.ndarray]: ...
 
+    @abstractmethod
+    def _norms(self, X: np.ndarray) -> np.ndarray: ...
+
+    @abstractmethod
+    def _bounds(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
+
 
 @dataclass(frozen=True)
 class Lp(NormedSpace):
@@ -164,6 +198,12 @@ class Lp(NormedSpace):
         f = np.sign(arr) * t ** (self.p - 1.0) / s ** (self.p - 1.0)
         return [f]
 
+    def _norms(self, X):
+        return _pnorms(X, self.p)
+
+    def _bounds(self, X, Y):
+        return _pbounds(X, Y, self.p)
+
     # Scalar fast paths used by the plane constructions.
     def _norm2(self, a: float, b: float) -> float:
         return _pnorm2(a, b, self.p)
@@ -195,6 +235,17 @@ class LInf(NormedSpace):
                 f[i] = 1.0 if c > 0 else -1.0
                 out.append(f)
         return out
+
+    def _norms(self, X):
+        return np.abs(X).max(axis=1)
+
+    def _bounds(self, X, Y):
+        # Masked min/max of sign(x_i) y_i over the tied coordinates.
+        A = np.abs(X)
+        tied = A >= (1.0 - TAU_TIE) * A.max(axis=1, keepdims=True)
+        vals = np.where(X > 0.0, Y, -Y)
+        return (np.where(tied, vals, np.inf).min(axis=1),
+                np.where(tied, vals, -np.inf).max(axis=1))
 
 
 @dataclass(frozen=True)
@@ -235,9 +286,22 @@ class DayJames(NormedSpace):
             fp = _pgrad2(a, b, self.p)
             fq = _pgrad2(a, b, self.q)
             gap = max(abs(fp[0] - fq[0]), abs(fp[1] - fq[1]))
-            assert gap <= TAU_SUP, f"quadrant gradients disagree on axis: {gap}"
+            if not gap <= TAU_SUP:
+                raise NotSmooth(f"quadrant gradients disagree on axis: {gap}")
             return [np.array(fp)]
         return [np.array(_pgrad2(a, b, self._exponent_at(a, b)))]
+
+    def _exponents(self, X: np.ndarray) -> np.ndarray:
+        # Column of per-row exponents, by _exponent_at's exact sign test.
+        return np.where(X[:, 0] * X[:, 1] >= 0.0, self.p, self.q)[:, None]
+
+    def _norms(self, X):
+        return _pnorms(X, self._exponents(X))
+
+    def _bounds(self, X, Y):
+        # Axis rows take the p-gradient without _support's agreement check:
+        # there both exponents give (+-1, 0) or (0, +-1) exactly.
+        return _pbounds(X, Y, self._exponents(X))
 
     def _norm2(self, a: float, b: float) -> float:
         return _pnorm2(a, b, self._exponent_at(a, b))
@@ -270,9 +334,10 @@ class InfSum(NormedSpace):
         return self._offsets[-1]
 
     def split(self, arr: np.ndarray) -> list[np.ndarray]:
-        """Views of the part restrictions of a checked vector."""
+        """Views of the part restrictions of a checked vector (or of the
+        rows of an (n, dim) array)."""
         off = self._offsets
-        return [arr[off[k] : off[k + 1]] for k in range(len(self.parts))]
+        return [arr[..., off[k] : off[k + 1]] for k in range(len(self.parts))]
 
     def _norm(self, arr):
         off = self._offsets
@@ -296,6 +361,22 @@ class InfSum(NormedSpace):
                     g[off[k] : off[k + 1]] = f
                     out.append(g)
         return out
+
+    def _norms(self, X):
+        return np.max([part._norms(x) for part, x in zip(self.parts, self.split(X))], axis=0)
+
+    def _bounds(self, X, Y):
+        # Recurse into each part on the rows where it attains the max.
+        xs, ys = self.split(X), self.split(Y)
+        norms = [part._norms(x) for part, x in zip(self.parts, xs)]
+        total = np.max(norms, axis=0)
+        mn, mx = np.full(len(X), np.inf), np.full(len(X), -np.inf)
+        for part, x, y, nk in zip(self.parts, xs, ys, norms):
+            rows = nk >= (1.0 - TAU_TIE) * total
+            lo, hi = part._bounds(x[rows], y[rows])
+            mn[rows] = np.minimum(mn[rows], lo)
+            mx[rows] = np.maximum(mx[rows], hi)
+        return mn, mx
 
 
 def validate_space(descriptor) -> NormedSpace:
@@ -397,7 +478,13 @@ def parse_space(text: str) -> NormedSpace:
         if depth != 0:
             raise ParseError(f"unbalanced parentheses in {text!r}")
         pieces.append(inner[start:])
-        return InfSum(tuple(parse_space(p) for p in pieces))
+        parts = []
+        for piece in pieces:
+            try:
+                parts.append(parse_space(piece))
+            except ParseError as exc:
+                raise ParseError(f"{exc}, in {text!r}") from exc
+        return InfSum(tuple(parts))
     fields = s.split(":")
     head = fields[0]
     if head == "lp" and len(fields) == 3:
@@ -406,7 +493,7 @@ def parse_space(text: str) -> NormedSpace:
         return LInf(dim=_parse_int(fields[1], text))
     if head == "dayjames" and len(fields) == 3:
         return DayJames(p=_parse_float(fields[1], text), q=_parse_float(fields[2], text))
-    raise ParseError(f"cannot parse space descriptor {text!r} (at position 0)")
+    raise ParseError(f"cannot parse space descriptor {text!r}")
 
 
 def _parse_int(token: str, context: str) -> int:

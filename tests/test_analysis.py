@@ -219,3 +219,25 @@ def test_orthograph_edge_file(tmp_path):
     path = tmp_path / "edges.txt"
     g.write_edges(path)
     assert path.read_text() == "0 2\n1 3\n"
+
+
+@pytest.mark.parametrize("space", [DJ, bj.LInf(3), bj.InfSum((bj.Lp(2, 2.0), bj.LInf(1)))],
+                         ids=str)
+def test_orthograph_vector_list_matches_pairwise_test(space, monkeypatch):
+    # Blocks of 5 pairs, the last one short, so the block seams are covered.
+    monkeypatch.setattr(bj.analysis, "PAIR_BLOCK", 5)
+    rng = np.random.default_rng(3)
+    vectors = [np.zeros(space.dim)]
+    for _ in range(6):
+        x = rng.standard_normal(space.dim)
+        vectors += [x, bj.orthogonal_direction(space, x, rng)]
+    g = bj.sample_orthograph(space, vectors)
+    n = len(vectors)
+    expected = np.array([[i != j and bj.is_mutually_orthogonal(space, vectors[i], vectors[j])
+                          for j in range(n)] for i in range(n)])
+    assert np.array_equal(g.adjacency, expected)
+    # The zero vector is orthogonal to everything, both ways.
+    assert g.adjacency[0, 1:].all()
+    edges = g.edge_list()
+    assert edges == [(i, j) for i in range(n) for j in range(i + 1, n) if expected[i, j]]
+    assert all(type(e) is tuple and type(e[0]) is int and type(e[1]) is int for e in edges)

@@ -216,3 +216,12 @@ def test_certify_failing_report_exits_one_and_writes_everything(capsys, tmp_path
     assert sorted(p.name for p in out.iterdir()) == CERTIFY_ARTIFACTS
     assert json.loads((out / "preserver_dayjames_3.json").read_text())["pass"] is False
     assert json.loads((out / "summary.json").read_text())["checks"]["preserver_sum_linf8"] is False
+
+
+def test_file_errors_exit_two(capsys, tmp_path):
+    existing = tmp_path / "taken"
+    existing.write_text("not a directory\n")
+    code, _, err = run(capsys, "certify", "--fast", "--out", str(existing))
+    assert code == 2
+    assert "error:" in err and "usage" in err
+    assert existing.read_text() == "not a directory\n"

@@ -255,3 +255,68 @@ def test_support_test_agrees_with_line_oracles(space):
         if rel.acute_distance() > band:
             assert rel.is_acute == bj.one_sided_acute_oracle(space, x, y)
     assert compared > 200
+
+
+# ---------------------------------------------------------------------------
+# Batched classification against the scalar reference.
+
+
+def _tied(space, rng):
+    """A vector with exact norm ties: every max-norm coordinate and every
+    max-sum part at norm one (p-norm parts sit on an axis, where the
+    max-scaled norm is exact)."""
+    if isinstance(space, bj.InfSum):
+        return np.concatenate([_tied(part, rng) for part in space.parts])
+    if isinstance(space, bj.LInf):
+        return rng.choice([-1.0, 1.0], space.dim)
+    v = np.zeros(space.dim)
+    v[rng.integers(space.dim)] = rng.choice([-1.0, 1.0])
+    return v
+
+
+@given(data=st.data(), space=st.sampled_from(SPACE_ZOO))
+def test_classify_many_agrees_with_classify_angle(data, space):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    scale = 2.0 ** data.draw(st.integers(-40, 40))
+    xs, ys = [], []
+    for _ in range(6):
+        x = random_nonzero(space, rng)
+        xs += [x, x, x, x]
+        ys += [random_nonzero(space, rng), bj.orthogonal_direction(space, x, rng), x, -x]
+    for _ in range(4):
+        t = _tied(space, rng)
+        xs += [t, t, t]
+        ys += [random_nonzero(space, rng), _tied(space, rng), -t]
+    zero = np.zeros(space.dim)
+    xs += [zero, zero, random_nonzero(space, rng)]
+    ys += [random_nonzero(space, rng), zero, zero]
+    X, Y = scale * np.array(xs), np.array(ys)
+
+    many = bj.classify_many(space, X, Y)
+    orth_dist, acute_dist = many.orthogonality_distance(), many.acute_distance()
+    for i in range(len(X)):
+        rel = bj.classify_angle(space, X[i], Y[i])
+        assert many.tag[i] is rel.tag, i
+        # Bounds are values f(y) with dual norm one, so ||y|| is their unit.
+        tol = 1e-12 * rel.scale
+        assert math.isclose(many.scale[i], rel.scale, rel_tol=1e-12)
+        assert math.isclose(many.min_bound[i], rel.min_bound, rel_tol=1e-12, abs_tol=tol)
+        assert math.isclose(many.max_bound[i], rel.max_bound, rel_tol=1e-12, abs_tol=tol)
+        assert math.isclose(orth_dist[i], rel.orthogonality_distance(),
+                            rel_tol=1e-12, abs_tol=1e-12)
+        assert math.isclose(acute_dist[i], rel.acute_distance(), rel_tol=1e-12, abs_tol=1e-12)
+        assert many.is_orthogonal[i] == rel.is_orthogonal
+        assert many.is_acute[i] == rel.is_acute
+        assert many.is_obtuse[i] == rel.is_obtuse
+
+
+def test_classify_many_shape_checks():
+    with pytest.raises(bj.DimensionMismatch):
+        bj.classify_many(bj.Lp(2, 2.0), np.ones((3, 3)), np.ones((3, 3)))
+    with pytest.raises(bj.DimensionMismatch):
+        bj.classify_many(bj.Lp(2, 2.0), np.ones((3, 2)), np.ones((2, 2)))
+    with pytest.raises(bj.DimensionMismatch):
+        bj.classify_many(bj.Lp(2, 2.0), np.ones(2), np.ones(2))
+    empty = bj.classify_many(bj.InfSum((bj.Lp(2, 2.0), bj.LInf(1))),
+                             np.empty((0, 3)), np.empty((0, 3)))
+    assert len(empty.tag) == 0

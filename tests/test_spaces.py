@@ -6,12 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bjorth as bj
+from bjorth import spaces
 from bjorth.errors import (
     BadDimension,
     DimensionMismatch,
     EmptySum,
     InvalidExponent,
     NotAPlane,
+    NotSmooth,
     ParseError,
     ZeroVector,
 )
@@ -172,6 +174,21 @@ def test_dayjames_axis_gradient_formulas_agree():
             assert len(fs) == 1
 
 
+def test_dayjames_axis_gradient_disagreement_raises(monkeypatch):
+    # A typed error, not an assert, so the check survives python -O.
+    real = spaces._pgrad2
+
+    def skewed(a, b, r):
+        fa, fb = real(a, b, r)
+        return (fa + 1e-3, fb) if r == 1.5 else (fa, fb)
+
+    monkeypatch.setattr(spaces, "_pgrad2", skewed)
+    dj = bj.DayJames(3.0, 1.5)
+    with pytest.raises(NotSmooth):
+        dj.support_set([2.0, 0.0])
+    assert len(dj.support_set([2.0, 1.0])) == 1
+
+
 @pytest.mark.parametrize(
     "space",
     [bj.Lp(2, 3.0), bj.Lp(3, 2.5), bj.DayJames(3.0, 1.5), bj.DayJames(1.5, 3.0)],
@@ -304,3 +321,14 @@ def test_parse_examples():
         bj.parse_space("frob:2")
     with pytest.raises(ParseError):
         bj.parse_space("sum(lp:2:2")
+
+
+def test_parse_error_names_the_piece_and_the_descriptor():
+    with pytest.raises(ParseError) as err:
+        bj.parse_space("sum(lp:2:2,foo:1)")
+    message = str(err.value)
+    assert "'foo:1'" in message and "'sum(lp:2:2,foo:1)'" in message
+    assert "position" not in message
+    with pytest.raises(ParseError) as err:
+        bj.parse_space("frob:2")
+    assert "position" not in str(err.value)
