@@ -22,6 +22,7 @@ from .errors import (
     MonotonicityViolation,
     NoBracket,
     NonConvergence,
+    NonFiniteInput,
     NotAPlane,
     NotRadonPlane,
     NotSmooth,
@@ -32,7 +33,6 @@ from .errors import (
 from .spaces import (
     TAU_SUP,
     TAU_TIE,
-    TAU_ZERO,
     DayJames,
     InfSum,
     LInf,

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import DegenerateSection, NotAPlane, NotSmooth
 from .orthogonality import (
     MARGIN,
-    AngleTag,
     classify_angle,
     classify_many,
     one_sided_acute_oracle,
@@ -64,7 +63,7 @@ def radon_defect(plane: NormedSpace, grid: int = 720,
     for theta in np.linspace(0.0, math.pi, grid, endpoint=False):
         theta = float(theta)
         y = unit_vector_at_angle(plane, theta)
-        fs = plane.support_set(y)
+        fs = plane._support(y)
         if len(fs) != 1:
             raise NotSmooth(f"support set at angle {theta} has {len(fs)} extremes")
         fa, fb = float(fs[0][0]), float(fs[0][1])
@@ -77,7 +76,7 @@ def radon_defect(plane: NormedSpace, grid: int = 720,
         y_star = unit_vector_at_angle(plane, theta_star)
         forward = abs(fa * y_star[0] + fb * y_star[1])
         _, val = oracle_min_over_line(plane, y_star, y)
-        deficit = max(0.0, plane.norm(y_star) - val)
+        deficit = max(0.0, plane._norm(y_star) - val)
         rows.append((theta, theta_star, forward, deficit))
         if deficit > best[0]:
             best = (deficit, (theta, theta_star))
@@ -105,7 +104,7 @@ def _tie_probes(space: NormedSpace) -> list[tuple[np.ndarray, list[np.ndarray]]]
             dirs.append(d / math.sqrt(2.0))
         probes.append((x, dirs))
     elif isinstance(space, InfSum):
-        units = [np.ones(p.dim) / p.norm(np.ones(p.dim)) for p in space.parts]
+        units = [np.ones(p.dim) / p._norm(np.ones(p.dim)) for p in space.parts]
         x = np.concatenate(units)
         off = space._offsets
         d = np.zeros(space.dim)
@@ -114,7 +113,7 @@ def _tie_probes(space: NormedSpace) -> list[tuple[np.ndarray, list[np.ndarray]]]
         probes.append((x, [d]))
     else:
         x = np.ones(space.dim)
-        probes.append((x / space.norm(x), []))
+        probes.append((x / space._norm(x), []))
     return probes
 
 
@@ -135,9 +134,9 @@ def smoothness_probe(space: NormedSpace, samples: int = 200, seed: int = 0,
     singletons = True
 
     def gap_at(x: np.ndarray, d: np.ndarray) -> float:
-        n0 = space.norm(x)
-        right = (space.norm(x + step * d) - n0) / step
-        left = (n0 - space.norm(x - step * d)) / step
+        n0 = space._norm(x)
+        right = (space._norm(x + step * d) - n0) / step
+        left = (n0 - space._norm(x - step * d)) / step
         return right - left
 
     def random_dir() -> np.ndarray:
@@ -148,10 +147,10 @@ def smoothness_probe(space: NormedSpace, samples: int = 200, seed: int = 0,
         e = np.zeros(space.dim)
         e[i] = 1.0
         for x in (e, -e):
-            singletons = singletons and len(space.support_set(x)) == 1
+            singletons = singletons and len(space._support(x)) == 1
 
     for x, dirs in _tie_probes(space):
-        singletons = singletons and len(space.support_set(x)) == 1
+        singletons = singletons and len(space._support(x)) == 1
         for d in dirs:
             worst_gap = max(worst_gap, gap_at(x, d))
         for _ in range(2):
@@ -163,7 +162,7 @@ def smoothness_probe(space: NormedSpace, samples: int = 200, seed: int = 0,
             x = random_unit(space, rng)
         for _ in range(2):
             worst_gap = max(worst_gap, gap_at(x, random_dir()))
-        singletons = singletons and len(space.support_set(x)) == 1
+        singletons = singletons and len(space._support(x)) == 1
 
     return SmoothnessProbe(smooth=bool(worst_gap <= gap_tol and singletons),
                            worst_gap=float(worst_gap))
@@ -172,13 +171,15 @@ def smoothness_probe(space: NormedSpace, samples: int = 200, seed: int = 0,
 def parallelogram_defect(space: NormedSpace, u, v) -> float:
     """||u+v||^2 + ||u-v||^2 - 2||u||^2 - 2||v||^2; zero in inner-product
     spaces and on their isometric sections."""
-    ua = space.check_vector(u)
-    va = space.check_vector(v)
+    return _parallelogram_defect(space, space.check_vector(u), space.check_vector(v))
+
+
+def _parallelogram_defect(space: NormedSpace, ua: np.ndarray, va: np.ndarray) -> float:
     return (
-        space.norm(ua + va) ** 2
-        + space.norm(ua - va) ** 2
-        - 2.0 * space.norm(ua) ** 2
-        - 2.0 * space.norm(va) ** 2
+        space._norm(ua + va) ** 2
+        + space._norm(ua - va) ** 2
+        - 2.0 * space._norm(ua) ** 2
+        - 2.0 * space._norm(va) ** 2
     )
 
 
@@ -233,22 +234,23 @@ def euclidean_section_search(space: NormedSpace, candidates, pair_samples: int =
     """
     if not candidates:
         raise ValueError("candidate list must be nonempty")
+    bases = [(space.check_vector(cand.u), space.check_vector(cand.v)) for cand in candidates]
     flagged = []
-    for idx, cand in enumerate(candidates):
+    for idx, (u, v) in enumerate(bases):
         rng = np.random.default_rng([seed, idx])
         ok = True
         for _ in range(pair_samples):
             a, b, c, d = rng.standard_normal(4)
-            w1 = a * cand.u + b * cand.v
-            w2 = c * cand.u + d * cand.v
-            scale2 = space.norm(w1) ** 2 + space.norm(w2) ** 2
+            w1 = a * u + b * v
+            w2 = c * u + d * v
+            scale2 = space._norm(w1) ** 2 + space._norm(w2) ** 2
             if scale2 == 0.0:
                 continue
-            if abs(parallelogram_defect(space, w1, w2)) > tol * scale2:
+            if abs(_parallelogram_defect(space, w1, w2)) > tol * scale2:
                 ok = False
                 break
         if ok:
-            flagged.append(cand)
+            flagged.append(candidates[idx])
     return flagged
 
 
@@ -300,14 +302,14 @@ def _exact_tie(space_x: NormedSpace, space_y: NormedSpace, z1: np.ndarray,
     dx = space_x.dim
     x1, y1 = z1[:dx], z1[dx:]
     if isinstance(space_y, LInf):
-        target = space_x.norm(x1)
+        target = space_x._norm(x1)
         if target == 0.0:
             return None
         u = rng.uniform(-1.0, 1.0, space_y.dim)
         j = int(rng.integers(space_y.dim))
         u[j] = 1.0 if rng.random() < 0.5 else -1.0
         y1 = target * u
-        if space_y.norm(y1) != target:
+        if space_y._norm(y1) != target:
             return None
         return np.concatenate([x1, y1])
     if isinstance(space_x, LInf):
@@ -349,7 +351,7 @@ def sum_acute_equivalence_check(space_x: NormedSpace, space_y: NormedSpace,
                 tie_samples += 1
         x1, y1 = z1[:dx], z1[dx:]
         x2, y2 = z2[:dx], z2[dx:]
-        nx, ny = space_x.norm(x1), space_y.norm(y1)
+        nx, ny = space_x._norm(x1), space_y._norm(y1)
 
         if nx == ny:
             need_x, need_y = True, True
@@ -432,16 +434,11 @@ def sample_orthograph(space: NormedSpace, directions, margin: float = MARGIN) ->
     n = len(vectors)
     V = np.reshape(vectors, (n, space.dim))
     i, j = np.triu_indices(n, 1)
-
-    def orthogonal(rel):
-        # is_bj_orthogonal's rule: the zero vector is orthogonal both ways.
-        return rel.is_orthogonal | (rel.tag == AngleTag.DEGENERATE_LEFT)
-
     mutual = np.empty(len(i), dtype=bool)
     for s in range(0, len(i), PAIR_BLOCK):
         a, b = V[i[s : s + PAIR_BLOCK]], V[j[s : s + PAIR_BLOCK]]
-        mutual[s : s + PAIR_BLOCK] = (orthogonal(classify_many(space, a, b, margin))
-                                      & orthogonal(classify_many(space, b, a, margin)))
+        mutual[s : s + PAIR_BLOCK] = (classify_many(space, a, b, margin).is_bj_orthogonal
+                                      & classify_many(space, b, a, margin).is_bj_orthogonal)
     adj = np.zeros((n, n), dtype=bool)
     adj[i[mutual], j[mutual]] = True
     return Orthograph(vectors=vectors, adjacency=adj | adj.T)

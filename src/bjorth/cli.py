@@ -29,7 +29,7 @@ from .analysis import (
     euclidean_section_search,
 )
 from .errors import BjorthError
-from .orthogonality import MARGIN, classify_angle, is_bj_orthogonal, is_mutually_orthogonal
+from .orthogonality import MARGIN, classify_angle
 from .preserver import IdentityMap, build_preserver, compose_inf_sum, verify_preserver
 from .serialize import fmt_float, write_csv, write_json
 from .spaces import (
@@ -114,9 +114,9 @@ def cmd_check(args) -> int:
     print(rel.tag.value)
     rev = classify_angle(space, y, x, args.margin)
     print(f"reverse: {rev.tag.value}")
-    mutual = is_mutually_orthogonal(space, x, y, args.margin)
+    mutual = rel.is_bj_orthogonal and rev.is_bj_orthogonal
     print(f"mutual: {'yes' if mutual else 'no'}")
-    return 0 if is_bj_orthogonal(space, x, y, args.margin) else 1
+    return 0 if rel.is_bj_orthogonal else 1
 
 
 def cmd_radon(args) -> int:

@@ -21,6 +21,10 @@ class DimensionMismatch(BjorthError):
     """Vector or functional length does not match the ambient dimension."""
 
 
+class NonFiniteInput(BjorthError):
+    """A vector coordinate or a decision margin is NaN or infinite."""
+
+
 class ZeroVector(BjorthError):
     """Operation requires a nonzero vector."""
 

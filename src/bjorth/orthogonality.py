@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroDirection, ZeroVector
-from .spaces import TAU_TIE, TAU_ZERO, DayJames, InfSum, LInf, Lp, NormedSpace
+from .errors import DimensionMismatch, NonFiniteInput, ZeroDirection, ZeroVector
+from .spaces import TAU_TIE, DayJames, InfSum, LInf, Lp, NormedSpace
 
 # Default decision margin, relative to the norm of the right argument.
 MARGIN = 1e-9
@@ -66,6 +66,11 @@ class AngleRelation:
     @property
     def is_obtuse(self) -> bool:
         return self.is_orthogonal | (self.tag == AngleTag.STRICTLY_OBTUSE)
+
+    @property
+    def is_bj_orthogonal(self) -> bool:
+        """x Birkhoff-James orthogonal to y: orthogonal, or x = 0."""
+        return self.is_orthogonal | (self.tag == AngleTag.DEGENERATE_LEFT)
 
     def orthogonality_distance(self) -> float:
         """Normalized distance of the witness bounds from straddling zero.
@@ -112,12 +117,10 @@ def directional_bounds(space: NormedSpace, x, y) -> tuple[float, float]:
     These equal the one-sided derivatives of t -> ||x + t*y|| at 0 from
     the left and from the right.
     """
-    xa = space.check_vector(x)
-    ya = space.check_vector(y)
-    if space.is_zero(xa):
+    rel = classify_angle(space, x, y)
+    if rel.tag is AngleTag.DEGENERATE_LEFT:
         raise ZeroVector("directional bounds need x != 0")
-    vals = [float(np.dot(f, ya)) for f in space.support_set(xa)]
-    return min(vals), max(vals)
+    return rel.min_bound, rel.max_bound
 
 
 def classify_angle(space: NormedSpace, x, y, margin: float = MARGIN) -> AngleRelation:
@@ -130,10 +133,13 @@ def classify_angle(space: NormedSpace, x, y, margin: float = MARGIN) -> AngleRel
     """
     xa = space.check_vector(x)
     ya = space.check_vector(y)
-    if space.is_zero(xa):
+    if not math.isfinite(margin):
+        raise NonFiniteInput(f"margin must be finite, got {margin}")
+    if not xa.any():
         return AngleRelation(AngleTag.DEGENERATE_LEFT, 0.0, 0.0, 0.0)
-    mn, mx = directional_bounds(space, xa, ya)
-    scale = space.norm(ya)
+    vals = [float(np.dot(f, ya)) for f in space._support(xa)]
+    mn, mx = min(vals), max(vals)
+    scale = space._norm(ya)
     thr = margin * scale
     if mn > thr:
         tag = AngleTag.STRICTLY_ACUTE
@@ -156,9 +162,10 @@ def classify_many(space: NormedSpace, X, Y, margin: float = MARGIN) -> AngleRela
         raise DimensionMismatch(
             f"expected two (n, {space.dim}) arrays, got shapes {X.shape} and {Y.shape}"
         )
+    if not (np.isfinite(X).all() and np.isfinite(Y).all() and math.isfinite(margin)):
+        raise NonFiniteInput("vector coordinates and margin must be finite")
     n = len(X)
-    zero = space._norms(X) <= TAU_ZERO * np.maximum(1.0, np.abs(X).max(axis=1))
-    live = ~zero
+    live = X.any(axis=1)
     mn, mx, scale = np.zeros(n), np.zeros(n), np.zeros(n)
     mn[live], mx[live] = space._bounds(X[live], Y[live])
     scale[live] = space._norms(Y[live])
@@ -166,7 +173,7 @@ def classify_many(space: NormedSpace, X, Y, margin: float = MARGIN) -> AngleRela
     tag = np.full(n, AngleTag.ORTHOGONAL, dtype=object)
     tag[mx < -thr] = AngleTag.STRICTLY_OBTUSE
     tag[mn > thr] = AngleTag.STRICTLY_ACUTE
-    tag[zero] = AngleTag.DEGENERATE_LEFT
+    tag[~live] = AngleTag.DEGENERATE_LEFT
     return AngleRelations(tag, mn, mx, scale)
 
 
@@ -175,8 +182,7 @@ def is_bj_orthogonal(space: NormedSpace, x, y, margin: float = MARGIN) -> bool:
 
     The zero vector is orthogonal to everything (and everything to it).
     """
-    rel = classify_angle(space, x, y, margin)
-    return rel.tag in (AngleTag.ORTHOGONAL, AngleTag.DEGENERATE_LEFT)
+    return classify_angle(space, x, y, margin).is_bj_orthogonal
 
 
 def is_mutually_orthogonal(space: NormedSpace, x, y, margin: float = MARGIN) -> bool:
@@ -229,6 +235,18 @@ def golden_section_min(phi, lo: float, hi: float, tol: float = 1e-10,
     return best_x, best_f
 
 
+def _min_on_line(space: NormedSpace, xa: np.ndarray, ya: np.ndarray, lo: float,
+                 tol: float = 1e-10) -> tuple[float, float]:
+    """Minimize t -> ||x + t*y|| over [lo * L, L], L = 2||x||/||y||, for
+    checked arrays with y != 0; (0, ||x||) when L is zero."""
+    nx = space._norm(xa)
+    lam = 2.0 * nx / space._norm(ya)
+    if lam == 0.0:
+        return 0.0, nx
+    phi = lambda t: space._norm(xa + t * ya)
+    return golden_section_min(phi, lo * lam, lam, tol=tol)
+
+
 def oracle_min_over_line(space: NormedSpace, x, y,
                          tol: float = 1e-10) -> tuple[float, float]:
     """Directly minimize t -> ||x + t*y|| over t.
@@ -239,40 +257,31 @@ def oracle_min_over_line(space: NormedSpace, x, y,
     """
     xa = space.check_vector(x)
     ya = space.check_vector(y)
-    if space.is_zero(ya):
+    if not ya.any():
         raise ZeroDirection("line minimization needs y != 0")
-    nx = space.norm(xa)
-    ny = space.norm(ya)
-    lam = 2.0 * nx / ny
-    if lam == 0.0:
-        return 0.0, 0.0
-    phi = lambda t: space._norm(xa + t * ya)
-    return golden_section_min(phi, -lam, lam, tol=tol)
+    return _min_on_line(space, xa, ya, -1.0, tol)
 
 
 def is_bj_orthogonal_oracle(space: NormedSpace, x, y, margin: float = MARGIN) -> bool:
     """Independent orthogonality check by direct line minimization."""
     xa = space.check_vector(x)
     ya = space.check_vector(y)
-    if space.is_zero(xa) or space.is_zero(ya):
+    if not (xa.any() and ya.any()):
         return True
-    _, val = oracle_min_over_line(space, xa, ya)
-    return val >= space.norm(xa) * (1.0 - margin)
+    _, val = _min_on_line(space, xa, ya, -1.0)
+    return val >= space._norm(xa) * (1.0 - margin)
 
 
 def one_sided_acute_oracle(space: NormedSpace, x, y, margin: float = MARGIN) -> bool:
     """Independent acute-angle check: minimize over t >= 0 only."""
     xa = space.check_vector(x)
     ya = space.check_vector(y)
-    if space.is_zero(xa):
+    if not xa.any():
         raise ZeroVector("acute-angle oracle needs x != 0")
-    if space.is_zero(ya):
+    if not ya.any():
         return True
-    nx = space.norm(xa)
-    lam = 2.0 * nx / space.norm(ya)
-    phi = lambda t: space._norm(xa + t * ya)
-    _, val = golden_section_min(phi, 0.0, lam)
-    return val >= nx * (1.0 - margin)
+    _, val = _min_on_line(space, xa, ya, 0.0)
+    return val >= space._norm(xa) * (1.0 - margin)
 
 
 def oracle_exclusion_band(margin: float = MARGIN) -> float:
@@ -297,11 +306,11 @@ def orthogonal_direction(space: NormedSpace, x, rng: np.random.Generator) -> np.
     part, zero elsewhere, so the choice is immune to part ties.
     """
     xa = space.check_vector(x)
-    if space.is_zero(xa):
+    if not xa.any():
         raise ZeroVector("orthogonal partner needs x != 0")
     if isinstance(space, InfSum):
         pieces = space.split(xa)
-        norms = [part.norm(piece) for part, piece in zip(space.parts, pieces)]
+        norms = [part._norm(piece) for part, piece in zip(space.parts, pieces)]
         k = int(np.argmax(norms))
         out = np.zeros(space.dim)
         off = space._offsets
@@ -312,10 +321,9 @@ def orthogonal_direction(space: NormedSpace, x, rng: np.random.Generator) -> np.
         y = rng.standard_normal(space.dim)
         y[np.abs(xa) >= (1.0 - 10.0 * TAU_TIE) * m] = 0.0
         return y
+    f = space._support(xa)[0]
     if isinstance(space, (Lp, DayJames)) and space.dim == 2:
-        f = space.support_set(xa)[0]
         # f0*f1 - f1*f0 vanishes exactly in floating point.
         return np.array([-f[1], f[0]])
-    f = space.support_set(xa)[0]
     v = rng.standard_normal(space.dim)
     return v - (float(np.dot(f, v)) / float(np.dot(f, xa))) * xa

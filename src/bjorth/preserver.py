@@ -90,7 +90,7 @@ def solve_eta(plane: NormedSpace, theta: float, tol: float = 1e-12) -> float:
         return HALF_PI
     if theta >= HALF_PI:
         return math.pi
-    fs = plane.support_set(unit_vector_at_angle(plane, theta))
+    fs = plane._support(unit_vector_at_angle(plane, theta))
     if len(fs) != 1:
         raise NotSmooth(f"support set at angle {theta} has {len(fs)} extremes")
     fa, fb = float(fs[0][0]), float(fs[0][1])
@@ -278,7 +278,7 @@ class RadonPlaneMap(PreserverMap):
 
     def apply(self, v) -> np.ndarray:
         arr = self.source.check_vector(v)
-        if self.source.is_zero(arr):
+        if not arr.any():
             return np.zeros(2)
         a, b = float(arr[0]), float(arr[1])
         if b > 0.0 or (b == 0.0 and a > 0.0):
@@ -325,7 +325,7 @@ class RadonPlaneMap(PreserverMap):
 
     def apply_inverse(self, w) -> np.ndarray:
         arr = self.target.check_vector(w)
-        if self.target.is_zero(arr):
+        if not arr.any():
             return np.zeros(2)
         a, b = float(arr[0]), float(arr[1])
         if b > 0.0 or (b == 0.0 and a > 0.0):
@@ -485,8 +485,8 @@ def verify_preserver(pmap: PreserverMap, n_samples: int, margin: float = MARGIN,
         tx = pmap.apply(x)
         ty = pmap.apply(y)
 
-        nx = src.norm(x)
-        max_norm_err = max(max_norm_err, abs(tgt.norm(tx) - nx) / nx)
+        nx = src._norm(x)
+        max_norm_err = max(max_norm_err, abs(tgt._norm(tx) - nx) / nx)
 
         yp = orthogonal_direction(src, x, rng)
         typ = pmap.apply(yp)
@@ -494,15 +494,15 @@ def verify_preserver(pmap: PreserverMap, n_samples: int, margin: float = MARGIN,
 
         if i % 5 == 0:
             c = float(rng.choice([-1.0, 1.0])) * math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
-            err = tgt.norm(pmap.apply(c * x) - c * tx) / (abs(c) * nx)
+            err = tgt._norm(pmap.apply(c * x) - c * tx) / (abs(c) * nx)
             max_homog_err = max(max_homog_err, err)
 
         if i % 10 == 0:
             d = rng.standard_normal(src.dim)
             d *= 1e-6 * nx / np.linalg.norm(d)
             u = x + d
-            num = tgt.norm(pmap.apply(u) - tx)
-            den = src.norm(d)
+            num = tgt._norm(pmap.apply(u) - tx)
+            den = src._norm(d)
             if den > 0.0:
                 continuity = max(continuity, num / den)
 

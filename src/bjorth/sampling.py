@@ -15,11 +15,11 @@ def random_nonzero(space: NormedSpace, rng: np.random.Generator,
     """Standard-normal coordinates, rejecting vectors of tiny norm."""
     while True:
         v = rng.standard_normal(space.dim)
-        if space.norm(v) >= min_norm:
+        if space._norm(v) >= min_norm:
             return v
 
 
 def random_unit(space: NormedSpace, rng: np.random.Generator) -> np.ndarray:
     """A random vector rescaled to norm one in the space."""
     v = random_nonzero(space, rng)
-    return v / space.norm(v)
+    return v / space._norm(v)

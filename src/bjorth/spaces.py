@@ -31,14 +31,13 @@ from .errors import (
     DimensionMismatch,
     EmptySum,
     InvalidExponent,
+    NonFiniteInput,
     NotAPlane,
     NotSmooth,
     ParseError,
     ZeroVector,
 )
 
-# Zero-vector test, relative to coordinate magnitude.
-TAU_ZERO = 1e-12
 # Certification tolerance for support functionals (norming and feasibility).
 TAU_SUP = 1e-9
 # Norm-attainment tie tolerance for max norms and max-sums.
@@ -126,7 +125,9 @@ class NormedSpace(ABC):
     array, and ``_support`` on a checked nonzero array, plus their row-wise
     array forms: ``_norms`` on an (n, dim) array, and ``_bounds``, the
     (min, max) of f(y) over the extreme norming functionals f of x, row by
-    row, for nonzero rows x of X and rows y of Y.
+    row, for nonzero rows x of X and rows y of Y.  Public entry points pass
+    each caller's vector through ``check_vector`` once; a vector is zero only
+    when every coordinate is exactly zero.
     """
 
     dim: int
@@ -137,20 +138,20 @@ class NormedSpace(ABC):
             raise DimensionMismatch(
                 f"expected a vector of length {self.dim}, got shape {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise NonFiniteInput(f"vector coordinates must be finite, got {arr.tolist()}")
         return arr
 
     def norm(self, v) -> float:
         return self._norm(self.check_vector(v))
 
     def is_zero(self, v) -> bool:
-        arr = self.check_vector(v)
-        scale = float(np.max(np.abs(arr)))
-        return self._norm(arr) <= TAU_ZERO * max(1.0, scale)
+        return not self.check_vector(v).any()
 
     def support_set(self, x) -> list[np.ndarray]:
         """Extreme points of nu(x); raises ZeroVector at the origin."""
         arr = self.check_vector(x)
-        if self.is_zero(arr):
+        if not arr.any():
             raise ZeroVector("support set is undefined at the zero vector")
         return self._support(arr)
 
@@ -273,9 +274,9 @@ class DayJames(NormedSpace):
         return abs(1.0 / self.p + 1.0 / self.q - 1.0) <= 1e-12
 
     def _exponent_at(self, a: float, b: float) -> float:
-        # Exact sign test; on the axes both formulas agree so the choice
-        # is observationally irrelevant.
-        return self.p if a * b >= 0.0 else self.q
+        # Exact sign test (a*b can underflow to -0.0); on the axes both
+        # formulas agree so the choice is observationally irrelevant.
+        return self.p if _sign(a) * _sign(b) >= 0.0 else self.q
 
     def _norm(self, arr):
         return self._norm2(arr[0], arr[1])
@@ -293,7 +294,7 @@ class DayJames(NormedSpace):
 
     def _exponents(self, X: np.ndarray) -> np.ndarray:
         # Column of per-row exponents, by _exponent_at's exact sign test.
-        return np.where(X[:, 0] * X[:, 1] >= 0.0, self.p, self.q)[:, None]
+        return np.where(np.sign(X[:, 0]) * np.sign(X[:, 1]) >= 0.0, self.p, self.q)[:, None]
 
     def _norms(self, X):
         return _pnorms(X, self._exponents(X))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 import bjorth as bj
 from bjorth.sampling import random_nonzero  # noqa: F401  re-exported to the test modules
@@ -32,3 +33,10 @@ SPACE_ZOO = [
 @pytest.fixture(scope="session")
 def space_zoo():
     return SPACE_ZOO
+
+
+def draw_vector(data, dim):
+    """Hypothesis draw: coordinates of magnitude in [1e-3, 1e3], random signs."""
+    mags = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=dim, max_size=dim))
+    signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=dim, max_size=dim))
+    return np.array(mags) * np.array(signs)

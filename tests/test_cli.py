@@ -54,6 +54,25 @@ def test_check_non_orthogonal_exits_one(capsys):
     assert "strictly-acute" in out
 
 
+def test_check_zero_vector_is_orthogonal_both_ways(capsys):
+    code, out, _ = run(capsys, "check", "--space", "dayjames:3:1.5",
+                       "--x", "0,0", "--y", "1,0")
+    assert code == 0
+    assert out.splitlines()[1:] == ["degenerate", "reverse: orthogonal", "mutual: yes"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--x", "nan,1", "--y", "1,0"],
+    ["--x", "1,0", "--y", "1,inf"],
+    ["--x", "1,1", "--y", "1,-1", "--margin", "nan"],
+], ids=["nan-x", "inf-y", "nan-margin"])
+def test_check_non_finite_input_exits_two(capsys, argv):
+    code, out, err = run(capsys, "check", "--space", "dayjames:3:1.5", *argv)
+    assert code == 2
+    assert "error:" in err and "finite" in err
+    assert "orthogonal" not in out
+
+
 def test_check_bad_space_exits_two(capsys):
     code, _, err = run(capsys, "check", "--space", "lp:2:0.5",
                        "--x", "1,0", "--y", "0,1")

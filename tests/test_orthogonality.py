@@ -9,7 +9,7 @@ import bjorth as bj
 from bjorth.errors import ZeroDirection, ZeroVector
 from bjorth.orthogonality import AngleTag
 
-from conftest import SPACE_ZOO, random_nonzero
+from conftest import SPACE_ZOO, draw_vector, random_nonzero
 
 
 # ---------------------------------------------------------------------------
@@ -320,3 +320,102 @@ def test_classify_many_shape_checks():
     empty = bj.classify_many(bj.InfSum((bj.Lp(2, 2.0), bj.LInf(1))),
                              np.empty((0, 3)), np.empty((0, 3)))
     assert len(empty.tag) == 0
+
+
+# ---------------------------------------------------------------------------
+# The input contract: finite coordinates, exact zero, scale invariance.
+
+
+def test_non_finite_input_is_rejected():
+    dj = bj.DayJames(3.0, 1.5)
+    for bad in ([math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf]):
+        with pytest.raises(bj.NonFiniteInput):
+            bj.classify_angle(dj, bad, [1.0, 0.0])
+        with pytest.raises(bj.NonFiniteInput):
+            bj.classify_angle(dj, [1.0, 0.0], bad)
+        with pytest.raises(bj.NonFiniteInput):
+            bj.classify_many(dj, [[1.0, 0.0], bad], [[0.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(bj.NonFiniteInput):
+            bj.classify_many(dj, [[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], bad])
+    for margin in (math.nan, math.inf):
+        with pytest.raises(bj.NonFiniteInput):
+            bj.classify_angle(dj, [1.0, 1.0], [1.0, -1.0], margin)
+        with pytest.raises(bj.NonFiniteInput):
+            bj.classify_many(dj, [[1.0, 1.0]], [[1.0, -1.0]], margin)
+
+
+def test_tiny_nonzero_vector_is_not_zero():
+    l2 = bj.Lp(2, 2.0)
+    assert not bj.is_bj_orthogonal(l2, [1e-13, 0.0], [1.0, 0.0])
+    assert not l2.is_zero([1e-300, 0.0])
+    assert l2.is_zero([0.0, -0.0])
+    rels = bj.classify_many(l2, [[1e-13, 0.0], [0.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]])
+    assert list(rels.tag) == [AngleTag.STRICTLY_ACUTE, AngleTag.DEGENERATE_LEFT]
+
+
+DJ = bj.DayJames(3.0, 1.5)
+G = np.array([1.0, 0.5])
+
+# Every public entry point that takes vectors, as (dimension of the bad
+# vector's slot, call with the bad vector v and the Day-James plane map m).
+VECTOR_ENTRY_POINTS = {
+    "norm": (2, lambda v, m: DJ.norm(v)),
+    "is_zero": (2, lambda v, m: DJ.is_zero(v)),
+    "support_set": (2, lambda v, m: DJ.support_set(v)),
+    "directional_bounds-x": (2, lambda v, m: bj.directional_bounds(DJ, v, G)),
+    "directional_bounds-y": (2, lambda v, m: bj.directional_bounds(DJ, G, v)),
+    "classify_angle-x": (2, lambda v, m: bj.classify_angle(DJ, v, G)),
+    "classify_angle-y": (2, lambda v, m: bj.classify_angle(DJ, G, v)),
+    "classify_many-x": (2, lambda v, m: bj.classify_many(DJ, [v], [G])),
+    "classify_many-y": (2, lambda v, m: bj.classify_many(DJ, [G], [v])),
+    "is_mutually_orthogonal-x": (2, lambda v, m: bj.is_mutually_orthogonal(DJ, v, G)),
+    "is_mutually_orthogonal-y": (2, lambda v, m: bj.is_mutually_orthogonal(DJ, G, v)),
+    "oracle_min_over_line-x": (2, lambda v, m: bj.oracle_min_over_line(DJ, v, G)),
+    "oracle_min_over_line-y": (2, lambda v, m: bj.oracle_min_over_line(DJ, G, v)),
+    "is_bj_orthogonal_oracle-x": (2, lambda v, m: bj.is_bj_orthogonal_oracle(DJ, v, G)),
+    "is_bj_orthogonal_oracle-y": (2, lambda v, m: bj.is_bj_orthogonal_oracle(DJ, G, v)),
+    "one_sided_acute_oracle-x": (2, lambda v, m: bj.one_sided_acute_oracle(DJ, v, G)),
+    "one_sided_acute_oracle-y": (2, lambda v, m: bj.one_sided_acute_oracle(DJ, G, v)),
+    "orthogonal_direction": (2, lambda v, m: bj.orthogonal_direction(
+        DJ, v, np.random.default_rng(0))),
+    "parallelogram_defect-u": (2, lambda v, m: bj.parallelogram_defect(DJ, v, G)),
+    "parallelogram_defect-v": (2, lambda v, m: bj.parallelogram_defect(DJ, G, v)),
+    "euclidean_section_search": (2, lambda v, m: bj.euclidean_section_search(
+        DJ, [bj.SectionCandidate(G, [0.0, 1.0]),
+             bj.SectionCandidate(v, np.roll(np.eye(len(v))[0], 1))])),
+    "sample_orthograph": (2, lambda v, m: bj.sample_orthograph(DJ, [G, v])),
+    "RadonPlaneMap.apply": (2, lambda v, m: m.apply(v)),
+    "RadonPlaneMap.apply_inverse": (2, lambda v, m: m.apply_inverse(v)),
+    "SumMap.apply": (3, lambda v, m: bj.SumMap((m, bj.IdentityMap(bj.LInf(1)))).apply(v)),
+}
+
+
+@pytest.fixture(scope="module")
+def plane_map():
+    return bj.build_preserver(DJ, 64)
+
+
+@pytest.mark.parametrize("bad", ["wrong-length", "nan", "inf"])
+@pytest.mark.parametrize("entry", sorted(VECTOR_ENTRY_POINTS))
+def test_vector_entry_points_check_their_input(entry, bad, plane_map):
+    dim, call = VECTOR_ENTRY_POINTS[entry]
+    if bad == "wrong-length":
+        v, error = np.ones(dim + 1), bj.DimensionMismatch
+    else:
+        v, error = np.ones(dim), bj.NonFiniteInput
+        v[-1] = math.nan if bad == "nan" else -math.inf
+    with pytest.raises(error):
+        call(v, plane_map)
+
+
+@given(data=st.data(), space=st.sampled_from(SPACE_ZOO))
+def test_classification_is_invariant_under_power_of_two_scaling(data, space):
+    # Scaling by 2^k is exact in floating point, so the tags must not move.
+    x = draw_vector(data, space.dim)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    ys = [draw_vector(data, space.dim), bj.orthogonal_direction(space, x, rng), x, -x]
+    j, k = data.draw(st.integers(-900, 900)), data.draw(st.integers(-900, 900))
+    tags = [bj.classify_angle(space, x, y).tag for y in ys]
+    assert [bj.classify_angle(space, 2.0**j * x, 2.0**k * y).tag for y in ys] == tags
+    many = bj.classify_many(space, [2.0**j * x] * len(ys), [2.0**k * y for y in ys])
+    assert list(many.tag) == tags

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import bjorth as bj
 from bjorth.errors import (
@@ -11,7 +13,7 @@ from bjorth.errors import (
     NotRadonPlane,
 )
 
-from conftest import random_nonzero
+from conftest import draw_vector, random_nonzero
 
 DJ = bj.DayJames(3.0, 1.5)
 L2 = bj.Lp(2, 2.0)
@@ -153,6 +155,19 @@ def test_apply_is_homogeneous(dj_map):
         c = float(rng.uniform(0.1, 10.0)) * float(rng.choice([-1.0, 1.0]))
         err = DJ.norm(dj_map.apply(c * v) - c * dj_map.apply(v))
         assert err <= 1e-12 * abs(c) * L2.norm(v)
+
+
+@given(data=st.data())
+def test_apply_commutes_with_power_of_two_scaling(dj_map, data):
+    # Scaling by 2^k is exact, so homogeneity must hold bit for bit, at
+    # magnitudes far from one (no tiny nonzero vector maps to zero).
+    lifted = bj.SumMap((dj_map, bj.IdentityMap(bj.LInf(2))))
+    k = data.draw(st.integers(-900, 900))
+    for pmap in (dj_map, lifted):
+        v = draw_vector(data, pmap.source.dim)
+        np.testing.assert_array_equal(pmap.apply(2.0**k * v), 2.0**k * pmap.apply(v))
+        np.testing.assert_array_equal(pmap.apply_inverse(2.0**k * v),
+                                      2.0**k * pmap.apply_inverse(v))
 
 
 def test_apply_continuous_across_quadrant_seams(dj_map):
