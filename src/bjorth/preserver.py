@@ -432,20 +432,21 @@ def _pair_agreement(rel_s: AngleRelations, rel_t: AngleRelations,
                     band: float) -> tuple[int, int, int]:
     """Compare source and image classifications, pair by pair.
 
-    Returns (excluded, orth_disagreements, acute_disagreements) summed over
-    the pairs.  A pair is excluded from the orthogonality comparison when
+    Rows alternate a random pair and a constructed orthogonal pair.  Returns
+    (excluded, orth_disagreements, acute_disagreements) summed over the
+    pairs.  A pair is excluded from the orthogonality comparison when
     either side is non-orthogonal but within the band of the decision
     boundary; pairs classified orthogonal are always kept (they are the
-    informative ones).  The acute comparison is excluded when either side's
-    right derivative sits within the band of zero.
+    informative ones).  A random pair is excluded from the acute comparison
+    when either side's right derivative sits within the band of zero.
     """
     orth_skip = (
         (~rel_s.is_orthogonal & (rel_s.orthogonality_distance() <= band))
         | (~rel_t.is_orthogonal & (rel_t.orthogonality_distance() <= band))
     )
-    acute_skip = (rel_s.acute_distance() <= band) | (rel_t.acute_distance() <= band)
+    acute_skip = ((rel_s.acute_distance() <= band) | (rel_t.acute_distance() <= band))[::2]
     orth_dis = ~orth_skip & (rel_s.is_orthogonal != rel_t.is_orthogonal)
-    acute_dis = ~acute_skip & (rel_s.is_acute != rel_t.is_acute)
+    acute_dis = ~acute_skip & (rel_s.is_acute != rel_t.is_acute)[::2]
     return int(orth_skip.sum() + acute_skip.sum()), int(orth_dis.sum()), int(acute_dis.sum())
 
 
@@ -457,7 +458,10 @@ def verify_preserver(pmap: PreserverMap, n_samples: int, margin: float = MARGIN,
     Each sample draws a random pair (x, y) plus a constructed pair
     (x, y_perp) with exact source orthogonality; random pairs are never
     orthogonal, so the constructed ones are what make the orthogonality
-    comparison informative in both directions.  Homogeneity is probed on
+    comparison informative in both directions.  Only random pairs are
+    compared on acuteness (y_perp sits on the acute boundary by
+    construction).  boundary_excluded counts the comparisons skipped as too
+    close to a decision boundary to adjudicate.  Homogeneity is probed on
     every fifth sample and the continuity modulus on every tenth.
 
     The sweep runs in two phases.  The draw phase loops over the samples in

@@ -267,24 +267,27 @@ def test_verify_report_is_deterministic(dj_map):
 # Reports recorded with every pair judged by the scalar classify_angle.  The
 # sampling contract and the judging rules do not depend on how the pairs are
 # classified, so the reports must match exactly.  tool_version is left out.
+# boundary_excluded was recorded as one per sample while the acute comparison
+# of each constructed pair (x, y_perp), on the boundary by construction, was
+# still made; no other pair of these runs comes near a decision boundary.
 PINNED_REPORTS = {
     ("plane", 0): {
-        "samples": 300, "disagreements": 0, "boundary_excluded": 300,
+        "samples": 300, "disagreements": 0, "boundary_excluded": 0,
         "max_norm_error": 4.174968488017241e-16, "max_homog_error": 3.9905456023577915e-16,
         "continuity_modulus": 1.5765829066775947, "seed": 0, "pass": True,
         "orthogonality_disagreements": 0, "acute_disagreements": 0},
     ("plane", 7): {
-        "samples": 300, "disagreements": 0, "boundary_excluded": 300,
+        "samples": 300, "disagreements": 0, "boundary_excluded": 0,
         "max_norm_error": 4.426947694711581e-16, "max_homog_error": 3.170520961000166e-16,
         "continuity_modulus": 1.3637200315881821, "seed": 7, "pass": True,
         "orthogonality_disagreements": 0, "acute_disagreements": 0},
     ("sum_linf8", 0): {
-        "samples": 300, "disagreements": 0, "boundary_excluded": 300,
+        "samples": 300, "disagreements": 0, "boundary_excluded": 0,
         "max_norm_error": 3.4811607380639467e-16, "max_homog_error": 2.04793928805765e-16,
         "continuity_modulus": 1.4315144799883897, "seed": 0, "pass": True,
         "orthogonality_disagreements": 0, "acute_disagreements": 0},
     ("sum_linf8", 7): {
-        "samples": 300, "disagreements": 0, "boundary_excluded": 300,
+        "samples": 300, "disagreements": 0, "boundary_excluded": 0,
         "max_norm_error": 3.39246903467686e-16, "max_homog_error": 1.6091905734407107e-16,
         "continuity_modulus": 1.0813160379930886, "seed": 7, "pass": True,
         "orthogonality_disagreements": 0, "acute_disagreements": 0},
@@ -306,7 +309,7 @@ def test_swapped_table_report_matches_pinned_values():
     report = bj.verify_preserver(bad, 1000, seed=0).to_dict()
     del report["tool_version"]
     assert report == {
-        "samples": 1000, "disagreements": 1, "boundary_excluded": 1000,
+        "samples": 1000, "disagreements": 1, "boundary_excluded": 0,
         "max_norm_error": 4.4337148032606986e-16, "max_homog_error": 5.030213509388748e-16,
         "continuity_modulus": 1.5765829066775947, "seed": 0, "pass": False,
         "orthogonality_disagreements": 1, "acute_disagreements": 0}
