@@ -237,8 +237,7 @@ def golden_section_min(phi, lo: float, hi: float, tol: float = 1e-10,
 
 def _min_on_line(space: NormedSpace, xa: np.ndarray, ya: np.ndarray, lo: float,
                  tol: float = 1e-10) -> tuple[float, float]:
-    """Minimize t -> ||x + t*y|| over [lo * L, L], L = 2||x||/||y||, for
-    checked arrays with y != 0; (0, ||x||) when L is zero."""
+    """oracle_min_over_line over [lo * L, L] on checked arrays, y != 0."""
     nx = space._norm(xa)
     lam = 2.0 * nx / space._norm(ya)
     if lam == 0.0:

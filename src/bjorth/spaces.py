@@ -274,9 +274,9 @@ class DayJames(NormedSpace):
         return abs(1.0 / self.p + 1.0 / self.q - 1.0) <= 1e-12
 
     def _exponent_at(self, a: float, b: float) -> float:
-        # Exact sign test (a*b can underflow to -0.0); on the axes both
+        # Same-sign test, exact where a*b would underflow; on the axes both
         # formulas agree so the choice is observationally irrelevant.
-        return self.p if _sign(a) * _sign(b) >= 0.0 else self.q
+        return self.p if (a < 0.0) == (b < 0.0) else self.q
 
     def _norm(self, arr):
         return self._norm2(arr[0], arr[1])
@@ -294,7 +294,7 @@ class DayJames(NormedSpace):
 
     def _exponents(self, X: np.ndarray) -> np.ndarray:
         # Column of per-row exponents, by _exponent_at's exact sign test.
-        return np.where(np.sign(X[:, 0]) * np.sign(X[:, 1]) >= 0.0, self.p, self.q)[:, None]
+        return np.where((X[:, 0] < 0.0) == (X[:, 1] < 0.0), self.p, self.q)[:, None]
 
     def _norms(self, X):
         return _pnorms(X, self._exponents(X))
