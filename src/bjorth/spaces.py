@@ -274,12 +274,13 @@ class DayJames(NormedSpace):
         return abs(1.0 / self.p + 1.0 / self.q - 1.0) <= 1e-12
 
     def _exponent_at(self, a: float, b: float) -> float:
-        # Same-sign test, exact where a*b would underflow; on the axes both
-        # formulas agree so the choice is observationally irrelevant.
+        # Same-sign test on Python floats, exact where a*b would underflow;
+        # on the axes both formulas agree so the choice is observationally
+        # irrelevant.
         return self.p if (a < 0.0) == (b < 0.0) else self.q
 
     def _norm(self, arr):
-        return self._norm2(arr[0], arr[1])
+        return self._norm2(float(arr[0]), float(arr[1]))
 
     def _support(self, arr):
         a, b = float(arr[0]), float(arr[1])
