@@ -274,9 +274,8 @@ class DayJames(NormedSpace):
         return abs(1.0 / self.p + 1.0 / self.q - 1.0) <= 1e-12
 
     def _exponent_at(self, a: float, b: float) -> float:
-        # Same-sign test on Python floats, exact where a*b would underflow;
-        # on the axes both formulas agree so the choice is observationally
-        # irrelevant.
+        # Same-sign test on Python floats (a*b can underflow to -0.0); on the
+        # axes both formulas agree so the choice is observationally irrelevant.
         return self.p if (a < 0.0) == (b < 0.0) else self.q
 
     def _norm(self, arr):

@@ -267,9 +267,8 @@ def test_verify_report_is_deterministic(dj_map):
 # Reports recorded with every pair judged by the scalar classify_angle.  The
 # sampling contract and the judging rules do not depend on how the pairs are
 # classified, so the reports must match exactly.  tool_version is left out.
-# boundary_excluded was recorded as one per sample while the acute comparison
-# of each constructed pair (x, y_perp), on the boundary by construction, was
-# still made; no other pair of these runs comes near a decision boundary.
+# boundary_excluded is 0: constructed pairs are not compared on acuteness,
+# and no other comparison of these runs comes near a decision boundary.
 PINNED_REPORTS = {
     ("plane", 0): {
         "samples": 300, "disagreements": 0, "boundary_excluded": 0,
