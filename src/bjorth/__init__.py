@@ -18,6 +18,7 @@ from .errors import (
     EmptyParts,
     EmptySum,
     GridTooCoarse,
+    InvalidCount,
     InvalidExponent,
     MonotonicityViolation,
     NoBracket,
@@ -57,6 +58,7 @@ from .orthogonality import (
     is_bj_orthogonal,
     is_bj_orthogonal_oracle,
     is_mutually_orthogonal,
+    one_sided_acute_many,
     one_sided_acute_oracle,
     oracle_exclusion_band,
     oracle_min_over_line,

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSection, NotAPlane, NotSmooth
+from .errors import DegenerateSection, InvalidCount, NotAPlane, NotSmooth
 from .orthogonality import (
     MARGIN,
-    classify_angle,
     classify_many,
-    one_sided_acute_oracle,
+    one_sided_acute_many,
     oracle_exclusion_band,
     oracle_min_over_line,
 )
@@ -29,8 +28,11 @@ from .preserver import _bisect_decreasing
 from .sampling import random_nonzero, random_unit
 from .spaces import InfSum, LInf, NormedSpace, unit_vector_at_angle
 
-# Orthograph pairs judged per pair of classify_many calls (all of them up to
-# 362 directions); bounds the array temporaries to about 12 MB for any n.
+# Rows judged per block of array passes: orthograph pairs (all of them up to
+# 362 directions), sum-acute samples, and section-search coefficient draws
+# (whole candidates: PAIR_BLOCK // pair_samples of them, at least one).
+# Bounds the memory of a block for any count: about 12 MB for orthograph
+# pairs, 20 MB for section draws and 55 MB for sum-acute samples.
 PAIR_BLOCK = 1 << 16
 
 
@@ -57,7 +59,7 @@ def radon_defect(plane: NormedSpace, grid: int = 720,
     if plane.dim != 2:
         raise NotAPlane(f"expected a plane, got dimension {plane.dim}")
     if grid < 16:
-        raise ValueError(f"grid must be >= 16, got {grid}")
+        raise InvalidCount(f"grid must be >= 16, got {grid}")
     rows = []
     best = (-1.0, None)
     for theta in np.linspace(0.0, math.pi, grid, endpoint=False):
@@ -171,10 +173,7 @@ def smoothness_probe(space: NormedSpace, samples: int = 200, seed: int = 0,
 def parallelogram_defect(space: NormedSpace, u, v) -> float:
     """||u+v||^2 + ||u-v||^2 - 2||u||^2 - 2||v||^2; zero in inner-product
     spaces and on their isometric sections."""
-    return _parallelogram_defect(space, space.check_vector(u), space.check_vector(v))
-
-
-def _parallelogram_defect(space: NormedSpace, ua: np.ndarray, va: np.ndarray) -> float:
+    ua, va = space.check_vector(u), space.check_vector(v)
     return (
         space._norm(ua + va) ** 2
         + space._norm(ua - va) ** 2
@@ -227,30 +226,37 @@ def euclidean_section_search(space: NormedSpace, candidates, pair_samples: int =
     """Flag candidate sections on which the parallelogram identity survives
     every sampled coefficient quadruple.
 
-    A candidate stays flagged only while |defect| <= tol * scale^2 for all
-    draws, so flags can only shrink as pair_samples grows (draws are
-    prefix-stable per candidate).  Flagged sections are Euclidean up to the
-    sampling evidence; this falsification search is not a proof.
+    Candidate idx draws its pair_samples coefficient quadruples (a, b, c, d)
+    from a child generator keyed by (seed, idx) and is flagged when
+    |defect(a u + b v, c u + d v)| <= tol * scale^2 for every draw whose
+    scale^2 = ||a u + b v||^2 + ||c u + d v||^2 is nonzero.  Draws are
+    prefix-stable per candidate, so flags can only shrink as pair_samples
+    grows.  Flagged sections are Euclidean up to the sampling evidence; this
+    falsification search is not a proof.  All draws of a block of
+    candidates are judged together, with four space._norms passes.
     """
     if not candidates:
         raise ValueError("candidate list must be nonempty")
+    if pair_samples < 1:
+        raise InvalidCount(f"pair_samples must be >= 1, got {pair_samples}")
     bases = [(space.check_vector(cand.u), space.check_vector(cand.v)) for cand in candidates]
+    per_block = max(1, PAIR_BLOCK // pair_samples)
     flagged = []
-    for idx, (u, v) in enumerate(bases):
-        rng = np.random.default_rng([seed, idx])
-        ok = True
-        for _ in range(pair_samples):
-            a, b, c, d = rng.standard_normal(4)
-            w1 = a * u + b * v
-            w2 = c * u + d * v
-            scale2 = space._norm(w1) ** 2 + space._norm(w2) ** 2
-            if scale2 == 0.0:
-                continue
-            if abs(_parallelogram_defect(space, w1, w2)) > tol * scale2:
-                ok = False
-                break
-        if ok:
-            flagged.append(candidates[idx])
+    for start in range(0, len(bases), per_block):
+        block = range(start, min(start + per_block, len(bases)))
+        coeffs = np.concatenate([np.random.default_rng([seed, idx]).standard_normal(
+            (pair_samples, 4)) for idx in block])
+        u = np.repeat([bases[idx][0] for idx in block], pair_samples, axis=0)
+        v = np.repeat([bases[idx][1] for idx in block], pair_samples, axis=0)
+        w1 = coeffs[:, 0:1] * u + coeffs[:, 1:2] * v
+        w2 = coeffs[:, 2:3] * u + coeffs[:, 3:4] * v
+        n1, n2 = space._norms(w1), space._norms(w2)
+        scale2 = n1**2 + n2**2
+        defect = (space._norms(w1 + w2) ** 2 + space._norms(w1 - w2) ** 2
+                  - 2.0 * n1**2 - 2.0 * n2**2)
+        violated = (scale2 != 0.0) & (np.abs(defect) > tol * scale2)
+        survived = ~violated.reshape(len(block), pair_samples).any(axis=1)
+        flagged += [candidates[idx] for idx, ok in zip(block, survived) if ok]
     return flagged
 
 
@@ -334,54 +340,57 @@ def sum_acute_equivalence_check(space_x: NormedSpace, space_y: NormedSpace,
     whose deciding part relation sits within the oracle exclusion band, or
     whose part norms differ by less than tie_band without being equal, are
     excluded rather than adjudicated.
+
+    The check runs in two phases per block of PAIR_BLOCK samples.  The draw
+    phase loops over the samples in order: sample i draws from a child
+    generator keyed by (seed, i), is rebuilt as a tie when due, and is
+    excluded or assigned its deciding parts by the tie rule.  The judge
+    phase classifies the deciding parts with one classify_many call per
+    part, excludes the samples near the acute boundary, and runs
+    one_sided_acute_many on the rest.
     """
+    if n_samples < 1:
+        raise InvalidCount(f"n_samples must be >= 1, got {n_samples}")
     band = oracle_exclusion_band(margin) if boundary_band is None else boundary_band
     sum_space = InfSum((space_x, space_y))
     dx = space_x.dim
 
     evaluated = disagreements = boundary_excluded = tie_excluded = tie_samples = 0
-    for i in range(n_samples):
-        rng = np.random.default_rng([seed, i])
-        z1 = random_nonzero(sum_space, rng)
-        z2 = rng.standard_normal(sum_space.dim)
-        if i % tie_every == 0:
-            tied = _exact_tie(space_x, space_y, z1, rng)
-            if tied is not None:
-                z1 = tied
-                tie_samples += 1
-        x1, y1 = z1[:dx], z1[dx:]
-        x2, y2 = z2[:dx], z2[dx:]
-        nx, ny = space_x._norm(x1), space_y._norm(y1)
-
-        if nx == ny:
-            need_x, need_y = True, True
-        elif abs(nx - ny) <= tie_band * max(nx, ny):
-            tie_excluded += 1
-            continue
-        elif nx > ny:
-            need_x, need_y = True, False
-        else:
-            need_x, need_y = False, True
-
-        rel_x = classify_angle(space_x, x1, x2, margin) if need_x else None
-        rel_y = classify_angle(space_y, y1, y2, margin) if need_y else None
-        if (rel_x is not None and rel_x.acute_distance() <= band) or (
-            rel_y is not None and rel_y.acute_distance() <= band
-        ):
-            boundary_excluded += 1
+    for start in range(0, n_samples, PAIR_BLOCK):
+        z1s, z2s, needs = [], [], []
+        for i in range(start, min(start + PAIR_BLOCK, n_samples)):
+            rng = np.random.default_rng([seed, i])
+            z1 = random_nonzero(sum_space, rng)
+            z2 = rng.standard_normal(sum_space.dim)
+            if i % tie_every == 0:
+                tied = _exact_tie(space_x, space_y, z1, rng)
+                if tied is not None:
+                    z1 = tied
+                    tie_samples += 1
+            nx, ny = space_x._norm(z1[:dx]), space_y._norm(z1[dx:])
+            if nx != ny and abs(nx - ny) <= tie_band * max(nx, ny):
+                tie_excluded += 1
+                continue
+            z1s.append(z1)
+            z2s.append(z2)
+            needs.append((nx >= ny, ny >= nx))
+        if not z1s:
             continue
 
-        if need_x and need_y:
-            predicted = rel_x.is_acute or rel_y.is_acute
-        elif need_x:
-            predicted = rel_x.is_acute
-        else:
-            predicted = rel_y.is_acute
-
-        actual = one_sided_acute_oracle(sum_space, z1, z2, margin)
-        evaluated += 1
-        if predicted != actual:
-            disagreements += 1
+        Z1, Z2, need = np.array(z1s), np.array(z2s), np.array(needs)
+        near = np.zeros(len(Z1), dtype=bool)
+        predicted = np.zeros(len(Z1), dtype=bool)
+        for k, (part, P1, P2) in enumerate(zip(sum_space.parts, sum_space.split(Z1),
+                                               sum_space.split(Z2))):
+            rows = need[:, k]
+            rel = classify_many(part, P1[rows], P2[rows], margin)
+            near[rows] |= rel.acute_distance() <= band
+            predicted[rows] |= rel.is_acute
+        judged = ~near
+        actual = one_sided_acute_many(sum_space, Z1[judged], Z2[judged], margin)
+        boundary_excluded += int(near.sum())
+        evaluated += int(judged.sum())
+        disagreements += int((predicted[judged] != actual).sum())
 
     return SumAcuteReport(
         samples=n_samples,

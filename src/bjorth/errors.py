@@ -25,6 +25,10 @@ class NonFiniteInput(BjorthError):
     """A vector coordinate or a decision margin is NaN or infinite."""
 
 
+class InvalidCount(BjorthError, ValueError):
+    """A sample, pair-sample or grid count is below its minimum."""
+
+
 class ZeroVector(BjorthError):
     """Operation requires a nonzero vector."""
 

@@ -10,7 +10,8 @@ Over the finite extreme-point representation of the norming set these
 conditions become min/max tests on finitely many dual pairings, which is how
 ``classify_angle`` decides (``classify_many`` on whole arrays of pairs).  An
 independent cross-check is provided by direct golden-section minimization of
-the convex map t -> ||x + t*y||.
+the convex map t -> ||x + t*y|| (``one_sided_acute_many`` runs it on whole
+arrays of pairs in lockstep).
 """
 
 from __future__ import annotations
@@ -150,12 +151,8 @@ def classify_angle(space: NormedSpace, x, y, margin: float = MARGIN) -> AngleRel
     return AngleRelation(tag, mn, mx, scale)
 
 
-def classify_many(space: NormedSpace, X, Y, margin: float = MARGIN) -> AngleRelations:
-    """classify_angle on every row pair (X[i], Y[i]) in a few array passes.
-
-    The zero rule, margin test and witness bounds are classify_angle's,
-    which stays the reference; the bounds agree with it to rounding.
-    """
+def _checked_rows(space: NormedSpace, X, Y, margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """X and Y as two (n, dim) float arrays of finite rows; a finite margin."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if X.ndim != 2 or X.shape[1] != space.dim or Y.shape != X.shape:
@@ -164,6 +161,16 @@ def classify_many(space: NormedSpace, X, Y, margin: float = MARGIN) -> AngleRela
         )
     if not (np.isfinite(X).all() and np.isfinite(Y).all() and math.isfinite(margin)):
         raise NonFiniteInput("vector coordinates and margin must be finite")
+    return X, Y
+
+
+def classify_many(space: NormedSpace, X, Y, margin: float = MARGIN) -> AngleRelations:
+    """classify_angle on every row pair (X[i], Y[i]) in a few array passes.
+
+    The zero rule, margin test and witness bounds are classify_angle's,
+    which stays the reference; the bounds agree with it to rounding.
+    """
+    X, Y = _checked_rows(space, X, Y, margin)
     n = len(X)
     live = X.any(axis=1)
     mn, mx, scale = np.zeros(n), np.zeros(n), np.zeros(n)
@@ -235,15 +242,103 @@ def golden_section_min(phi, lo: float, hi: float, tol: float = 1e-10,
     return best_x, best_f
 
 
+def _golden_section_rows(phi, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-10,
+                         max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
+    """golden_section_min on every row at once.
+
+    phi(rows, t) evaluates the objectives of the row indices rows at the
+    points t.  Each row takes exactly the scalar search's bracket updates
+    and evaluations (lt: the rows where fc < fd, rt: the others); a pass
+    evaluates only the rows still shrinking.
+    """
+    a, b = lo.astype(float), hi.astype(float)
+    every = np.arange(len(a))
+    best_x, best_f = a.copy(), phi(every, a)
+
+    def improve(rows, t, f):
+        better = f < best_f[rows]
+        best_x[rows[better]], best_f[rows[better]] = t[better], f[better]
+
+    improve(every, b, phi(every, b))
+    h = b - a
+    rows = np.flatnonzero(h > tol)
+    c = b - _INV_PHI * h
+    d = a + _INV_PHI * h
+    fc, fd = np.empty(len(a)), np.empty(len(a))
+    fc[rows], fd[rows] = phi(rows, c[rows]), phi(rows, d[rows])
+    improve(rows, c[rows], fc[rows])
+    improve(rows, d[rows], fd[rows])
+    live = rows
+    for _ in range(max_iter):
+        live = live[h[live] > tol]
+        if not len(live):
+            break
+        left = fc[live] < fd[live]
+        lt, rt = live[left], live[~left]
+        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
+        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
+        h[live] = b[live] - a[live]
+        c[lt] = b[lt] - _INV_PHI * h[lt]
+        d[rt] = a[rt] + _INV_PHI * h[rt]
+        t = np.where(left, c[live], d[live])
+        f = phi(live, t)
+        fc[lt], fd[rt] = f[left], f[~left]
+        improve(live, t, f)
+    mid = 0.5 * (a[rows] + b[rows])
+    improve(rows, mid, phi(rows, mid))
+    return best_x, best_f
+
+
+# Smallest bracket L = 2||x||/||y|| searched as it is.  The search resolves
+# t to an absolute tolerance, so a far smaller bracket loses its resolution
+# (below 2e-11 not one step is taken), and a bracket beyond the float range
+# is inf.  There y is first rescaled by an exact power of two that brings L
+# into (1, 4).  The brackets of the Radon scans (about 2) and of the sampled
+# sum-acute checks (above 0.03) lie in between and keep their arithmetic.
+_MIN_BRACKET = 2.0**-10
+
+
+def _unscaled(t, e):
+    """t * 2**e, the argmin in units of the caller's y; +-inf past the float range."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(t, e)
+
+
 def _min_on_line(space: NormedSpace, xa: np.ndarray, ya: np.ndarray, lo: float,
                  tol: float = 1e-10) -> tuple[float, float]:
     """oracle_min_over_line over [lo * L, L] on checked arrays, y != 0."""
     nx = space._norm(xa)
-    lam = 2.0 * nx / space._norm(ya)
-    if lam == 0.0:
+    if nx == 0.0:
         return 0.0, nx
+    ny = space._norm(ya)
+    lam = 2.0 * float(nx) / float(ny)  # Python floats overflow to inf quietly
+    e = 0
+    if not _MIN_BRACKET <= lam < math.inf:
+        e = math.frexp(nx)[1] - math.frexp(ny)[1]
+        ya = np.ldexp(ya, e)
+        lam = 2.0 * nx / space._norm(ya)
     phi = lambda t: space._norm(xa + t * ya)
-    return golden_section_min(phi, lo * lam, lam, tol=tol)
+    t, val = golden_section_min(phi, lo * lam, lam, tol=tol)
+    return (t if e == 0 else float(_unscaled(t, e))), val
+
+
+def _min_on_lines(space: NormedSpace, X: np.ndarray, Y: np.ndarray, lo: float,
+                  tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """_min_on_line on every row pair, nonzero x and y, with its rescaling
+    rule, in lockstep passes of space._norms."""
+    nx, ny = space._norms(X), space._norms(Y)
+    with np.errstate(over="ignore"):
+        lam = 2.0 * nx / ny
+    e = np.zeros(len(X), dtype=int)
+    far = ~((lam >= _MIN_BRACKET) & (lam < math.inf))
+    if far.any():
+        e[far] = np.frexp(nx[far])[1] - np.frexp(ny[far])[1]
+        Y = Y.copy()
+        Y[far] = np.ldexp(Y[far], e[far, None])
+        lam[far] = 2.0 * nx[far] / space._norms(Y[far])
+    phi = lambda rows, t: space._norms(X[rows] + t[:, None] * Y[rows])
+    t, val = _golden_section_rows(phi, lo * lam, lam, tol=tol)
+    return _unscaled(t, e), val
 
 
 def oracle_min_over_line(space: NormedSpace, x, y,
@@ -252,7 +347,10 @@ def oracle_min_over_line(space: NormedSpace, x, y,
 
     Any minimizer lies in [-L, L] with L = 2||x||/||y||, since beyond that
     the reverse triangle inequality forces the value above ||x||.  Returns
-    (argmin, min) with the argmin resolved to absolute tolerance tol.
+    (argmin, min) with the argmin resolved to absolute tolerance tol.  When
+    L is not finite or far below one, the search runs on y rescaled by a
+    power of two: tol then applies in those units, and the argmin, returned
+    in units of y, can overflow to +-inf.
     """
     xa = space.check_vector(x)
     ya = space.check_vector(y)
@@ -283,6 +381,25 @@ def one_sided_acute_oracle(space: NormedSpace, x, y, margin: float = MARGIN) -> 
     return val >= space._norm(xa) * (1.0 - margin)
 
 
+def one_sided_acute_many(space: NormedSpace, X, Y, margin: float = MARGIN) -> np.ndarray:
+    """one_sided_acute_oracle on every row pair (X[i], Y[i]), as a bool array.
+
+    The rows run golden_section_min's bracket updates in lockstep, each pass
+    one space._norms call over the rows still shrinking.  The rules are the
+    scalar oracle's, which stays the reference: a zero row of X raises
+    ZeroVector and a zero row of Y counts as acute.
+    """
+    X, Y = _checked_rows(space, X, Y, margin)
+    if not X.any(axis=1).all():
+        raise ZeroVector("acute-angle oracle needs x != 0")
+    acute = np.ones(len(X), dtype=bool)
+    live = Y.any(axis=1)
+    if live.any():
+        _, val = _min_on_lines(space, X[live], Y[live], 0.0)
+        acute[live] = val >= space._norms(X[live]) * (1.0 - margin)
+    return acute
+
+
 def oracle_exclusion_band(margin: float = MARGIN) -> float:
     """Boundary exclusion band for comparisons against the line oracles.
 
@@ -307,13 +424,19 @@ def orthogonal_direction(space: NormedSpace, x, rng: np.random.Generator) -> np.
     xa = space.check_vector(x)
     if not xa.any():
         raise ZeroVector("orthogonal partner needs x != 0")
+    return _orthogonal_direction(space, xa, rng)
+
+
+def _orthogonal_direction(space: NormedSpace, xa: np.ndarray,
+                          rng: np.random.Generator) -> np.ndarray:
+    """orthogonal_direction on a checked nonzero array."""
     if isinstance(space, InfSum):
         pieces = space.split(xa)
         norms = [part._norm(piece) for part, piece in zip(space.parts, pieces)]
         k = int(np.argmax(norms))
         out = np.zeros(space.dim)
         off = space._offsets
-        out[off[k] : off[k + 1]] = orthogonal_direction(space.parts[k], pieces[k], rng)
+        out[off[k] : off[k + 1]] = _orthogonal_direction(space.parts[k], pieces[k], rng)
         return out
     if isinstance(space, LInf):
         m = float(np.max(np.abs(xa)))

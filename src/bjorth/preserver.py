@@ -31,13 +31,14 @@ import numpy as np
 from .errors import (
     EmptyParts,
     GridTooCoarse,
+    InvalidCount,
     MonotonicityViolation,
     NoBracket,
     NonConvergence,
     NotRadonPlane,
     NotSmooth,
 )
-from .orthogonality import MARGIN, AngleRelations, classify_many, orthogonal_direction
+from .orthogonality import MARGIN, AngleRelations, _orthogonal_direction, classify_many
 from .sampling import random_nonzero
 from .serialize import write_csv
 from .spaces import DayJames, InfSum, Lp, NormedSpace, unit_vector_at_angle
@@ -170,7 +171,13 @@ class EtaTable:
 
 
 class PreserverMap(ABC):
-    """A norm-preserving homogeneous bijection with computable inverse."""
+    """A norm-preserving homogeneous bijection with computable inverse.
+
+    apply and apply_inverse check their argument; _apply and _apply_inverse
+    take an array already checked against the source or target space, and
+    by default call the public methods.  The package's maps override them,
+    so a max-sum map checks its vector once rather than once per part.
+    """
 
     @property
     @abstractmethod
@@ -185,6 +192,12 @@ class PreserverMap(ABC):
 
     @abstractmethod
     def apply_inverse(self, w) -> np.ndarray: ...
+
+    def _apply(self, arr: np.ndarray) -> np.ndarray:
+        return self.apply(arr)
+
+    def _apply_inverse(self, arr: np.ndarray) -> np.ndarray:
+        return self.apply_inverse(arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,6 +219,11 @@ class IdentityMap(PreserverMap):
 
     def apply_inverse(self, w) -> np.ndarray:
         return self.space.check_vector(w).copy()
+
+    def _apply(self, arr: np.ndarray) -> np.ndarray:
+        return arr.copy()
+
+    _apply_inverse = _apply
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,7 +295,9 @@ class RadonPlaneMap(PreserverMap):
         return np.array([r * u0, r * u1])
 
     def apply(self, v) -> np.ndarray:
-        arr = self.source.check_vector(v)
+        return self._apply(self.source.check_vector(v))
+
+    def _apply(self, arr: np.ndarray) -> np.ndarray:
         if not arr.any():
             return np.zeros(2)
         a, b = float(arr[0]), float(arr[1])
@@ -324,7 +344,9 @@ class RadonPlaneMap(PreserverMap):
         return np.array([r * math.cos(t), r * math.sin(t)])
 
     def apply_inverse(self, w) -> np.ndarray:
-        arr = self.target.check_vector(w)
+        return self._apply_inverse(self.target.check_vector(w))
+
+    def _apply_inverse(self, arr: np.ndarray) -> np.ndarray:
         if not arr.any():
             return np.zeros(2)
         a, b = float(arr[0]), float(arr[1])
@@ -356,15 +378,19 @@ class SumMap(PreserverMap):
         return self._target
 
     def apply(self, v) -> np.ndarray:
-        arr = self._source.check_vector(v)
-        pieces = self._source.split(arr)
-        return np.concatenate([p.apply(piece) for p, piece in zip(self.parts, pieces)])
+        return self._apply(self._source.check_vector(v))
 
     def apply_inverse(self, w) -> np.ndarray:
-        arr = self._target.check_vector(w)
+        return self._apply_inverse(self._target.check_vector(w))
+
+    def _apply(self, arr: np.ndarray) -> np.ndarray:
+        pieces = self._source.split(arr)
+        return np.concatenate([p._apply(piece) for p, piece in zip(self.parts, pieces)])
+
+    def _apply_inverse(self, arr: np.ndarray) -> np.ndarray:
         pieces = self._target.split(arr)
         return np.concatenate(
-            [p.apply_inverse(piece) for p, piece in zip(self.parts, pieces)]
+            [p._apply_inverse(piece) for p, piece in zip(self.parts, pieces)]
         )
 
 
@@ -473,7 +499,7 @@ def verify_preserver(pmap: PreserverMap, n_samples: int, margin: float = MARGIN,
     the sweep can be partitioned across workers without changing them.
     """
     if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+        raise InvalidCount(f"n_samples must be >= 1, got {n_samples}")
     band = 10.0 * margin if boundary_band is None else boundary_band
     src, tgt = pmap.source, pmap.target
 
@@ -492,7 +518,7 @@ def verify_preserver(pmap: PreserverMap, n_samples: int, margin: float = MARGIN,
         nx = src._norm(x)
         max_norm_err = max(max_norm_err, abs(tgt._norm(tx) - nx) / nx)
 
-        yp = orthogonal_direction(src, x, rng)
+        yp = _orthogonal_direction(src, x, rng)
         typ = pmap.apply(yp)
         pairs += [(x, y, tx, ty), (x, yp, tx, typ)]
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import bjorth as bj
-from bjorth.errors import DegenerateSection, NotAPlane
+from bjorth.cli import _sections_record
+from bjorth.errors import DegenerateSection, InvalidCount, NotAPlane
 
 DJ = bj.DayJames(3.0, 1.5)
 L2 = bj.Lp(2, 2.0)
@@ -136,6 +137,50 @@ def test_sections_flags_shrink_with_more_samples():
     assert set(map(id, many)) <= set(map(id, few))
 
 
+# Flagged candidate indices of the two certify sums (200 candidates, 64
+# pair samples, tol 1e-6), recorded with the one-candidate-at-a-time search.
+PINNED_SECTION_FLAGS = {
+    ("sum(lp:2:2,linf:1)", 0): [
+        0, 5, 6, 12, 14, 20, 23, 24, 26, 31, 34, 35, 36, 38, 40, 41, 43, 44, 46, 52, 53, 56,
+        68, 72, 75, 77, 86, 90, 99, 100, 103, 107, 110, 114, 115, 119, 127, 133, 140, 141,
+        142, 145, 146, 148, 152, 156, 158, 161, 163, 165, 167, 176, 179, 182, 186],
+    ("sum(lp:2:2,linf:1)", 7): [
+        0, 4, 5, 8, 11, 12, 13, 16, 18, 20, 22, 23, 24, 25, 28, 30, 32, 35, 37, 40, 41, 44,
+        46, 52, 55, 56, 59, 62, 65, 67, 70, 71, 76, 77, 78, 81, 83, 86, 90, 91, 94, 97, 100,
+        103, 108, 110, 112, 113, 120, 125, 130, 143, 144, 146, 155, 156, 160, 163, 166, 170,
+        172, 174, 178, 179, 180, 181, 184, 186, 187, 197],
+    ("sum(dayjames:3:1.5,linf:1)", 0): [],
+    ("sum(dayjames:3:1.5,linf:1)", 7): [],
+}
+
+
+@pytest.mark.parametrize("text,seed", sorted(PINNED_SECTION_FLAGS))
+def test_section_flags_match_pinned_values(text, seed):
+    space = bj.parse_space(text)
+    pinned = PINNED_SECTION_FLAGS[text, seed]
+    assert _sections_record(space, 200, 64, 1e-6, seed)["flagged"] == pinned
+    # The first 8 candidates are the same sections, with the same draws.
+    assert _sections_record(space, 8, 64, 1e-6, seed)["flagged"] == [i for i in pinned if i < 8]
+
+
+def test_section_flags_are_prefix_stable_across_blocks(monkeypatch):
+    # Flags at 64 pair samples are a subset of the flags at 16, and blocks
+    # of one or of several candidates give the same flags.
+    space = bj.InfSum((L2, bj.LInf(1)))
+    cands = bj.section_candidates(space, 120, seed=7)
+
+    def flags(pair_samples):
+        found = bj.euclidean_section_search(space, cands, pair_samples=pair_samples, seed=7)
+        return [i for i, c in enumerate(cands) if any(c is f for f in found)]
+
+    few, many = flags(16), flags(64)
+    assert set(many) <= set(few) and len(many) < len(few)
+    monkeypatch.setattr(bj.analysis, "PAIR_BLOCK", 64)
+    assert flags(64) == many
+    monkeypatch.setattr(bj.analysis, "PAIR_BLOCK", 200)
+    assert flags(64) == many and flags(16) == few
+
+
 def test_degenerate_section_rejected():
     with pytest.raises(DegenerateSection):
         bj.SectionCandidate(np.array([1.0, 0.0, 0.0]), np.array([1.0, 1e-5, 0.0]))
@@ -167,6 +212,63 @@ def test_sum_acute_equivalence(space_x, space_y):
     assert rep.disagreements == 0
     assert rep.excluded_fraction < 0.05
     assert rep.tie_samples > 0
+
+
+# to_dict() minus tool_version of the two certify pairs, recorded with the
+# sample-at-a-time check.
+PINNED_SUM_ACUTE = {
+    ("l2_linf1", 0, 20): {"evaluated": 20, "boundary_excluded": 0, "tie_samples": 3},
+    ("l2_linf1", 0, 1000): {"evaluated": 1000, "boundary_excluded": 0, "tie_samples": 125},
+    ("l2_linf1", 7, 20): {"evaluated": 20, "boundary_excluded": 0, "tie_samples": 3},
+    ("l2_linf1", 7, 1000): {"evaluated": 1000, "boundary_excluded": 0, "tie_samples": 125},
+    ("dj3_linf2", 0, 20): {"evaluated": 20, "boundary_excluded": 0, "tie_samples": 3},
+    ("dj3_linf2", 0, 1000): {"evaluated": 999, "boundary_excluded": 1, "tie_samples": 125},
+    ("dj3_linf2", 7, 20): {"evaluated": 20, "boundary_excluded": 0, "tie_samples": 3},
+    ("dj3_linf2", 7, 1000): {"evaluated": 1000, "boundary_excluded": 0, "tie_samples": 125},
+}
+CERTIFY_PAIRS = {"l2_linf1": (L2, bj.LInf(1)), "dj3_linf2": (DJ, bj.LInf(2))}
+
+
+@pytest.mark.parametrize("label,seed,n", sorted(PINNED_SUM_ACUTE))
+def test_sum_acute_report_matches_pinned_values(label, seed, n):
+    report = bj.sum_acute_equivalence_check(*CERTIFY_PAIRS[label], n_samples=n, seed=seed)
+    got = report.to_dict()
+    del got["tool_version"]
+    pinned = PINNED_SUM_ACUTE[label, seed, n]
+    assert got == {
+        "samples": n, "evaluated": pinned["evaluated"], "disagreements": 0,
+        "boundary_excluded": pinned["boundary_excluded"], "tie_excluded": 0,
+        "tie_samples": pinned["tie_samples"],
+        "excluded_fraction": pinned["boundary_excluded"] / n, "seed": seed, "pass": True}
+
+
+def test_sum_acute_report_does_not_depend_on_blocks(monkeypatch):
+    full = bj.sum_acute_equivalence_check(DJ, bj.LInf(2), n_samples=300, seed=3, tie_band=0.05)
+    assert full.tie_excluded > 0 and full.boundary_excluded == 0
+    monkeypatch.setattr(bj.analysis, "PAIR_BLOCK", 7)
+    assert bj.sum_acute_equivalence_check(DJ, bj.LInf(2), n_samples=300, seed=3,
+                                          tie_band=0.05) == full
+
+
+def test_sum_acute_counts_boundary_exclusions():
+    rep = bj.sum_acute_equivalence_check(L2, bj.LInf(1), n_samples=200, seed=1,
+                                         boundary_band=0.2)
+    assert rep.boundary_excluded > 0
+    assert rep.evaluated + rep.boundary_excluded + rep.tie_excluded == 200
+    assert rep.disagreements == 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bj.sum_acute_equivalence_check(L2, bj.LInf(1), n_samples=0),
+    lambda: bj.euclidean_section_search(DJ, [bj.SectionCandidate([1, 0], [0, 1])],
+                                        pair_samples=0),
+    lambda: bj.verify_preserver(bj.IdentityMap(L2), 0),
+    lambda: bj.radon_defect(DJ, grid=8),
+], ids=["sum_acute", "sections", "verify", "radon"])
+def test_counts_below_the_minimum_are_rejected(call):
+    with pytest.raises(InvalidCount) as info:
+        call()
+    assert isinstance(info.value, ValueError) and isinstance(info.value, bj.BjorthError)
 
 
 def test_sum_acute_report_round_trip():

@@ -237,6 +237,18 @@ def test_certify_failing_report_exits_one_and_writes_everything(capsys, tmp_path
     assert json.loads((out / "summary.json").read_text())["checks"]["preserver_sum_linf8"] is False
 
 
+@pytest.mark.parametrize("argv", [
+    ["sum-acute", "--x-space", "lp:2:2", "--y-space", "linf:1", "--samples", "0"],
+    ["preserver-verify", "--target", "dayjames:3:1.5", "--grid", "64", "--samples", "0"],
+    ["sections", "--space", "sum(lp:2:2,linf:1)", "--candidates", "4", "--pair-samples", "0"],
+    ["radon", "--space", "dayjames:3:1.5", "--grid", "8"],
+], ids=["sum-acute", "preserver-verify", "sections", "radon"])
+def test_counts_below_the_minimum_exit_two(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "must be >= " in err
+
+
 def test_file_errors_exit_two(capsys, tmp_path):
     existing = tmp_path / "taken"
     existing.write_text("not a directory\n")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import bjorth as bj
 from bjorth.errors import ZeroDirection, ZeroVector
-from bjorth.orthogonality import AngleTag
+from bjorth.orthogonality import AngleTag, _min_on_line, _min_on_lines
 
 from conftest import SPACE_ZOO, draw_vector, random_nonzero
 
@@ -368,6 +369,8 @@ VECTOR_ENTRY_POINTS = {
     "is_bj_orthogonal_oracle-y": (2, lambda v, m: bj.is_bj_orthogonal_oracle(DJ, G, v)),
     "one_sided_acute_oracle-x": (2, lambda v, m: bj.one_sided_acute_oracle(DJ, v, G)),
     "one_sided_acute_oracle-y": (2, lambda v, m: bj.one_sided_acute_oracle(DJ, G, v)),
+    "one_sided_acute_many-x": (2, lambda v, m: bj.one_sided_acute_many(DJ, [v], [G])),
+    "one_sided_acute_many-y": (2, lambda v, m: bj.one_sided_acute_many(DJ, [G], [v])),
     "orthogonal_direction": (2, lambda v, m: bj.orthogonal_direction(
         DJ, v, np.random.default_rng(0))),
     "parallelogram_defect-u": (2, lambda v, m: bj.parallelogram_defect(DJ, v, G)),
@@ -411,3 +414,124 @@ def test_classification_is_invariant_under_power_of_two_scaling(data, space):
     assert [bj.classify_angle(space, 2.0**j * x, 2.0**k * y).tag for y in ys] == tags
     many = bj.classify_many(space, [2.0**j * x] * len(ys), [2.0**k * y for y in ys])
     assert list(many.tag) == tags
+
+
+# ---------------------------------------------------------------------------
+# Line oracles at extreme scales, and the lockstep array oracle.
+
+
+def test_oracle_survives_bracket_overflow():
+    # 2||x||/||y|| = 2e600 overflows; x is orthogonal to y and acute to it.
+    l2 = bj.Lp(2, 2.0)
+    x, y = [1e300, 0.0], [0.0, 1e-300]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, val = bj.oracle_min_over_line(l2, x, y)
+        assert math.isfinite(val) and val == pytest.approx(1e300, rel=1e-12)
+        rel = bj.classify_angle(l2, x, y)
+        assert rel.is_orthogonal
+        assert bj.is_bj_orthogonal_oracle(l2, x, y)
+        assert bj.one_sided_acute_oracle(l2, x, y) == rel.is_acute
+        assert list(bj.one_sided_acute_many(l2, [x], [y])) == [True]
+
+
+def test_oracle_resolves_tiny_brackets():
+    # 2||x||/||y|| = 2e-11 is below the search tolerance: before rescaling,
+    # the search took no step and called this parallel pair orthogonal.
+    l2 = bj.Lp(2, 2.0)
+    x, y = [1.0, 0.0], [-1e11, 0.0]
+    _, val = bj.oracle_min_over_line(l2, x, y)
+    assert val < 1e-9
+    assert not bj.is_bj_orthogonal_oracle(l2, x, y)
+    assert not bj.one_sided_acute_oracle(l2, x, y)
+    assert list(bj.one_sided_acute_many(l2, [x], [y])) == [False]
+
+
+@given(data=st.data(), space=st.sampled_from(SPACE_ZOO))
+def test_oracles_agree_with_classify_angle_at_every_scale(data, space):
+    band = bj.oracle_exclusion_band()
+    x = draw_vector(data, space.dim)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    ys = [draw_vector(data, space.dim), bj.orthogonal_direction(space, x, rng), x, -x]
+    j, k = data.draw(st.integers(-900, 900)), data.draw(st.integers(-900, 900))
+    xs, ys = [2.0**j * x] * len(ys), [2.0**k * y for y in ys]
+    acute_many = bj.one_sided_acute_many(space, xs, ys)
+    for sx, sy, many in zip(xs, ys, acute_many):
+        rel = bj.classify_angle(space, sx, sy)
+        if rel.is_orthogonal or rel.orthogonality_distance() > band:
+            assert bj.is_bj_orthogonal_oracle(space, sx, sy) == rel.is_orthogonal
+        if rel.is_orthogonal or rel.acute_distance() > band:
+            assert bj.one_sided_acute_oracle(space, sx, sy) == rel.is_acute
+            assert many == rel.is_acute
+
+
+def _oracle_rows(space, seed, n=300):
+    """Random row pairs, some with y scaled past either end of the
+    unrescaled bracket range, some with exact ties and zero parts."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, space.dim))
+    Y = rng.standard_normal((n, space.dim))
+    X[::9] *= 2.0**-700
+    Y[::13] *= 2.0**600
+    Y[1::17] *= 2.0**-40
+    X[2::11] = np.round(X[2::11])
+    X[3::19, 0] = 0.0
+    X[~X.any(axis=1)] = 1.0
+    Y[~Y.any(axis=1)] = 1.0
+    return X, Y
+
+
+@pytest.mark.parametrize("text", ["linf:3", "sum(linf:2,linf:1)"])
+def test_lockstep_oracle_is_bit_identical_where_norms_agree_exactly(text):
+    # Row and scalar max norms are the same floats, so every comparison of
+    # the lockstep search is the scalar one.
+    space = bj.parse_space(text)
+    X, Y = _oracle_rows(space, 5)
+    t, val = _min_on_lines(space, X, Y, 0.0)
+    ref = [_min_on_line(space, X[i], Y[i], 0.0) for i in range(len(X))]
+    assert t.tolist() == [r[0] for r in ref]
+    assert val.tolist() == [r[1] for r in ref]
+
+
+@pytest.mark.parametrize("text", ["sum(lp:2:2,linf:1)", "sum(dayjames:3:1.5,linf:2)"])
+def test_lockstep_oracle_matches_scalar_oracle(text):
+    # Row p-norms may differ from the scalar ones in the last bit, which can
+    # flip a comparison of nearly equal values late in the search; the
+    # minimum stays within rounding.
+    space = bj.parse_space(text)
+    X, Y = _oracle_rows(space, 6)
+    t, val = _min_on_lines(space, X, Y, 0.0)
+    for i in range(len(X)):
+        ref_t, ref_val = _min_on_line(space, X[i], Y[i], 0.0)
+        assert abs(val[i] - ref_val) <= 4e-16 * ref_val, i
+        assert t[i] == pytest.approx(ref_t, rel=1e-6, abs=1e-6 * abs(val[i]) / space.norm(Y[i]))
+
+
+@given(data=st.data(), space=st.sampled_from(SPACE_ZOO))
+def test_one_sided_acute_many_agrees_with_scalar_oracle(data, space):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    xs, ys = [], []
+    for _ in range(6):
+        x = random_nonzero(space, rng)
+        xs += [x, x, x, x, x]
+        ys += [random_nonzero(space, rng), bj.orthogonal_direction(space, x, rng), x, -x,
+               np.zeros(space.dim)]
+    many = bj.one_sided_acute_many(space, xs, ys)
+    assert many.dtype == bool
+    assert many.tolist() == [bj.one_sided_acute_oracle(space, x, y) for x, y in zip(xs, ys)]
+
+
+def test_one_sided_acute_many_zero_rows_and_empty_input():
+    space = bj.InfSum((bj.Lp(2, 2.0), bj.LInf(1)))
+    # A zero y counts as acute; the rows around it are unaffected.
+    got = bj.one_sided_acute_many(space, [[1, 0, 0.5], [1, 0, 0.5], [1, 0, 0.5]],
+                                  [[1, 1, -7], [0, 0, 0], [-1, 0, 0]])
+    assert got.tolist() == [True, True, False]
+    with pytest.raises(ZeroVector):
+        bj.one_sided_acute_many(space, [[1, 0, 0.5], [0, 0, 0]], [[1, 1, 1], [1, 1, 1]])
+    empty = bj.one_sided_acute_many(space, np.empty((0, 3)), np.empty((0, 3)))
+    assert empty.shape == (0,) and empty.dtype == bool
+    with pytest.raises(bj.DimensionMismatch):
+        bj.one_sided_acute_many(space, np.ones((2, 3)), np.ones((3, 3)))
+    with pytest.raises(bj.NonFiniteInput):
+        bj.one_sided_acute_many(space, np.ones((1, 3)), np.ones((1, 3)), math.nan)

@@ -228,6 +228,40 @@ def test_compose_requires_two_parts(dj_map):
         bj.compose_inf_sum([dj_map])
 
 
+class _Negation(bj.PreserverMap):
+    """A map with only the public interface: v -> -v on a space."""
+
+    def __init__(self, space):
+        self.space = space
+
+    source = target = property(lambda self: self.space)
+
+    def apply(self, v):
+        return -self.space.check_vector(v)
+
+    apply_inverse = apply
+
+
+def test_sum_map_checks_its_vector_once(dj_map, monkeypatch):
+    inner = bj.compose_inf_sum([dj_map, bj.IdentityMap(bj.LInf(1))])
+    sm = bj.compose_inf_sum([inner, bj.IdentityMap(L2)])
+    v = np.array([3.0, -4.0, 0.5, 1.0, 2.0])
+    w = np.concatenate([dj_map.apply(v[:2]), v[2:]])
+    back = np.concatenate([dj_map.apply_inverse(w[:2]), v[2:]])
+    # A part with only the public methods is reached through them.
+    mixed = bj.compose_inf_sum([dj_map, _Negation(L2)])
+    calls = []
+    original = bj.NormedSpace.check_vector
+    monkeypatch.setattr(bj.NormedSpace, "check_vector",
+                        lambda self, u: calls.append(self) or original(self, u))
+    np.testing.assert_array_equal(sm.apply(v), w)
+    np.testing.assert_array_equal(sm.apply_inverse(w), back)
+    assert calls == [sm.source, sm.target]
+    calls.clear()
+    np.testing.assert_array_equal(mixed.apply(v[[0, 1, 3, 4]]), np.concatenate([w[:2], -v[3:]]))
+    assert calls == [mixed.source, L2]
+
+
 # ---------------------------------------------------------------------------
 # Verification sweeps (small sizes here; full sizes in the acceptance suite).
 
