@@ -205,6 +205,8 @@ class SectionCandidate:
 def section_candidates(space: NormedSpace, count: int, seed: int = 0) -> list[SectionCandidate]:
     """All coordinate-aligned 2-D sections plus seeded random ones, up to count."""
     dim = space.dim
+    if dim < 2:
+        raise DegenerateSection(f"a space of dimension {dim} has no 2-D sections")
     out = []
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -349,8 +351,8 @@ def sum_acute_equivalence_check(space_x: NormedSpace, space_y: NormedSpace,
     part, excludes the samples near the acute boundary, and runs
     one_sided_acute_many on the rest.
     """
-    if n_samples < 1:
-        raise InvalidCount(f"n_samples must be >= 1, got {n_samples}")
+    if n_samples < 1 or tie_every < 1:
+        raise InvalidCount(f"n_samples and tie_every must be >= 1, got {n_samples}, {tie_every}")
     band = oracle_exclusion_band(margin) if boundary_band is None else boundary_band
     sum_space = InfSum((space_x, space_y))
     dx = space_x.dim

@@ -182,6 +182,9 @@ def test_section_flags_are_prefix_stable_across_blocks(monkeypatch):
 
 
 def test_degenerate_section_rejected():
+    # A line has no 2-D sections; random candidates would be redrawn forever.
+    with pytest.raises(DegenerateSection):
+        bj.section_candidates(bj.LInf(1), 3)
     with pytest.raises(DegenerateSection):
         bj.SectionCandidate(np.array([1.0, 0.0, 0.0]), np.array([1.0, 1e-5, 0.0]))
     with pytest.raises(DegenerateSection):
@@ -260,11 +263,12 @@ def test_sum_acute_counts_boundary_exclusions():
 
 @pytest.mark.parametrize("call", [
     lambda: bj.sum_acute_equivalence_check(L2, bj.LInf(1), n_samples=0),
+    lambda: bj.sum_acute_equivalence_check(L2, bj.LInf(1), n_samples=5, tie_every=0),
     lambda: bj.euclidean_section_search(DJ, [bj.SectionCandidate([1, 0], [0, 1])],
                                         pair_samples=0),
     lambda: bj.verify_preserver(bj.IdentityMap(L2), 0),
     lambda: bj.radon_defect(DJ, grid=8),
-], ids=["sum_acute", "sections", "verify", "radon"])
+], ids=["sum_acute", "tie_every", "sections", "verify", "radon"])
 def test_counts_below_the_minimum_are_rejected(call):
     with pytest.raises(InvalidCount) as info:
         call()

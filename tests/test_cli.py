@@ -249,6 +249,12 @@ def test_counts_below_the_minimum_exit_two(capsys, argv):
     assert err.startswith("error: ") and "must be >= " in err
 
 
+def test_sections_of_a_line_exit_two(capsys):
+    code, _, err = run(capsys, "sections", "--space", "linf:1", "--candidates", "3")
+    assert code == 2
+    assert err.startswith("error: ") and "no 2-D sections" in err
+
+
 def test_file_errors_exit_two(capsys, tmp_path):
     existing = tmp_path / "taken"
     existing.write_text("not a directory\n")
