@@ -319,7 +319,7 @@ def _min_on_line(space: NormedSpace, xa: np.ndarray, ya: np.ndarray, lo: float,
         lam = 2.0 * nx / space._norm(ya)
     phi = lambda t: space._norm(xa + t * ya)
     t, val = golden_section_min(phi, lo * lam, lam, tol=tol)
-    return (t if e == 0 else float(_unscaled(t, e))), val
+    return float(_unscaled(t, e)), val
 
 
 def _min_on_lines(space: NormedSpace, X: np.ndarray, Y: np.ndarray, lo: float,
