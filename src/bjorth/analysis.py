@@ -74,7 +74,13 @@ def radon_defect(plane: NormedSpace, grid: int = 720,
             return fa * math.cos(t) + fb * math.sin(t)
 
         # g(theta) = ||x(theta)|| > 0 and g(theta + pi) < 0: always bracketed.
-        theta_star = _bisect_decreasing(g, theta, theta + math.pi)
+        # The root of g = R cos(t - phi) is phi + pi/2, shifted into
+        # (theta - pi, theta + pi], hence into the bracket.  (The planes here
+        # are symmetric in both axes, so phi stays in theta's quadrant and
+        # the shift is zero; it keeps the guide right on any smooth plane.)
+        root = math.atan2(fb, fa) + 0.5 * math.pi
+        root += 2.0 * math.pi * math.floor((theta + math.pi - root) / (2.0 * math.pi))
+        theta_star = _bisect_decreasing(g, theta, theta + math.pi, root)
         y_star = unit_vector_at_angle(plane, theta_star)
         forward = abs(fa * y_star[0] + fb * y_star[1])
         _, val = oracle_min_over_line(plane, y_star, y)

@@ -153,14 +153,11 @@ def classify_angle(space: NormedSpace, x, y, margin: float = MARGIN) -> AngleRel
 
 def _checked_rows(space: NormedSpace, X, Y, margin: float) -> tuple[np.ndarray, np.ndarray]:
     """X and Y as two (n, dim) float arrays of finite rows; a finite margin."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.ndim != 2 or X.shape[1] != space.dim or Y.shape != X.shape:
-        raise DimensionMismatch(
-            f"expected two (n, {space.dim}) arrays, got shapes {X.shape} and {Y.shape}"
-        )
-    if not (np.isfinite(X).all() and np.isfinite(Y).all() and math.isfinite(margin)):
-        raise NonFiniteInput("vector coordinates and margin must be finite")
+    X, Y = space.check_rows(X), space.check_rows(Y)
+    if Y.shape != X.shape:
+        raise DimensionMismatch(f"X and Y have shapes {X.shape} and {Y.shape}")
+    if not math.isfinite(margin):
+        raise NonFiniteInput(f"margin must be finite, got {margin}")
     return X, Y
 
 
@@ -297,19 +294,34 @@ def _golden_section_rows(phi, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-10
 # sum-acute checks (above 0.03) lie in between and keep their arithmetic.
 _MIN_BRACKET = 2.0**-10
 
+# Largest ||x|| searched as it is.  The search takes norms up to 3||x||, so
+# a larger x (its norm may even overflow) is first scaled by the exact power
+# of two 2**-s that puts its largest coordinate in [1/2, 1).
+_MAX_NORM = 2.0**1020
+
 
 def _unscaled(t, e):
-    """t * 2**e, the argmin in units of the caller's y; +-inf past the float range."""
+    """t * 2**e, back in the caller's units; +-inf past the float range."""
     with np.errstate(over="ignore"):
         return np.ldexp(t, e)
 
 
 def _min_on_line(space: NormedSpace, xa: np.ndarray, ya: np.ndarray, lo: float,
-                 tol: float = 1e-10) -> tuple[float, float]:
-    """oracle_min_over_line over [lo * L, L] on checked arrays, y != 0."""
-    nx = space._norm(xa)
+                 tol: float = 1e-10) -> tuple[float, float, float, int]:
+    """oracle_min_over_line over [lo * L, L] on checked arrays, y != 0.
+
+    Returns (argmin, min, ||x||, s): the argmin in units of y, and the min
+    and the norm of x * 2**-s, where s = 0 unless ||x|| exceeds _MAX_NORM.
+    """
+    with np.errstate(over="ignore"):
+        nx = space._norm(xa)
+    s = 0
+    if nx > _MAX_NORM:
+        s = math.frexp(float(np.max(np.abs(xa))))[1]
+        xa = np.ldexp(xa, -s)
+        nx = space._norm(xa)
     if nx == 0.0:
-        return 0.0, nx
+        return 0.0, nx, nx, 0
     ny = space._norm(ya)
     lam = 2.0 * float(nx) / float(ny)  # Python floats overflow to inf quietly
     e = 0
@@ -319,14 +331,23 @@ def _min_on_line(space: NormedSpace, xa: np.ndarray, ya: np.ndarray, lo: float,
         lam = 2.0 * nx / space._norm(ya)
     phi = lambda t: space._norm(xa + t * ya)
     t, val = golden_section_min(phi, lo * lam, lam, tol=tol)
-    return float(_unscaled(t, e)), val
+    return float(_unscaled(t, e + s)), val, nx, s
 
 
 def _min_on_lines(space: NormedSpace, X: np.ndarray, Y: np.ndarray, lo: float,
-                  tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+                  tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """_min_on_line on every row pair, nonzero x and y, with its rescaling
-    rule, in lockstep passes of space._norms."""
-    nx, ny = space._norms(X), space._norms(Y)
+    rules, in lockstep passes of space._norms."""
+    with np.errstate(over="ignore"):
+        nx = space._norms(X)
+    s = np.zeros(len(X), dtype=int)
+    big = nx > _MAX_NORM
+    if big.any():
+        s[big] = np.frexp(np.abs(X[big]).max(axis=1))[1]
+        X = X.copy()
+        X[big] = np.ldexp(X[big], -s[big, None])
+        nx[big] = space._norms(X[big])
+    ny = space._norms(Y)
     with np.errstate(over="ignore"):
         lam = 2.0 * nx / ny
     e = np.zeros(len(X), dtype=int)
@@ -338,7 +359,7 @@ def _min_on_lines(space: NormedSpace, X: np.ndarray, Y: np.ndarray, lo: float,
         lam[far] = 2.0 * nx[far] / space._norms(Y[far])
     phi = lambda rows, t: space._norms(X[rows] + t[:, None] * Y[rows])
     t, val = _golden_section_rows(phi, lo * lam, lam, tol=tol)
-    return _unscaled(t, e), val
+    return _unscaled(t, e + s), val, nx, s
 
 
 def oracle_min_over_line(space: NormedSpace, x, y,
@@ -350,13 +371,16 @@ def oracle_min_over_line(space: NormedSpace, x, y,
     (argmin, min) with the argmin resolved to absolute tolerance tol.  When
     L is not finite or far below one, the search runs on y rescaled by a
     power of two: tol then applies in those units, and the argmin, returned
-    in units of y, can overflow to +-inf.
+    in units of y, can overflow to +-inf.  When ||x|| is beyond 2**1020, x
+    is scaled down by a power of two for the search, and the min, returned
+    in units of x, is inf when it is past the float range.
     """
     xa = space.check_vector(x)
     ya = space.check_vector(y)
     if not ya.any():
         raise ZeroDirection("line minimization needs y != 0")
-    return _min_on_line(space, xa, ya, -1.0, tol)
+    t, val, _, s = _min_on_line(space, xa, ya, -1.0, tol)
+    return t, (float(_unscaled(val, s)) if s else val)
 
 
 def is_bj_orthogonal_oracle(space: NormedSpace, x, y, margin: float = MARGIN) -> bool:
@@ -365,8 +389,8 @@ def is_bj_orthogonal_oracle(space: NormedSpace, x, y, margin: float = MARGIN) ->
     ya = space.check_vector(y)
     if not (xa.any() and ya.any()):
         return True
-    _, val = _min_on_line(space, xa, ya, -1.0)
-    return val >= space._norm(xa) * (1.0 - margin)
+    _, val, nx, _ = _min_on_line(space, xa, ya, -1.0)
+    return val >= nx * (1.0 - margin)
 
 
 def one_sided_acute_oracle(space: NormedSpace, x, y, margin: float = MARGIN) -> bool:
@@ -377,8 +401,8 @@ def one_sided_acute_oracle(space: NormedSpace, x, y, margin: float = MARGIN) -> 
         raise ZeroVector("acute-angle oracle needs x != 0")
     if not ya.any():
         return True
-    _, val = _min_on_line(space, xa, ya, 0.0)
-    return val >= space._norm(xa) * (1.0 - margin)
+    _, val, nx, _ = _min_on_line(space, xa, ya, 0.0)
+    return val >= nx * (1.0 - margin)
 
 
 def one_sided_acute_many(space: NormedSpace, X, Y, margin: float = MARGIN) -> np.ndarray:
@@ -395,8 +419,8 @@ def one_sided_acute_many(space: NormedSpace, X, Y, margin: float = MARGIN) -> np
     acute = np.ones(len(X), dtype=bool)
     live = Y.any(axis=1)
     if live.any():
-        _, val = _min_on_lines(space, X[live], Y[live], 0.0)
-        acute[live] = val >= space._norms(X[live]) * (1.0 - margin)
+        _, val, nx, _ = _min_on_lines(space, X[live], Y[live], 0.0)
+        acute[live] = val >= nx * (1.0 - margin)
     return acute
 
 

@@ -52,6 +52,10 @@ ANGLE_RESOLUTION = 1e-14
 # Brackets taken from tabulated neighbors are widened by this pad.
 BRACKET_PAD = 1e-9
 
+# A guided bisection calls its function only at midpoints this close to the
+# closed-form root (see _bisect_decreasing).
+GUIDE_GAP = 1e-12
+
 EUCLIDEAN_PLANE = Lp(dim=2, p=2.0)
 
 
@@ -61,14 +65,25 @@ def _is_radon_target(plane: NormedSpace) -> bool:
     return isinstance(plane, Lp) and plane.dim == 2 and plane.p == 2.0
 
 
-def _bisect_decreasing(g, lo: float, hi: float) -> float:
-    """Root of a continuous g with g(lo) >= 0 >= g(hi)."""
+def _bisect_decreasing(g, lo: float, hi: float, root: float = math.nan) -> float:
+    """Root of a continuous g with g(lo) >= 0 >= g(hi).
+
+    A guided call passes the closed-form root phi + pi/2 of a pairing
+    g(t) = fa cos t + fb sin t = R cos(t - phi).  Midpoints farther than
+    GUIDE_GAP from it, where |g| > 1e-12 R dwarfs g's rounding (1e-15 R),
+    go to its side without calling g: the halvings are the unguided ones.
+    """
     a, b = lo, hi
+    below, above = root - GUIDE_GAP, root + GUIDE_GAP  # nan when unguided
     for _ in range(64):
         if b - a <= ANGLE_RESOLUTION:
             break
         m = 0.5 * (a + b)
-        if g(m) >= 0.0:
+        if m < below:
+            a = m
+        elif m > above:
+            b = m
+        elif g(m) >= 0.0:
             a = m
         else:
             b = m
@@ -109,7 +124,7 @@ def solve_eta(plane: NormedSpace, theta: float, tol: float = 1e-12) -> float:
         return HALF_PI
     if ghi >= 0.0:
         return math.pi
-    root = _bisect_decreasing(g, HALF_PI, math.pi)
+    root = _bisect_decreasing(g, HALF_PI, math.pi, math.atan2(fb, fa) + HALF_PI)
     resid = abs(g(root)) / plane._norm2(math.cos(root), math.sin(root))
     if resid > max(tol, 1e-10) * fnorm:
         raise NonConvergence(f"orthogonality residual {resid} at theta={theta}")
@@ -175,8 +190,11 @@ class PreserverMap(ABC):
 
     apply and apply_inverse check their argument; _apply and _apply_inverse
     take an array already checked against the source or target space, and
-    by default call the public methods.  The package's maps override them,
-    so a max-sum map checks its vector once rather than once per part.
+    by default call the public methods.  _apply_many maps a checked
+    (n, source.dim) array of rows; by default it stacks _apply of each row.
+    The package's maps override them, so a max-sum map checks its vector
+    once rather than once per part, and a batch of rows is mapped in one
+    call.
     """
 
     @property
@@ -198,6 +216,9 @@ class PreserverMap(ABC):
 
     def _apply_inverse(self, arr: np.ndarray) -> np.ndarray:
         return self.apply_inverse(arr)
+
+    def _apply_many(self, X: np.ndarray) -> np.ndarray:
+        return np.array([self._apply(row) for row in X]).reshape(len(X), self.target.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +244,7 @@ class IdentityMap(PreserverMap):
     def _apply(self, arr: np.ndarray) -> np.ndarray:
         return arr.copy()
 
-    _apply_inverse = _apply
+    _apply_inverse = _apply_many = _apply
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,7 +288,7 @@ class RadonPlaneMap(PreserverMap):
             return float(values[0])
         if s >= grid[-1]:
             return float(values[-1])
-        i = int(np.searchsorted(grid, s))
+        i = int(grid.searchsorted(s))
         i = min(max(i, 1), len(grid) - 1)
         va, vb = float(values[i - 1]), float(values[i])
         lo = max(min(va, vb) - BRACKET_PAD, HALF_PI)
@@ -282,28 +303,33 @@ class RadonPlaneMap(PreserverMap):
             return lo
         if g(hi) > 0.0:
             return hi
-        return _bisect_decreasing(g, lo, hi)
+        return _bisect_decreasing(g, lo, hi, math.atan2(fb, fa) + HALF_PI)
 
-    def _apply_upper(self, a: float, b: float) -> np.ndarray:
+    def _upper(self, a: float, b: float) -> tuple[float, float]:
         # b >= 0, not both zero: polar angle lies in [0, pi].
         r = math.hypot(a, b)
         t = math.atan2(b, a)
-        if t <= HALF_PI:
-            u0, u1 = self._unit(t)
-        else:
-            u0, u1 = self._unit(self._eta_at(t - HALF_PI))
-        return np.array([r * u0, r * u1])
+        if t > HALF_PI:
+            t = self._eta_at(t - HALF_PI)
+        u0, u1 = self._unit(t)
+        return r * u0, r * u1
 
     def apply(self, v) -> np.ndarray:
-        return self._apply(self.source.check_vector(v))
+        """T v for a vector v, or T of each row of an (n, 2) stack of rows.
+        Rows are mapped one by one in Python floats, so their bits depend
+        neither on the batch nor on numpy's CPU dispatch."""
+        arr = np.asarray(v, dtype=float)
+        if arr.ndim == 2:
+            rows = self.source.check_rows(arr).tolist()
+            return np.array([_odd(self._upper, a, b) for a, b in rows]).reshape(-1, 2)
+        return self._apply(self.source.check_vector(arr))
 
     def _apply(self, arr: np.ndarray) -> np.ndarray:
-        if not arr.any():
-            return np.zeros(2)
-        a, b = float(arr[0]), float(arr[1])
-        if b > 0.0 or (b == 0.0 and a > 0.0):
-            return self._apply_upper(a, b)
-        return -self._apply_upper(-a, -b)
+        return np.array(_odd(self._upper, float(arr[0]), float(arr[1])))
+
+    def _apply_many(self, X: np.ndarray) -> np.ndarray:
+        # Through the public method, so a batch is one apply call.
+        return self.apply(X)
 
     def _eta_inverse(self, psi: float) -> float:
         """Solve eta(t) = psi for psi in [pi/2, pi] by monotone bisection.
@@ -334,25 +360,31 @@ class RadonPlaneMap(PreserverMap):
                 raise NonConvergence(f"no pairing preimage bracket at psi={psi}")
         return _bisect_decreasing(h, lo, hi)
 
-    def _inverse_upper(self, a: float, b: float) -> np.ndarray:
+    def _inverse_upper(self, a: float, b: float) -> tuple[float, float]:
         r = self.eta.plane._norm2(a, b)
         psi = math.atan2(b, a)
         if psi <= HALF_PI:
             t = psi
         else:
             t = HALF_PI + self._eta_inverse(psi)
-        return np.array([r * math.cos(t), r * math.sin(t)])
+        return r * math.cos(t), r * math.sin(t)
 
     def apply_inverse(self, w) -> np.ndarray:
         return self._apply_inverse(self.target.check_vector(w))
 
     def _apply_inverse(self, arr: np.ndarray) -> np.ndarray:
-        if not arr.any():
-            return np.zeros(2)
-        a, b = float(arr[0]), float(arr[1])
-        if b > 0.0 or (b == 0.0 and a > 0.0):
-            return self._inverse_upper(a, b)
-        return -self._inverse_upper(-a, -b)
+        return np.array(_odd(self._inverse_upper, float(arr[0]), float(arr[1])))
+
+
+def _odd(upper, a: float, b: float) -> tuple[float, float]:
+    """upper, a map of the half-plane b > 0 or b == 0 < a, extended oddly by
+    sign canonicalization, so T(-v) == -T(v) exactly; zeros map to +0.0."""
+    if a == 0.0 and b == 0.0:
+        return 0.0, 0.0
+    if b > 0.0 or (b == 0.0 and a > 0.0):
+        return upper(a, b)
+    u0, u1 = upper(-a, -b)
+    return -u0, -u1
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,6 +418,12 @@ class SumMap(PreserverMap):
     def _apply(self, arr: np.ndarray) -> np.ndarray:
         pieces = self._source.split(arr)
         return np.concatenate([p._apply(piece) for p, piece in zip(self.parts, pieces)])
+
+    def _apply_many(self, X: np.ndarray) -> np.ndarray:
+        pieces = self._source.split(X)
+        return np.concatenate(
+            [p._apply_many(piece) for p, piece in zip(self.parts, pieces)], axis=1
+        )
 
     def _apply_inverse(self, arr: np.ndarray) -> np.ndarray:
         pieces = self._target.split(arr)
@@ -490,55 +528,66 @@ def verify_preserver(pmap: PreserverMap, n_samples: int, margin: float = MARGIN,
     close to a decision boundary to adjudicate.  Homogeneity is probed on
     every fifth sample and the continuity modulus on every tenth.
 
-    The sweep runs in two phases.  The draw phase loops over the samples in
-    order: each sample uses an independent child generator keyed by
-    (seed, index), draws its pairs, applies the map, and takes the norm
-    error and the homogeneity and continuity probes.  The judge phase then
-    classifies every source pair and every image pair with classify_many
-    and compares them.  Results depend only on (seed, index) per sample, so
-    the sweep can be partitioned across workers without changing them.
+    The sweep runs in three phases.  The draw phase loops over the samples
+    in order, each with an independent child generator keyed by
+    (seed, index): x, y, y_perp, then c and d where it probes homogeneity
+    and continuity.  The map phase maps x, y, y_perp, c*x and x + d of
+    every sample in one pmap._apply_many call.  The judge phase takes the
+    norm, homogeneity and continuity errors in sample order, then
+    classifies every source and image pair with classify_many and compares
+    them.  Results depend only on (seed, index) per sample, so the sweep
+    can be partitioned across workers without changing them.
     """
     if n_samples < 1:
         raise InvalidCount(f"n_samples must be >= 1, got {n_samples}")
     band = 10.0 * margin if boundary_band is None else boundary_band
     src, tgt = pmap.source, pmap.target
 
-    max_norm_err = 0.0
-    max_homog_err = 0.0
-    continuity = 0.0
-    pairs = []  # (x, y, T x, T y) of every pair to judge
-
+    xs, ys, yps, nxs = [], [], [], []
+    homog, steps = [], []  # (i, c) every fifth sample, (i, d) every tenth
     for i in range(n_samples):
         rng = np.random.default_rng([seed, i])
         x = random_nonzero(src, rng)
-        y = random_nonzero(src, rng)
-        tx = pmap.apply(x)
-        ty = pmap.apply(y)
-
+        xs.append(x)
+        ys.append(random_nonzero(src, rng))
         nx = src._norm(x)
-        max_norm_err = max(max_norm_err, abs(tgt._norm(tx) - nx) / nx)
-
-        yp = _orthogonal_direction(src, x, rng)
-        typ = pmap.apply(yp)
-        pairs += [(x, y, tx, ty), (x, yp, tx, typ)]
-
+        nxs.append(nx)
+        yps.append(_orthogonal_direction(src, x, rng))
         if i % 5 == 0:
             c = float(rng.choice([-1.0, 1.0])) * math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
-            err = tgt._norm(pmap.apply(c * x) - c * tx) / (abs(c) * nx)
-            max_homog_err = max(max_homog_err, err)
-
+            homog.append((i, c))
         if i % 10 == 0:
             d = rng.standard_normal(src.dim)
             d *= 1e-6 * nx / np.linalg.norm(d)
-            u = x + d
-            num = tgt._norm(pmap.apply(u) - tx)
-            den = src._norm(d)
-            if den > 0.0:
-                continuity = max(continuity, num / den)
+            steps.append((i, d))
 
-    xs, ys, txs, tys = zip(*pairs)
+    n, h = n_samples, len(homog)
+    X = np.array(xs)
+    images = pmap._apply_many(np.concatenate(
+        [X, ys, yps, [c * xs[i] for i, c in homog], [xs[i] + d for i, d in steps]]
+    ))
+    TX = images[:n]
+
+    max_norm_err = max(abs(tgt._norm(tx) - nx) / nx for tx, nx in zip(TX, nxs))
+    max_homog_err = max(
+        tgt._norm(tcx - c * TX[i]) / (abs(c) * nxs[i])
+        for tcx, (i, c) in zip(images[3 * n : 3 * n + h], homog)
+    )
+    continuity = 0.0
+    for tu, (i, d) in zip(images[3 * n + h :], steps):
+        num = tgt._norm(tu - TX[i])
+        den = src._norm(d)
+        if den > 0.0:
+            continuity = max(continuity, num / den)
+
+    # Rows alternate the random pair (x, y) and the constructed pair (x, y_perp).
+    def pairs(P, Q, R):
+        return np.repeat(P, 2, axis=0), np.stack([Q, R], axis=1).reshape(2 * n, -1)
+
     excluded, orth_dis, acute_dis = _pair_agreement(
-        classify_many(src, xs, ys, margin), classify_many(tgt, txs, tys, margin), band
+        classify_many(src, *pairs(X, ys, yps), margin),
+        classify_many(tgt, *pairs(TX, images[n : 2 * n], images[2 * n : 3 * n]), margin),
+        band,
     )
 
     passed = (

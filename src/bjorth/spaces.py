@@ -118,6 +118,12 @@ def _pbounds(X: np.ndarray, Y: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
     return b, b
 
 
+def _shrunk(X: np.ndarray) -> np.ndarray:
+    """X (a vector or rows) scaled by the exact powers of two that put the
+    largest coordinate of each row in [1/2, 1)."""
+    return np.ldexp(X, -np.frexp(np.abs(X).max(axis=-1, keepdims=True))[1])
+
+
 class NormedSpace(ABC):
     """Common interface: a norm and extreme points of the norming set.
 
@@ -126,8 +132,9 @@ class NormedSpace(ABC):
     array forms: ``_norms`` on an (n, dim) array, and ``_bounds``, the
     (min, max) of f(y) over the extreme norming functionals f of x, row by
     row, for nonzero rows x of X and rows y of Y.  Public entry points pass
-    each caller's vector through ``check_vector`` once; a vector is zero only
-    when every coordinate is exactly zero.
+    each caller's vector through ``check_vector`` (a stack of rows through
+    ``check_rows``) once; a vector is zero only when every coordinate is
+    exactly zero.
     """
 
     dim: int
@@ -140,6 +147,17 @@ class NormedSpace(ABC):
             )
         if not np.isfinite(arr).all():
             raise NonFiniteInput(f"vector coordinates must be finite, got {arr.tolist()}")
+        return arr
+
+    def check_rows(self, X) -> np.ndarray:
+        """check_vector for an (n, dim) stack of row vectors."""
+        arr = np.asarray(X, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != self.dim:
+            raise DimensionMismatch(
+                f"expected an (n, {self.dim}) array of rows, got shape {arr.shape}"
+            )
+        if not np.isfinite(arr).all():
+            raise NonFiniteInput("row coordinates must be finite")
         return arr
 
     def norm(self, v) -> float:
@@ -223,7 +241,7 @@ class LInf(NormedSpace):
         object.__setattr__(self, "dim", _check_dim(self.dim))
 
     def _norm(self, arr):
-        return float(np.max(np.abs(arr)))
+        return float(np.abs(arr).max())
 
     def _support(self, arr):
         # One vertex sign(x_i) e_i per coordinate attaining the max,
@@ -352,8 +370,13 @@ class InfSum(NormedSpace):
         # (within the tie tolerance) at zero elsewhere.
         off = self._offsets
         pieces = self.split(arr)
-        norms = [part._norm(piece) for part, piece in zip(self.parts, pieces)]
+        with np.errstate(over="ignore"):
+            norms = [part._norm(piece) for part, piece in zip(self.parts, pieces)]
         total = max(norms)
+        if total == math.inf:
+            # Finite parts whose norm overflows.  Functionals do not change
+            # with the scale of x: take them at x scaled by a power of two.
+            return self._support(_shrunk(arr))
         out = []
         for k, part in enumerate(self.parts):
             if norms[k] >= (1.0 - TAU_TIE) * total:
@@ -369,8 +392,14 @@ class InfSum(NormedSpace):
     def _bounds(self, X, Y):
         # Recurse into each part on the rows where it attains the max.
         xs, ys = self.split(X), self.split(Y)
-        norms = [part._norms(x) for part, x in zip(self.parts, xs)]
+        with np.errstate(over="ignore"):
+            norms = [part._norms(x) for part, x in zip(self.parts, xs)]
         total = np.max(norms, axis=0)
+        big = total == math.inf
+        if big.any():  # as in _support
+            X = X.copy()
+            X[big] = _shrunk(X[big])
+            return self._bounds(X, Y)
         mn, mx = np.full(len(X), np.inf), np.full(len(X), -np.inf)
         for part, x, y, nk in zip(self.parts, xs, ys, norms):
             rows = nk >= (1.0 - TAU_TIE) * total

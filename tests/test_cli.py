@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +223,29 @@ def test_certify_artifacts_are_byte_identical_across_runs(capsys, tmp_path):
     assert sorted(p.name for p in b.iterdir()) == CERTIFY_ARTIFACTS
     for name in CERTIFY_ARTIFACTS:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_certify_artifacts_do_not_depend_on_cpu_dispatch(tmp_path):
+    # numpy's AVX-512 kernels for power, exp, log and arctan2 round some
+    # inputs differently from the baseline ones.  Their floats must only
+    # feed decisions and counts, so the artifacts come out the same with
+    # those kernels switched off (names a CPU lacks are ignored).
+    src = str(Path(bj.__file__).resolve().parent.parent)
+    outs = []
+    for disabled in (None, "X86_V4 AVX512_ICL AVX512_SPR"):
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        env["PYTHONPATH"] = src
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        out = tmp_path / ("baseline" if disabled else "default")
+        subprocess.run([sys.executable, "-m", "bjorth", "certify", "--fast", "--seed", "0",
+                        "--out", str(out)], env=env, check=True, capture_output=True,
+                       timeout=600)
+        outs.append(out)
+    for out in outs:
+        assert sorted(p.name for p in out.iterdir()) == CERTIFY_ARTIFACTS
+    for name in CERTIFY_ARTIFACTS:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_certify_failing_report_exits_one_and_writes_everything(capsys, tmp_path,

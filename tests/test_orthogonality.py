@@ -435,6 +435,43 @@ def test_oracle_survives_bracket_overflow():
         assert list(bj.one_sided_acute_many(l2, [x], [y])) == [True]
 
 
+@pytest.mark.parametrize("text", ["lp:2:2", "dayjames:3:1.5"])
+def test_oracles_survive_a_norm_beyond_the_float_range(text):
+    # ||x|| is about 2.4e308 (l2) or 2.1e308 (Day-James): finite coordinates,
+    # a norm past the float range.  Before x was scaled down, the oracle
+    # returned (-inf, nan) and called the orthogonal pair non-orthogonal.
+    space = bj.parse_space(text)
+    x = [1.7e308, 1.7e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t, val = bj.oracle_min_over_line(space, x, [1.0, -1.0])
+        assert math.isfinite(t) and val == math.inf  # the true minimum is ||x||
+        for y in ([1.0, -1.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, -1.0], [0.0, 1e-300]):
+            rel = bj.classify_angle(space, x, y)
+            assert bj.is_bj_orthogonal_oracle(space, x, y) == rel.is_orthogonal, y
+            assert bj.one_sided_acute_oracle(space, x, y) == rel.is_acute, y
+            assert list(bj.one_sided_acute_many(space, [x], [y])) == [rel.is_acute], y
+        # x + 1.7e308 y vanishes: the minimum is in range and found there.
+        t, val = bj.oracle_min_over_line(space, x, [-1.0, -1.0])
+        assert t == pytest.approx(1.7e308, rel=1e-9) and val <= 1e-9 * 1.7e308
+
+
+def test_max_sum_classifies_a_norm_beyond_the_float_range():
+    # The part norms overflow; the tie test must still pick the l2 part.
+    space = bj.parse_space("sum(lp:2:2,linf:1)")
+    X = [[1.7e308, 1.7e308, 0.0], [1.7e308, 1.7e308, 1.7e308], [1e308, 0.0, 1.7e308]]
+    Y = [[1.0, -1.0, 0.0], [1.0, -1.0, 5.0], [0.0, 1.0, 1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        many = bj.classify_many(space, X, Y)
+        for i, (x, y) in enumerate(zip(X, Y)):
+            rel = bj.classify_angle(space, x, y)
+            small = bj.classify_angle(space, np.ldexp(x, -1000), y)
+            assert rel.tag is small.tag and many.tag[i] is small.tag, i
+            assert (rel.min_bound, rel.max_bound) == (small.min_bound, small.max_bound)
+    assert [t.value for t in many.tag] == ["orthogonal", "orthogonal", "strictly-acute"]
+
+
 def test_oracle_resolves_tiny_brackets():
     # 2||x||/||y|| = 2e-11 is below the search tolerance: before rescaling,
     # the search took no step and called this parallel pair orthogonal.
@@ -487,7 +524,7 @@ def test_lockstep_oracle_is_bit_identical_where_norms_agree_exactly(text):
     # the lockstep search is the scalar one.
     space = bj.parse_space(text)
     X, Y = _oracle_rows(space, 5)
-    t, val = _min_on_lines(space, X, Y, 0.0)
+    t, val, _, _ = _min_on_lines(space, X, Y, 0.0)
     ref = [_min_on_line(space, X[i], Y[i], 0.0) for i in range(len(X))]
     assert t.tolist() == [r[0] for r in ref]
     assert val.tolist() == [r[1] for r in ref]
@@ -500,9 +537,9 @@ def test_lockstep_oracle_matches_scalar_oracle(text):
     # minimum stays within rounding.
     space = bj.parse_space(text)
     X, Y = _oracle_rows(space, 6)
-    t, val = _min_on_lines(space, X, Y, 0.0)
+    t, val, _, _ = _min_on_lines(space, X, Y, 0.0)
     for i in range(len(X)):
-        ref_t, ref_val = _min_on_line(space, X[i], Y[i], 0.0)
+        ref_t, ref_val, _, _ = _min_on_line(space, X[i], Y[i], 0.0)
         assert abs(val[i] - ref_val) <= 4e-16 * ref_val, i
         assert t[i] == pytest.approx(ref_t, rel=1e-6, abs=1e-6 * abs(val[i]) / space.norm(Y[i]))
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bjorth as bj
+from bjorth import analysis, preserver
 from bjorth.errors import (
     EmptyParts,
     GridTooCoarse,
@@ -260,6 +261,107 @@ def test_sum_map_checks_its_vector_once(dj_map, monkeypatch):
     calls.clear()
     np.testing.assert_array_equal(mixed.apply(v[[0, 1, 3, 4]]), np.concatenate([w[:2], -v[3:]]))
     assert calls == [mixed.source, L2]
+
+
+# ---------------------------------------------------------------------------
+# Row batches and the guided bisection.
+
+
+def _swapped_map():
+    bad = bj.build_preserver(DJ, 1024)
+    values = bad.eta.values
+    values[300], values[700] = values[700], values[300]
+    return bad
+
+
+SWAPPED = _swapped_map()
+
+
+# Zeros of every sign, the axes, both sides of the seam at t = pi/2 and of
+# the half-plane boundary at t = pi, and rows in the lower half-plane.
+SPECIAL_ROWS = [
+    [0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0],
+    [1.0, 0.0], [1.0, -0.0], [-1.0, 0.0], [-1.0, -0.0], [0.0, 1.0], [-0.0, 1.0], [0.0, -1.0],
+    [math.cos(math.pi / 2), 1.0], [-1e-9, 1.0], [1e-9, 1.0], [-1.0, 1e-12], [-1.0, -1e-12],
+    [3.0, -4.0], [-3.0, -4.0], [-2.0**-1000, 2.0**-1000], [2.0**1000, -(2.0**999)],
+]
+
+
+def _stacked(pmap, rows):
+    """The vector applies of the rows, one call per row."""
+    return np.array([pmap.apply(r) for r in rows]).reshape(len(rows), pmap.target.dim)
+
+
+@given(data=st.data())
+def test_rows_map_like_stacked_vectors(dj_map, data):
+    rows = [list(r) for r in SPECIAL_ROWS]
+    for _ in range(data.draw(st.integers(0, 12))):
+        k = data.draw(st.integers(-900, 900))
+        rows.append(list(2.0**k * draw_vector(data, 2)))
+    rows = np.array(rows)
+    for pmap in (dj_map, SWAPPED):
+        assert pmap.apply(rows).tobytes() == _stacked(pmap, rows).tobytes()
+        assert pmap._apply_many(rows).tobytes() == _stacked(pmap, rows).tobytes()
+    # Through a max-sum, with an identity part and a part that has only the
+    # public methods; the extra coordinates are rows of the same draw.
+    sm = bj.compose_inf_sum([dj_map, bj.IdentityMap(bj.LInf(1)), _Negation(L2)])
+    big = np.concatenate([rows, rows[:, :1], rows[::-1]], axis=1)
+    assert sm._apply_many(big).tobytes() == _stacked(sm, big).tobytes()
+
+
+def test_rows_edge_cases(dj_map):
+    sm = bj.compose_inf_sum([dj_map, _Negation(L2)])
+    assert dj_map.apply(np.empty((0, 2))).shape == (0, 2)
+    assert sm._apply_many(np.empty((0, 4))).shape == (0, 4)
+    assert dj_map.apply([[3.0, 4.0]]).tobytes() == dj_map.apply([3.0, 4.0]).tobytes()
+    for bad in ([[1.0, 2.0, 3.0]], np.ones((2, 2, 2)), [[]], 5.0):
+        with pytest.raises(bj.DimensionMismatch):
+            dj_map.apply(bad)
+    for bad in ([[1.0, math.nan]], [[0.0, 0.0], [math.inf, 1.0]]):
+        with pytest.raises(bj.NonFiniteInput):
+            dj_map.apply(bad)
+    with pytest.raises(bj.DimensionMismatch):
+        L2.check_rows([1.0, 2.0])
+    with pytest.raises(bj.NonFiniteInput):
+        L2.check_rows([[1.0, -math.inf]])
+
+
+def test_guided_bisection_takes_the_unguided_path(monkeypatch):
+    # Every guided bisection of solve_eta ([pi/2, pi]), of the map's table
+    # cells (+- BRACKET_PAD, also of a swapped table) and of the Radon scan
+    # ((theta, theta + pi)) must return the unguided root bit for bit, and
+    # call g at most 12 times, so a guide that is silently ignored fails.
+    real = preserver._bisect_decreasing
+    counts = []
+
+    def checked(g, lo, hi, root=math.nan):
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return g(t)
+
+        got = real(counted, lo, hi, root)
+        if not math.isnan(root):
+            assert got == real(g, lo, hi), (lo, hi, root)
+            assert len(calls) <= 12, (lo, hi, root, len(calls))
+            counts.append(len(calls))
+        return got
+
+    monkeypatch.setattr(preserver, "_bisect_decreasing", checked)
+    monkeypatch.setattr(analysis, "_bisect_decreasing", checked)
+    rng = np.random.default_rng(31)
+    for plane in (DJ, bj.DayJames(1.5, 3.0), bj.DayJames(2.0, 2.0), L2):
+        for theta in rng.uniform(0.0, math.pi / 2, 100):
+            bj.solve_eta(plane, float(theta))
+        bj.radon_defect(plane, grid=61)
+    for plane in (bj.Lp(2, 3.0), bj.Lp(2, 1.5)):
+        bj.radon_defect(plane, grid=61)
+    maps = (bj.build_preserver(DJ, 256), _swapped_map())
+    built = len(counts)
+    for pmap in maps:
+        pmap.apply(rng.standard_normal((300, 2)))
+    assert len(counts) - built > 200  # about half the rows re-solve a table cell
 
 
 # ---------------------------------------------------------------------------
