@@ -45,7 +45,10 @@ class AngleRelation:
     min_bound and max_bound are the extremes of f(y) over the norming
     functionals of x; they equal the left and right derivatives of
     t -> ||x + t*y|| at t = 0.  scale is ||y||, the unit in which the
-    decision margin is applied.
+    decision margin is applied.  Where ||y|| is past the float range, the
+    tag is decided on y scaled down by a power of two, and the bounds and
+    scale are reported in the caller's units: scale is inf, and so is a
+    bound past the range (the distances, their ratios, then read 0 or nan).
     """
 
     tag: AngleTag
@@ -138,9 +141,15 @@ def classify_angle(space: NormedSpace, x, y, margin: float = MARGIN) -> AngleRel
         raise NonFiniteInput(f"margin must be finite, got {margin}")
     if not xa.any():
         return AngleRelation(AngleTag.DEGENERATE_LEFT, 0.0, 0.0, 0.0)
+    scale = space._norm(ya)  # scalar norms overflow to inf quietly
+    k = 0
+    if scale == math.inf:
+        # The relation is homogeneous in y: decide on y * 2**-k instead.
+        k = int(_top_exponents(ya))
+        ya = np.ldexp(ya, -k)
+        scale = space._norm(ya)
     vals = [float(np.dot(f, ya)) for f in space._support(xa)]
     mn, mx = min(vals), max(vals)
-    scale = space._norm(ya)
     thr = margin * scale
     if mn > thr:
         tag = AngleTag.STRICTLY_ACUTE
@@ -148,6 +157,8 @@ def classify_angle(space: NormedSpace, x, y, margin: float = MARGIN) -> AngleRel
         tag = AngleTag.STRICTLY_OBTUSE
     else:
         tag = AngleTag.ORTHOGONAL
+    if k:
+        mn, mx, scale = (float(_unscaled(v, k)) for v in (mn, mx, scale))
     return AngleRelation(tag, mn, mx, scale)
 
 
@@ -171,13 +182,22 @@ def classify_many(space: NormedSpace, X, Y, margin: float = MARGIN) -> AngleRela
     n = len(X)
     live = X.any(axis=1)
     mn, mx, scale = np.zeros(n), np.zeros(n), np.zeros(n)
+    with np.errstate(over="ignore"):
+        scale[live] = space._norms(Y[live])
+    k = np.zeros(n, dtype=int)
+    big = scale == math.inf
+    if big.any():  # as in classify_angle
+        k[big] = _top_exponents(Y[big])
+        Y = np.ldexp(Y, -k[:, None])
+        scale[big] = space._norms(Y[big])
     mn[live], mx[live] = space._bounds(X[live], Y[live])
-    scale[live] = space._norms(Y[live])
     thr = margin * scale
     tag = np.full(n, AngleTag.ORTHOGONAL, dtype=object)
     tag[mx < -thr] = AngleTag.STRICTLY_OBTUSE
     tag[mn > thr] = AngleTag.STRICTLY_ACUTE
     tag[~live] = AngleTag.DEGENERATE_LEFT
+    if big.any():
+        mn, mx, scale = (_unscaled(v, k) for v in (mn, mx, scale))
     return AngleRelations(tag, mn, mx, scale)
 
 
@@ -306,31 +326,38 @@ def _unscaled(t, e):
         return np.ldexp(t, e)
 
 
+def _top_exponents(V: np.ndarray):
+    """The exponents e that put the largest coordinate of V * 2**-e (of a
+    vector, or of each row) in [1/2, 1)."""
+    return np.frexp(np.abs(V).max(axis=-1))[1]
+
+
 def _min_on_line(space: NormedSpace, xa: np.ndarray, ya: np.ndarray, lo: float,
                  tol: float = 1e-10) -> tuple[float, float, float, int]:
     """oracle_min_over_line over [lo * L, L] on checked arrays, y != 0.
 
     Returns (argmin, min, ||x||, s): the argmin in units of y, and the min
     and the norm of x * 2**-s, where s = 0 unless ||x|| exceeds _MAX_NORM.
+    The search minimizes space._line(x, y): on Lp and Day-James planes a
+    Python-float objective, bit for bit the array form ||x + t*y||.
     """
-    with np.errstate(over="ignore"):
-        nx = space._norm(xa)
+    nx, ny = space._norm(xa), space._norm(ya)  # scalar norms overflow to inf quietly
     s = 0
     if nx > _MAX_NORM:
-        s = math.frexp(float(np.max(np.abs(xa))))[1]
+        s = int(_top_exponents(xa))
         xa = np.ldexp(xa, -s)
         nx = space._norm(xa)
     if nx == 0.0:
         return 0.0, nx, nx, 0
-    ny = space._norm(ya)
     lam = 2.0 * float(nx) / float(ny)  # Python floats overflow to inf quietly
     e = 0
     if not _MIN_BRACKET <= lam < math.inf:
-        e = math.frexp(nx)[1] - math.frexp(ny)[1]
+        # An overflowing ||y|| takes its exponent from y's largest coordinate.
+        e = math.frexp(nx)[1] - (math.frexp(ny)[1] if ny < math.inf
+                                 else int(_top_exponents(ya)))
         ya = np.ldexp(ya, e)
         lam = 2.0 * nx / space._norm(ya)
-    phi = lambda t: space._norm(xa + t * ya)
-    t, val = golden_section_min(phi, lo * lam, lam, tol=tol)
+    t, val = golden_section_min(space._line(xa, ya), lo * lam, lam, tol=tol)
     return float(_unscaled(t, e + s)), val, nx, s
 
 
@@ -340,20 +367,21 @@ def _min_on_lines(space: NormedSpace, X: np.ndarray, Y: np.ndarray, lo: float,
     rules, in lockstep passes of space._norms."""
     with np.errstate(over="ignore"):
         nx = space._norms(X)
+        ny = space._norms(Y)
     s = np.zeros(len(X), dtype=int)
     big = nx > _MAX_NORM
     if big.any():
-        s[big] = np.frexp(np.abs(X[big]).max(axis=1))[1]
+        s[big] = _top_exponents(X[big])
         X = X.copy()
         X[big] = np.ldexp(X[big], -s[big, None])
         nx[big] = space._norms(X[big])
-    ny = space._norms(Y)
     with np.errstate(over="ignore"):
         lam = 2.0 * nx / ny
     e = np.zeros(len(X), dtype=int)
     far = ~((lam >= _MIN_BRACKET) & (lam < math.inf))
     if far.any():
-        e[far] = np.frexp(nx[far])[1] - np.frexp(ny[far])[1]
+        ey = np.where(ny[far] < math.inf, np.frexp(ny[far])[1], _top_exponents(Y[far]))
+        e[far] = np.frexp(nx[far])[1] - ey
         Y = Y.copy()
         Y[far] = np.ldexp(Y[far], e[far, None])
         lam[far] = 2.0 * nx[far] / space._norms(Y[far])
@@ -371,9 +399,13 @@ def oracle_min_over_line(space: NormedSpace, x, y,
     (argmin, min) with the argmin resolved to absolute tolerance tol.  When
     L is not finite or far below one, the search runs on y rescaled by a
     power of two: tol then applies in those units, and the argmin, returned
-    in units of y, can overflow to +-inf.  When ||x|| is beyond 2**1020, x
-    is scaled down by a power of two for the search, and the min, returned
-    in units of x, is inf when it is past the float range.
+    in units of y, can overflow to +-inf; when ||y|| is itself past the
+    float range, the power of two comes from y's largest coordinate.  When
+    ||x|| is beyond 2**1020, x is scaled down by a power of two for the
+    search, and the min, returned in units of x, is inf when it is past the
+    float range.  On Lp and Day-James planes the objective runs on Python
+    floats through the plane's scalar norm, with the same roundings as the
+    array form ||x + t*y||, so the results are the same bit for bit.
     """
     xa = space.check_vector(x)
     ya = space.check_vector(y)

@@ -94,6 +94,17 @@ def _pgrad2(a: float, b: float, r: float) -> tuple[float, float]:
     )
 
 
+def _line2(norm2, xa: np.ndarray, ya: np.ndarray):
+    """NormedSpace._line of a plane whose norm2(a, b) takes Python floats.
+
+    x0 + t*y0 rounds twice, as numpy's xa + t*ya does (no FMA), so the
+    objective returns the array form's floats bit for bit, with no numpy
+    call per evaluation.
+    """
+    x0, x1, y0, y1 = float(xa[0]), float(xa[1]), float(ya[0]), float(ya[1])
+    return lambda t: norm2(x0 + t * y0, x1 + t * y1)
+
+
 def _pscaled(X: np.ndarray, r):
     """Max-scaling of the rows of X: (M, T, S) with |X| = M * T and S the
     r-norm of each row of T.  r is a number or a column of per-row
@@ -131,7 +142,9 @@ class NormedSpace(ABC):
     array, and ``_support`` on a checked nonzero array, plus their row-wise
     array forms: ``_norms`` on an (n, dim) array, and ``_bounds``, the
     (min, max) of f(y) over the extreme norming functionals f of x, row by
-    row, for nonzero rows x of X and rows y of Y.  Public entry points pass
+    row, for nonzero rows x of X and rows y of Y.  The line oracles minimize
+    ``_line``, which planes with a scalar ``_norm2`` evaluate on Python
+    floats.  Public entry points pass
     each caller's vector through ``check_vector`` (a stack of rows through
     ``check_rows``) once; a vector is zero only when every coordinate is
     exactly zero.
@@ -173,6 +186,10 @@ class NormedSpace(ABC):
             raise ZeroVector("support set is undefined at the zero vector")
         return self._support(arr)
 
+    def _line(self, xa: np.ndarray, ya: np.ndarray):
+        """The line oracles' objective t -> ||xa + t*ya||, on checked arrays."""
+        return lambda t: self._norm(xa + t * ya)
+
     @abstractmethod
     def _norm(self, arr: np.ndarray) -> float: ...
 
@@ -199,7 +216,7 @@ class Lp(NormedSpace):
 
     def _norm(self, arr):
         if self.dim == 2:
-            return _pnorm2(arr[0], arr[1], self.p)
+            return _pnorm2(float(arr[0]), float(arr[1]), self.p)
         a = np.abs(arr)
         m = float(a.max())
         if m == 0.0:
@@ -209,7 +226,7 @@ class Lp(NormedSpace):
     def _support(self, arr):
         # Unique norming functional: sign(x_i) |x_i|^(p-1) / ||x||^(p-1).
         if self.dim == 2:
-            return [np.array(_pgrad2(arr[0], arr[1], self.p))]
+            return [np.array(_pgrad2(float(arr[0]), float(arr[1]), self.p))]
         a = np.abs(arr)
         m = float(a.max())
         t = a / m
@@ -222,6 +239,9 @@ class Lp(NormedSpace):
 
     def _bounds(self, X, Y):
         return _pbounds(X, Y, self.p)
+
+    def _line(self, xa, ya):
+        return _line2(self._norm2, xa, ya) if self.dim == 2 else super()._line(xa, ya)
 
     # Scalar fast paths used by the plane constructions.
     def _norm2(self, a: float, b: float) -> float:
@@ -321,6 +341,9 @@ class DayJames(NormedSpace):
         # Axis rows take the p-gradient without _support's agreement check:
         # there both exponents give (+-1, 0) or (0, +-1) exactly.
         return _pbounds(X, Y, self._exponents(X))
+
+    def _line(self, xa, ya):
+        return _line2(self._norm2, xa, ya)
 
     def _norm2(self, a: float, b: float) -> float:
         return _pnorm2(a, b, self._exponent_at(a, b))

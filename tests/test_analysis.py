@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -50,6 +51,77 @@ def test_radon_rows_are_deterministic():
     a = bj.radon_defect(DJ, grid=64)
     b = bj.radon_defect(DJ, grid=64)
     assert a.rows == b.rows
+
+
+# The planes of `bjorth certify`, and their scans at its --fast grid.
+CERTIFY_PLANES = {
+    "dayjames_1.5": bj.DayJames(1.5, 3.0),
+    "dayjames_2": bj.DayJames(2.0, 2.0),
+    "dayjames_3": bj.DayJames(3.0, 1.5),
+    "dayjames_4": bj.DayJames(4.0, 4.0 / 3.0),
+    "lp_1.5": bj.Lp(2, 1.5),
+    "lp_3": bj.Lp(2, 3.0),
+    "lp_4": bj.Lp(2, 4.0),
+}
+
+
+def _radon_digest(plane, grid=180):
+    """(SHA-256 of the rows, defect, witness), every float in hex."""
+    scan = bj.radon_defect(plane, grid=grid)
+    rows = "".join(" ".join(float(v).hex() for v in row) + "\n" for row in scan.rows)
+    witness = None if scan.witness is None else tuple(float(v).hex() for v in scan.witness)
+    return hashlib.sha256(rows.encode()).hexdigest(), float(scan.defect).hex(), witness
+
+
+# Recorded when the scan's line objective still ran on numpy arrays: the
+# plane objective on Python floats must reproduce every bit.
+PINNED_RADON = {
+    "dayjames_1.5": (
+        "582b936752b333f18d00217c6fe9fee7747d93fdd29f455306a9da87aa7c6dd8",
+        "0x1.8000000000000p-52", None),
+    "dayjames_2": (
+        "30263a8f87172466f4e351cb1e510640130ae7f468f007103bdbe59e03621d2c",
+        "0x1.0000000000000p-52", None),
+    "dayjames_3": (
+        "adb5a70c4f767853deb8bc4690efe76cbadaa7990ef3514b77c4c4cad2c666e1",
+        "0x1.0000000000000p-52", None),
+    "dayjames_4": (
+        "38b79541de89565980a6432a00c45ff82dc01cc6319890818ae1ea02a507dc6f",
+        "0x1.8000000000000p-52", None),
+    "lp_1.5": (
+        "b2a7516d3999ef162c9baaae6185d524255af6bbba3ad1df5a3cf65f137f8579",
+        "0x1.65bfdf40f85f0p-4", ("0x1.893011f31982ep-3", "0x1.fc6d73ae47414p+0")),
+    "lp_3": (
+        "59b57786fb2cd0a831dd81b797f35e0bea43a3ec489b38ed176ea1a38f25ac8b",
+        "0x1.65d96579623d0p-4", ("0x1.fd5b5d123280ep+0", "0x1.ab2c222ec308cp+1")),
+    "lp_4": (
+        "422da7da81d9f09af283163ef31ccecf65c0243f1ef9e289a110646f952214af",
+        "0x1.6594536d1b7e0p-3", ("0x1.f46bb9c109324p-2", "0x1.b85202522ecdcp+0")),
+}
+
+
+@pytest.mark.parametrize("label", sorted(CERTIFY_PLANES))
+def test_radon_scan_matches_pinned_values(label):
+    assert _radon_digest(CERTIFY_PLANES[label]) == PINNED_RADON[label]
+
+
+@pytest.mark.parametrize("text", ["dayjames:3:1.5", "lp:2:3"])
+def test_radon_scan_takes_the_plane_objective(text, monkeypatch):
+    # The array _norm serves the unit vectors, ||x|| and ||y|| of each
+    # oracle call and the deficit: about 5 calls a direction.  The golden-
+    # section search makes about 56 evaluations a direction, which must go
+    # to the plane's scalar objective instead.
+    plane = bj.parse_space(text)
+    calls = []
+    norm = type(plane)._norm
+
+    def counting(self, arr):
+        calls.append(1)
+        return norm(self, arr)
+
+    monkeypatch.setattr(type(plane), "_norm", counting)
+    bj.radon_defect(plane, grid=16)
+    assert 16 <= len(calls) <= 8 * 16
 
 
 # ---------------------------------------------------------------------------

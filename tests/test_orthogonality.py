@@ -1,14 +1,21 @@
+import hashlib
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import bjorth as bj
 from bjorth.errors import ZeroDirection, ZeroVector
-from bjorth.orthogonality import AngleTag, _min_on_line, _min_on_lines
+from bjorth.orthogonality import (
+    _MIN_BRACKET,
+    AngleTag,
+    _min_on_line,
+    _min_on_lines,
+    golden_section_min,
+)
 
 from conftest import SPACE_ZOO, draw_vector, random_nonzero
 
@@ -572,3 +579,118 @@ def test_one_sided_acute_many_zero_rows_and_empty_input():
         bj.one_sided_acute_many(space, np.ones((2, 3)), np.ones((3, 3)))
     with pytest.raises(bj.NonFiniteInput):
         bj.one_sided_acute_many(space, np.ones((1, 3)), np.ones((1, 3)), math.nan)
+
+
+# ---------------------------------------------------------------------------
+# Planes evaluate the line objective on Python floats, bit for bit the array
+# objective t -> space._norm(x + t*y).
+
+PLANE_TEXTS = ["lp:2:1.2", "lp:2:3", "dayjames:3:1.5", "dayjames:1.5:3"]
+
+
+def _plane_oracle_cases(space, rng, n=60):
+    """(x, y) pairs: random x and y, its orthogonal partner, x and -x, all
+    scaled by 2**j and 2**k (|j|, |k| <= 900), then one pair in each rescale
+    branch: a bracket below 2**-10, a bracket past the float range, and
+    ||x|| beyond 2**1020."""
+    cases = []
+    for _ in range(n):
+        x = rng.standard_normal(2)
+        j, k = (int(e) for e in rng.integers(-900, 901, size=2))
+        for y in (rng.standard_normal(2), bj.orthogonal_direction(space, x, rng), x, -x):
+            cases.append((np.ldexp(x, j), np.ldexp(y, k)))
+    x, y = rng.standard_normal(2), rng.standard_normal(2)
+    cases += [(x, np.ldexp(y, 20)), (np.ldexp(x, 1000), np.ldexp(y, -100)),
+              (np.ldexp(x / np.abs(x).max(), 1023), y)]
+    return cases
+
+
+def _plane_oracle_digest(space):
+    """SHA-256 over every case's oracle_min_over_line (in hex) and both
+    oracle verdicts."""
+    digest = hashlib.sha256()
+    for x, y in _plane_oracle_cases(space, np.random.default_rng(7)):
+        t, val = bj.oracle_min_over_line(space, x, y)
+        ortho = bj.is_bj_orthogonal_oracle(space, x, y)
+        acute = bj.one_sided_acute_oracle(space, x, y)
+        digest.update(f"{float(t).hex()} {float(val).hex()} {int(ortho)}{int(acute)}\n".encode())
+    return digest.hexdigest()
+
+
+# Recorded when the line objective still ran on numpy arrays.
+PINNED_PLANE_ORACLES = {
+    "lp:2:1.2": "eba171c991ca6b3d1a03709706e3ce1aed31bbcd43337b24d19fdb3bbbce8079",
+    "lp:2:3": "e64fcf74e1821d432481d4e011e8cf7c15c7c11f5e0da57ba27abea68fad78b8",
+    "dayjames:3:1.5": "bbf3293b29b8addf58b109f4e7470e9c139def152a0b6a4d4953506373927260",
+    "dayjames:1.5:3": "7216e4d53d7d91980c1e83be4c0ef97adf9c1c1cd1d4a96418bb974e53744c26",
+}
+
+
+@pytest.mark.parametrize("text", PLANE_TEXTS)
+def test_plane_oracles_match_pinned_values(text):
+    assert _plane_oracle_digest(bj.parse_space(text)) == PINNED_PLANE_ORACLES[text]
+
+
+@given(data=st.data(), text=st.sampled_from(PLANE_TEXTS))
+def test_plane_objective_is_the_array_objective(data, text):
+    space = bj.parse_space(text)
+    j = data.draw(st.integers(-900, 900))
+    x, y = np.ldexp(draw_vector(data, 2), j), np.ldexp(draw_vector(data, 2), j)
+    lam = 2.0 * space._norm(x) / space._norm(y)
+    assume(_MIN_BRACKET <= lam)  # in range: the search runs on x and y as given
+    for lo in (-1.0, 0.0):
+        t, val, _, _ = _min_on_line(space, x, y, lo)
+        want = golden_section_min(lambda t: space._norm(x + t * y), lo * lam, lam)
+        assert (t.hex(), float(val).hex()) == tuple(float(v).hex() for v in want)
+
+
+@pytest.mark.parametrize("space", SPACE_ZOO, ids=str)
+def test_oracles_return_python_scalars(space):
+    rng = np.random.default_rng(11)
+    x = random_nonzero(space, rng)
+    ys = [random_nonzero(space, rng), bj.orthogonal_direction(space, x, rng), x, -x,
+          np.zeros(space.dim)]
+    for y in ys:
+        assert type(bj.is_bj_orthogonal_oracle(space, x, y)) is bool
+        assert type(bj.one_sided_acute_oracle(space, x, y)) is bool
+        assert type(bj.is_bj_orthogonal(space, x, y)) is bool
+        if y.any():
+            assert [type(v) for v in bj.oracle_min_over_line(space, x, y)] == [float, float]
+
+
+@pytest.mark.parametrize("text", ["lp:2:2", "dayjames:3:1.5", "sum(lp:2:2,linf:1)"])
+def test_angles_survive_a_y_norm_beyond_the_float_range(text):
+    # ||y|| overflows for finite coordinates.  Before y was scaled down, the
+    # margin band was infinite, so classify_angle called the strictly acute
+    # pair ([1, 0], [1.7e308, 1.7e308]) orthogonal, and the line oracle
+    # returned (nan, nan).
+    space = bj.parse_space(text)
+    pad = [0.0] * (space.dim - 2)
+    X = [[1.0, 0.0] + pad, [1.0, 0.0] + pad, [0.0, 1.0] + pad, [1.0, 1.0] + pad]
+    Y = [[1.7e308, 1.7e308] + pad, [-1.7e308, 1e308] + pad, [1e308, -1.7e308] + pad,
+         [1.7e308, -1.7e308] + pad]
+    def fields(rel):
+        # In the caller's units, from y * 2**-1000: inf past the float range.
+        with np.errstate(over="ignore"):
+            return [np.ldexp(v, 1000).tolist() for v in (rel.min_bound, rel.max_bound, rel.scale)]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        many = bj.classify_many(space, X, Y)
+        small_many = bj.classify_many(space, X, np.ldexp(Y, -1000))
+        acute_many = bj.one_sided_acute_many(space, X, Y)
+        assert list(many.tag) == list(small_many.tag)
+        assert [many.min_bound.tolist(), many.max_bound.tolist(),
+                many.scale.tolist()] == fields(small_many)
+        for i, (x, y) in enumerate(zip(X, Y)):
+            rel = bj.classify_angle(space, x, y)
+            small = bj.classify_angle(space, x, np.ldexp(y, -1000))
+            assert rel.tag is small.tag is many.tag[i], i
+            assert [rel.min_bound, rel.max_bound, rel.scale] == fields(small), i
+            t, val = bj.oracle_min_over_line(space, x, y)
+            assert not (math.isnan(t) or math.isnan(val)), i
+            assert bj.is_bj_orthogonal_oracle(space, x, y) == rel.is_orthogonal, i
+            assert bj.one_sided_acute_oracle(space, x, y) == rel.is_acute, i
+            assert acute_many[i] == rel.is_acute, i
+    assert [t.value for t in many.tag] == [
+        "strictly-acute", "strictly-obtuse", "strictly-obtuse", "orthogonal"]
