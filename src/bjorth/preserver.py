@@ -35,6 +35,7 @@ from .errors import (
     MonotonicityViolation,
     NoBracket,
     NonConvergence,
+    NonFiniteInput,
     NotRadonPlane,
     NotSmooth,
 )
@@ -158,6 +159,8 @@ class EtaTable:
             raise ValueError("grid, values and residuals must have equal length")
         if len(grid) < 2:
             raise ValueError("table needs at least two nodes")
+        if not np.isfinite([grid, values, residuals]).all():
+            raise NonFiniteInput("table angles and residuals must be finite")
         if abs(grid[0]) > 1e-10 or abs(grid[-1] - HALF_PI) > 1e-10:
             raise ValueError("grid must span [0, pi/2]")
         if abs(values[0] - HALF_PI) > 1e-10 or abs(values[-1] - math.pi) > 1e-10:
@@ -176,25 +179,25 @@ class EtaTable:
         rows = []
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])
             if header[:3] != ["theta", "eta", "residual"]:
                 raise ValueError(f"unexpected header {header!r}")
             for row in reader:
+                if len(row) < 3:
+                    raise ValueError(f"line {reader.line_num}: expected 3 fields, got {row!r}")
                 rows.append((float(row[0]), float(row[1]), float(row[2])))
-        arr = np.array(rows)
+        arr = np.array(rows).reshape(-1, 3)
         return cls(grid=arr[:, 0], values=arr[:, 1], residuals=arr[:, 2], plane=plane)
 
 
 class PreserverMap(ABC):
     """A norm-preserving homogeneous bijection with computable inverse.
 
-    apply and apply_inverse check their argument; _apply and _apply_inverse
-    take an array already checked against the source or target space, and
-    by default call the public methods.  _apply_many maps a checked
-    (n, source.dim) array of rows; by default it stacks _apply of each row.
-    The package's maps override them, so a max-sum map checks its vector
-    once rather than once per part, and a batch of rows is mapped in one
-    call.
+    A map defines source and target and two row methods on checked stacks:
+    _forward maps the rows of an (n, source.dim) array, _backward those of
+    an (n, target.dim) array.  apply and apply_inverse take a vector or a
+    stack of rows, check it once and map it through them, so a max-sum map
+    checks its argument once rather than once per part.
     """
 
     @property
@@ -206,19 +209,25 @@ class PreserverMap(ABC):
     def target(self) -> NormedSpace: ...
 
     @abstractmethod
-    def apply(self, v) -> np.ndarray: ...
+    def _forward(self, X: np.ndarray) -> np.ndarray: ...
 
     @abstractmethod
-    def apply_inverse(self, w) -> np.ndarray: ...
+    def _backward(self, W: np.ndarray) -> np.ndarray: ...
 
-    def _apply(self, arr: np.ndarray) -> np.ndarray:
-        return self.apply(arr)
+    def apply(self, v) -> np.ndarray:
+        """T v for a vector v, or T of each row of an (n, source.dim) stack."""
+        return _checked(self._forward, self.source, v)
 
-    def _apply_inverse(self, arr: np.ndarray) -> np.ndarray:
-        return self.apply_inverse(arr)
+    def apply_inverse(self, w) -> np.ndarray:
+        """The inverse of apply, on a vector or an (n, target.dim) stack."""
+        return _checked(self._backward, self.target, w)
 
-    def _apply_many(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self._apply(row) for row in X]).reshape(len(X), self.target.dim)
+
+def _checked(rows, space: NormedSpace, v) -> np.ndarray:
+    arr = np.asarray(v, dtype=float)
+    if arr.ndim == 2:
+        return rows(space.check_rows(arr))
+    return rows(space.check_vector(arr)[None])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,16 +244,10 @@ class IdentityMap(PreserverMap):
     def target(self) -> NormedSpace:
         return self.space
 
-    def apply(self, v) -> np.ndarray:
-        return self.space.check_vector(v).copy()
+    def _forward(self, X: np.ndarray) -> np.ndarray:
+        return X.copy()
 
-    def apply_inverse(self, w) -> np.ndarray:
-        return self.space.check_vector(w).copy()
-
-    def _apply(self, arr: np.ndarray) -> np.ndarray:
-        return arr.copy()
-
-    _apply_inverse = _apply_many = _apply
+    _backward = _forward
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,22 +317,8 @@ class RadonPlaneMap(PreserverMap):
         u0, u1 = self._unit(t)
         return r * u0, r * u1
 
-    def apply(self, v) -> np.ndarray:
-        """T v for a vector v, or T of each row of an (n, 2) stack of rows.
-        Rows are mapped one by one in Python floats, so their bits depend
-        neither on the batch nor on numpy's CPU dispatch."""
-        arr = np.asarray(v, dtype=float)
-        if arr.ndim == 2:
-            rows = self.source.check_rows(arr).tolist()
-            return np.array([_odd(self._upper, a, b) for a, b in rows]).reshape(-1, 2)
-        return self._apply(self.source.check_vector(arr))
-
-    def _apply(self, arr: np.ndarray) -> np.ndarray:
-        return np.array(_odd(self._upper, float(arr[0]), float(arr[1])))
-
-    def _apply_many(self, X: np.ndarray) -> np.ndarray:
-        # Through the public method, so a batch is one apply call.
-        return self.apply(X)
+    def _forward(self, X: np.ndarray) -> np.ndarray:
+        return _odd(self._upper, X)
 
     def _eta_inverse(self, psi: float) -> float:
         """Solve eta(t) = psi for psi in [pi/2, pi] by monotone bisection.
@@ -369,22 +358,26 @@ class RadonPlaneMap(PreserverMap):
             t = HALF_PI + self._eta_inverse(psi)
         return r * math.cos(t), r * math.sin(t)
 
-    def apply_inverse(self, w) -> np.ndarray:
-        return self._apply_inverse(self.target.check_vector(w))
-
-    def _apply_inverse(self, arr: np.ndarray) -> np.ndarray:
-        return np.array(_odd(self._inverse_upper, float(arr[0]), float(arr[1])))
+    def _backward(self, W: np.ndarray) -> np.ndarray:
+        return _odd(self._inverse_upper, W)
 
 
-def _odd(upper, a: float, b: float) -> tuple[float, float]:
-    """upper, a map of the half-plane b > 0 or b == 0 < a, extended oddly by
-    sign canonicalization, so T(-v) == -T(v) exactly; zeros map to +0.0."""
-    if a == 0.0 and b == 0.0:
-        return 0.0, 0.0
-    if b > 0.0 or (b == 0.0 and a > 0.0):
-        return upper(a, b)
-    u0, u1 = upper(-a, -b)
-    return -u0, -u1
+def _odd(upper, X: np.ndarray) -> np.ndarray:
+    """The rows (a, b) of X mapped by upper, a map of the half-plane b > 0 or
+    b == 0 < a, extended oddly by sign canonicalization, so T(-v) == -T(v)
+    exactly; zeros map to +0.0.  Rows are mapped one by one in Python
+    floats, so their bits depend neither on the batch nor on numpy's CPU
+    dispatch."""
+    out = []
+    for a, b in X.tolist():
+        if a == 0.0 and b == 0.0:
+            out += 0.0, 0.0
+        elif b > 0.0 or (b == 0.0 and a > 0.0):
+            out += upper(a, b)
+        else:
+            u0, u1 = upper(-a, -b)
+            out += -u0, -u1
+    return np.array(out).reshape(-1, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,27 +402,13 @@ class SumMap(PreserverMap):
     def target(self) -> NormedSpace:
         return self._target
 
-    def apply(self, v) -> np.ndarray:
-        return self._apply(self._source.check_vector(v))
-
-    def apply_inverse(self, w) -> np.ndarray:
-        return self._apply_inverse(self._target.check_vector(w))
-
-    def _apply(self, arr: np.ndarray) -> np.ndarray:
-        pieces = self._source.split(arr)
-        return np.concatenate([p._apply(piece) for p, piece in zip(self.parts, pieces)])
-
-    def _apply_many(self, X: np.ndarray) -> np.ndarray:
+    def _forward(self, X: np.ndarray) -> np.ndarray:
         pieces = self._source.split(X)
-        return np.concatenate(
-            [p._apply_many(piece) for p, piece in zip(self.parts, pieces)], axis=1
-        )
+        return np.concatenate([p._forward(x) for p, x in zip(self.parts, pieces)], axis=1)
 
-    def _apply_inverse(self, arr: np.ndarray) -> np.ndarray:
-        pieces = self._target.split(arr)
-        return np.concatenate(
-            [p._apply_inverse(piece) for p, piece in zip(self.parts, pieces)]
-        )
+    def _backward(self, W: np.ndarray) -> np.ndarray:
+        pieces = self._target.split(W)
+        return np.concatenate([p._backward(w) for p, w in zip(self.parts, pieces)], axis=1)
 
 
 def build_preserver(plane: NormedSpace, grid_size: int = 1024) -> RadonPlaneMap:
@@ -532,10 +511,10 @@ def verify_preserver(pmap: PreserverMap, n_samples: int, margin: float = MARGIN,
     in order, each with an independent child generator keyed by
     (seed, index): x, y, y_perp, then c and d where it probes homogeneity
     and continuity.  The map phase maps x, y, y_perp, c*x and x + d of
-    every sample in one pmap._apply_many call.  The judge phase takes the
-    norm, homogeneity and continuity errors in sample order, then
-    classifies every source and image pair with classify_many and compares
-    them.  Results depend only on (seed, index) per sample, so the sweep
+    every sample in one call of the row method pmap._forward.  The judge
+    phase takes the norm, homogeneity and continuity errors in sample
+    order, then classifies every source and image pair with classify_many
+    and compares them.  Results depend only on (seed, index) per sample, so the sweep
     can be partitioned across workers without changing them.
     """
     if n_samples < 1:
@@ -563,7 +542,7 @@ def verify_preserver(pmap: PreserverMap, n_samples: int, margin: float = MARGIN,
 
     n, h = n_samples, len(homog)
     X = np.array(xs)
-    images = pmap._apply_many(np.concatenate(
+    images = pmap._forward(np.concatenate(
         [X, ys, yps, [c * xs[i] for i, c in homog], [xs[i] + d for i, d in steps]]
     ))
     TX = images[:n]

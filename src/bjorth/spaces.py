@@ -393,8 +393,7 @@ class InfSum(NormedSpace):
         # (within the tie tolerance) at zero elsewhere.
         off = self._offsets
         pieces = self.split(arr)
-        with np.errstate(over="ignore"):
-            norms = [part._norm(piece) for part, piece in zip(self.parts, pieces)]
+        norms = [part._norm(piece) for part, piece in zip(self.parts, pieces)]
         total = max(norms)
         if total == math.inf:
             # Finite parts whose norm overflows.  Functionals do not change

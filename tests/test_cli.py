@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -213,16 +214,44 @@ CERTIFY_ARTIFACTS = sorted(
 )
 
 
+# SHA-256 of each `certify --fast --seed 0` artifact, recorded with numpy
+# 2.4.6 on x86-64.  Refactors must keep them; a deliberate change to an
+# artifact updates its digest here and says why.
+CERTIFY_SHA256 = {
+    "circle_dayjames_3.csv": "ac4ca594efa803796a82b3d42ca128c0f4b5f60afddeb90c70dad02dd294465a",
+    "eta_dayjames_3.csv": "ab19e8e5c24db45f392fa497f58263fe4ab4a124d27ceab3e675cb75760215b8",
+    "orthograph_dayjames_3.txt": "3d98f0352f0624f54b301dee7b634cda8716062f18cdeffeb92eeb07a23f6073",
+    "preserver_dayjames_3.json": "c646b16773428013e67c6fb0e1eef97ff6e383ad8e82e02bd3b93642831f8002",
+    "preserver_sum_linf1.json": "6d0f46489b5c4ad437eaf467ef55e2d2e851a6c8f1cc6d52d00293b2fc517411",
+    "preserver_sum_linf2.json": "c3f484e65d6f904c04724b8efad6544e9d543ed42263491dafde2326ae274b67",
+    "preserver_sum_linf8.json": "5cc9a8ba0327f425ac5a0fb3c5c8f8f7887c8c8f91b2b8be011e9e7b2b759cd6",
+    "radon_dayjames_1.5.csv": "f5c90b9de7a833f62625e480d8abe5d4ef084ce85a32d734a470894b7141a62c",
+    "radon_dayjames_2.csv": "3680115c51136ac6edf2a2042505e839382733216a384be2d0bd026962ff5c00",
+    "radon_dayjames_3.csv": "2603377db16ed554906c2306824e42cf0de9679583ee8967cfab36003649e69d",
+    "radon_dayjames_4.csv": "7bfd6eda7a3768fd3904274d7ca042b716510a21659a60fadd7ffac3ba092b40",
+    "radon_lp_1.5.csv": "09dd45b49ffa39318c23de4cb0d62a2fb9446e695c7da291f407aa5c08ef3922",
+    "radon_lp_3.csv": "12f4b45d2db1d831fde1718827d57806a6b40b8160aea3b03ef40f74b2ae828f",
+    "radon_lp_4.csv": "b9cdb12d37aefd47b30f75b4b3c11a8cee84b474cb59503d46af7aa713ded451",
+    "sections_dj3_linf1.json": "d08eb58e139733e5b58b65ddd284bf090bb185b52e2c778967352ddd8d175b4f",
+    "sections_l2_linf1.json": "c8a74b96ad9ef9ef092ea48d9b5096f5a1697108fa5f5dc2d375c9e68f646ab0",
+    "sum_acute_dj3_linf2.json": "366e678590892e0de712ed66966a97f0f4f4c8060acd511aa9b5a0988ba1977f",
+    "sum_acute_l2_linf1.json": "95188478f2ddc4bd470a6ebb9219cc8d4261914662660515e8c4e2afb85236a3",
+    "summary.json": "9a9e1d75210e2d9d5be5c73dc3b7b5a329306227c389f79bc20464bcebc52273",
+}
+
+
 def test_certify_artifacts_are_byte_identical_across_runs(capsys, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["certify", "--fast", "--out", str(a)]) == 0
-    assert main(["certify", "--fast", "--out", str(b)]) == 0
+    assert main(["certify", "--fast", "--seed", "0", "--out", str(a)]) == 0
+    assert main(["certify", "--fast", "--seed", "0", "--out", str(b)]) == 0
     capsys.readouterr()
     assert len(CERTIFY_ARTIFACTS) == 19
+    assert sorted(CERTIFY_SHA256) == CERTIFY_ARTIFACTS
     assert sorted(p.name for p in a.iterdir()) == CERTIFY_ARTIFACTS
     assert sorted(p.name for p in b.iterdir()) == CERTIFY_ARTIFACTS
     for name in CERTIFY_ARTIFACTS:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        assert hashlib.sha256((a / name).read_bytes()).hexdigest() == CERTIFY_SHA256[name], name
 
 
 def test_certify_artifacts_do_not_depend_on_cpu_dispatch(tmp_path):

@@ -464,19 +464,22 @@ def test_oracles_survive_a_norm_beyond_the_float_range(text):
 
 
 def test_max_sum_classifies_a_norm_beyond_the_float_range():
-    # The part norms overflow; the tie test must still pick the l2 part.
-    space = bj.parse_space("sum(lp:2:2,linf:1)")
+    # The part norms overflow; the tie test must still pick the plane part.
     X = [[1.7e308, 1.7e308, 0.0], [1.7e308, 1.7e308, 1.7e308], [1e308, 0.0, 1.7e308]]
     Y = [[1.0, -1.0, 0.0], [1.0, -1.0, 5.0], [0.0, 1.0, 1.0]]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        many = bj.classify_many(space, X, Y)
-        for i, (x, y) in enumerate(zip(X, Y)):
-            rel = bj.classify_angle(space, x, y)
-            small = bj.classify_angle(space, np.ldexp(x, -1000), y)
-            assert rel.tag is small.tag and many.tag[i] is small.tag, i
-            assert (rel.min_bound, rel.max_bound) == (small.min_bound, small.max_bound)
-    assert [t.value for t in many.tag] == ["orthogonal", "orthogonal", "strictly-acute"]
+    # The second space pads each row with a zero linf coordinate.
+    for spec, pad in (("sum(lp:2:2,linf:1)", []), ("sum(dayjames:3:1.5,linf:2)", [0.0])):
+        space = bj.parse_space(spec)
+        xs, ys = [x + pad for x in X], [y + pad for y in Y]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            many = bj.classify_many(space, xs, ys)
+            for i, (x, y) in enumerate(zip(xs, ys)):
+                rel = bj.classify_angle(space, x, y)
+                small = bj.classify_angle(space, np.ldexp(x, -1000), y)
+                assert rel.tag is small.tag and many.tag[i] is small.tag, (spec, i)
+                assert (rel.min_bound, rel.max_bound) == (small.min_bound, small.max_bound)
+        assert [t.value for t in many.tag] == ["orthogonal", "orthogonal", "strictly-acute"]
 
 
 def test_oracle_resolves_tiny_brackets():

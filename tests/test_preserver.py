@@ -108,6 +108,34 @@ def test_table_monotonicity_enforced(dj_map):
                     residuals=dj_map.eta.residuals, plane=DJ)
 
 
+@pytest.mark.parametrize("field", ["grid", "values", "residuals"])
+@pytest.mark.parametrize("index", [0, 30])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_table_rejects_non_finite_entries(dj_map, field, index, bad):
+    # NaN passes every endpoint and monotonicity comparison, so a table
+    # with one would be accepted and its map would return NaN rows.
+    columns = {f: getattr(dj_map.eta, f).copy() for f in ("grid", "values", "residuals")}
+    columns[field][index] = bad
+    with pytest.raises(bj.NonFiniteInput):
+        bj.EtaTable(plane=DJ, **columns)
+
+
+PI_2_TEXT = repr(math.pi / 2)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("", ValueError),
+    ("theta,eta,residual\n", ValueError),
+    (f"theta,eta,residual\n0.0,{PI_2_TEXT},0.0\n{PI_2_TEXT},3.14159\n", ValueError),
+    (f"theta,eta,residual\n0.0,nan,0.0\n{PI_2_TEXT},3.141592653589793,0.0\n", bj.NonFiniteInput),
+], ids=["empty", "header-only", "short-row", "nan-eta"])
+def test_table_csv_rejects_malformed_files(tmp_path, text, error):
+    path = tmp_path / "eta.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error):
+        bj.EtaTable.from_csv(path, DJ)
+
+
 def test_table_csv_round_trip(tmp_path, dj_map):
     path = tmp_path / "eta.csv"
     dj_map.eta.to_csv(path)
@@ -230,17 +258,17 @@ def test_compose_requires_two_parts(dj_map):
 
 
 class _Negation(bj.PreserverMap):
-    """A map with only the public interface: v -> -v on a space."""
+    """A map defined by its two row methods only: v -> -v on a space."""
 
     def __init__(self, space):
         self.space = space
 
     source = target = property(lambda self: self.space)
 
-    def apply(self, v):
-        return -self.space.check_vector(v)
+    def _forward(self, X):
+        return -X
 
-    apply_inverse = apply
+    _backward = _forward
 
 
 def test_sum_map_checks_its_vector_once(dj_map, monkeypatch):
@@ -249,7 +277,7 @@ def test_sum_map_checks_its_vector_once(dj_map, monkeypatch):
     v = np.array([3.0, -4.0, 0.5, 1.0, 2.0])
     w = np.concatenate([dj_map.apply(v[:2]), v[2:]])
     back = np.concatenate([dj_map.apply_inverse(w[:2]), v[2:]])
-    # A part with only the public methods is reached through them.
+    # A part outside the package is reached through its row methods too.
     mixed = bj.compose_inf_sum([dj_map, _Negation(L2)])
     calls = []
     original = bj.NormedSpace.check_vector
@@ -260,7 +288,7 @@ def test_sum_map_checks_its_vector_once(dj_map, monkeypatch):
     assert calls == [sm.source, sm.target]
     calls.clear()
     np.testing.assert_array_equal(mixed.apply(v[[0, 1, 3, 4]]), np.concatenate([w[:2], -v[3:]]))
-    assert calls == [mixed.source, L2]
+    assert calls == [mixed.source]
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +315,9 @@ SPECIAL_ROWS = [
 ]
 
 
-def _stacked(pmap, rows):
-    """The vector applies of the rows, one call per row."""
-    return np.array([pmap.apply(r) for r in rows]).reshape(len(rows), pmap.target.dim)
+def _stacked(method, rows):
+    """method (a map's apply or apply_inverse) of the rows, one call per row."""
+    return np.array([method(r) for r in rows]).reshape(len(rows), -1)
 
 
 @given(data=st.data())
@@ -299,27 +327,29 @@ def test_rows_map_like_stacked_vectors(dj_map, data):
         k = data.draw(st.integers(-900, 900))
         rows.append(list(2.0**k * draw_vector(data, 2)))
     rows = np.array(rows)
-    for pmap in (dj_map, SWAPPED):
-        assert pmap.apply(rows).tobytes() == _stacked(pmap, rows).tobytes()
-        assert pmap._apply_many(rows).tobytes() == _stacked(pmap, rows).tobytes()
-    # Through a max-sum, with an identity part and a part that has only the
-    # public methods; the extra coordinates are rows of the same draw.
+    # Through a max-sum, with an identity part and a part defined outside
+    # the package; the extra coordinates are rows of the same draw.
     sm = bj.compose_inf_sum([dj_map, bj.IdentityMap(bj.LInf(1)), _Negation(L2)])
     big = np.concatenate([rows, rows[:, :1], rows[::-1]], axis=1)
-    assert sm._apply_many(big).tobytes() == _stacked(sm, big).tobytes()
+    for pmap, X in ((dj_map, rows), (SWAPPED, rows), (sm, big)):
+        for method in (pmap.apply, pmap.apply_inverse):
+            assert method(X).tobytes() == _stacked(method, X).tobytes(), method
 
 
 def test_rows_edge_cases(dj_map):
     sm = bj.compose_inf_sum([dj_map, _Negation(L2)])
-    assert dj_map.apply(np.empty((0, 2))).shape == (0, 2)
-    assert sm._apply_many(np.empty((0, 4))).shape == (0, 4)
-    assert dj_map.apply([[3.0, 4.0]]).tobytes() == dj_map.apply([3.0, 4.0]).tobytes()
-    for bad in ([[1.0, 2.0, 3.0]], np.ones((2, 2, 2)), [[]], 5.0):
-        with pytest.raises(bj.DimensionMismatch):
-            dj_map.apply(bad)
-    for bad in ([[1.0, math.nan]], [[0.0, 0.0], [math.inf, 1.0]]):
-        with pytest.raises(bj.NonFiniteInput):
-            dj_map.apply(bad)
+    for pmap in (dj_map, sm):
+        dim = pmap.source.dim
+        v = [3.0, 4.0, 1.0, -2.0][:dim]
+        for method in (pmap.apply, pmap.apply_inverse):
+            assert method(np.empty((0, dim))).shape == (0, dim)
+            assert method([v]).tobytes() == method(v).tobytes()
+            for bad in ([[1.0] * (dim + 1)], np.ones((2, 2, dim)), [[]], 5.0):
+                with pytest.raises(bj.DimensionMismatch):
+                    method(bad)
+            for bad in ([v[:-1] + [math.nan]], [[0.0] * dim, [math.inf] + v[1:]]):
+                with pytest.raises(bj.NonFiniteInput):
+                    method(bad)
     with pytest.raises(bj.DimensionMismatch):
         L2.check_rows([1.0, 2.0])
     with pytest.raises(bj.NonFiniteInput):
