@@ -24,7 +24,7 @@ from .orthogonality import (
     oracle_exclusion_band,
     oracle_min_over_line,
 )
-from .preserver import _bisect_decreasing
+from .preserver import _pairing_root
 from .sampling import random_nonzero, random_unit
 from .spaces import InfSum, LInf, NormedSpace, unit_vector_at_angle
 
@@ -69,18 +69,8 @@ def radon_defect(plane: NormedSpace, grid: int = 720,
         if len(fs) != 1:
             raise NotSmooth(f"support set at angle {theta} has {len(fs)} extremes")
         fa, fb = float(fs[0][0]), float(fs[0][1])
-
-        def g(t: float) -> float:
-            return fa * math.cos(t) + fb * math.sin(t)
-
-        # g(theta) = ||x(theta)|| > 0 and g(theta + pi) < 0: always bracketed.
-        # The root of g = R cos(t - phi) is phi + pi/2, shifted into
-        # (theta - pi, theta + pi], hence into the bracket.  (The planes here
-        # are symmetric in both axes, so phi stays in theta's quadrant and
-        # the shift is zero; it keeps the guide right on any smooth plane.)
-        root = math.atan2(fb, fa) + 0.5 * math.pi
-        root += 2.0 * math.pi * math.floor((theta + math.pi - root) / (2.0 * math.pi))
-        theta_star = _bisect_decreasing(g, theta, theta + math.pi, root)
+        # f(y(theta)) = ||y(theta)|| > 0 and f(y(theta + pi)) < 0: always bracketed.
+        theta_star = _pairing_root(fa, fb, theta, theta + math.pi)
         y_star = unit_vector_at_angle(plane, theta_star)
         forward = abs(fa * y_star[0] + fb * y_star[1])
         _, val = oracle_min_over_line(plane, y_star, y)
@@ -438,6 +428,8 @@ def sample_orthograph(space: NormedSpace, directions, margin: float = MARGIN) ->
     if isinstance(directions, (int, np.integer)):
         if space.dim != 2:
             raise NotAPlane("angle sampling needs a two-dimensional space")
+        if directions < 1:
+            raise InvalidCount(f"directions must be >= 1, got {directions}")
         vectors = [unit_vector_at_angle(space, float(t))
                    for t in np.linspace(0.0, math.pi, int(directions), endpoint=False)]
     else:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,13 +48,19 @@ class AngleRelation:
     decision margin is applied.  Where ||y|| is past the float range, the
     tag is decided on y scaled down by a power of two, and the bounds and
     scale are reported in the caller's units: scale is inf, and so is a
-    bound past the range (the distances, their ratios, then read 0 or nan).
+    bound past the range.  The distances, ratios that do not depend on the
+    units of y, are then taken on the decided values, kept in _scaled.
     """
 
     tag: AngleTag
     min_bound: float
     max_bound: float
     scale: float
+    _scaled: tuple | None = field(default=None, repr=False, compare=False)
+
+    def _decided(self):
+        """(min_bound, max_bound, scale) in the units the tag was decided in."""
+        return self._scaled or (self.min_bound, self.max_bound, self.scale)
 
     # The predicates use == and |, so they hold elementwise for the array
     # fields of AngleRelations too.
@@ -82,17 +88,19 @@ class AngleRelation:
         Zero when the pair is classified orthogonal; used to exclude
         samples too close to the decision boundary to adjudicate.
         """
-        if self.scale == 0.0 or self.tag is AngleTag.DEGENERATE_LEFT:
+        mn, mx, scale = self._decided()
+        if scale == 0.0 or self.tag is AngleTag.DEGENERATE_LEFT:
             return math.inf
-        if self.min_bound <= 0.0 <= self.max_bound:
+        if mn <= 0.0 <= mx:
             return 0.0
-        return min(abs(self.min_bound), abs(self.max_bound)) / self.scale
+        return min(abs(mn), abs(mx)) / scale
 
     def acute_distance(self) -> float:
         """Normalized distance from the acute/non-acute boundary."""
-        if self.scale == 0.0 or self.tag is AngleTag.DEGENERATE_LEFT:
+        _, mx, scale = self._decided()
+        if scale == 0.0 or self.tag is AngleTag.DEGENERATE_LEFT:
             return math.inf
-        return abs(self.max_bound) / self.scale
+        return abs(mx) / scale
 
 
 class AngleRelations(AngleRelation):
@@ -100,19 +108,20 @@ class AngleRelations(AngleRelation):
     of the pair (X[i], Y[i]); ``tag`` is an object array of AngleTag
     members, and the predicates and distances are elementwise."""
 
-    def _per_scale(self, values: np.ndarray) -> np.ndarray:
+    def _per_scale(self, values: np.ndarray, scale: np.ndarray) -> np.ndarray:
         # inf where AngleRelation's distances are: zero scale or zero x.
         out = np.full(len(values), math.inf)
-        defined = (self.scale != 0.0) & (self.tag != AngleTag.DEGENERATE_LEFT)
-        return np.divide(values, self.scale, out=out, where=defined)
+        defined = (scale != 0.0) & (self.tag != AngleTag.DEGENERATE_LEFT)
+        return np.divide(values, scale, out=out, where=defined)
 
     def orthogonality_distance(self) -> np.ndarray:
-        mn, mx = self.min_bound, self.max_bound
+        mn, mx, scale = self._decided()
         straddle = (mn <= 0.0) & (0.0 <= mx)
-        return self._per_scale(np.where(straddle, 0.0, np.minimum(np.abs(mn), np.abs(mx))))
+        return self._per_scale(np.where(straddle, 0.0, np.minimum(np.abs(mn), np.abs(mx))), scale)
 
     def acute_distance(self) -> np.ndarray:
-        return self._per_scale(np.abs(self.max_bound))
+        _, mx, scale = self._decided()
+        return self._per_scale(np.abs(mx), scale)
 
 
 def directional_bounds(space: NormedSpace, x, y) -> tuple[float, float]:
@@ -157,9 +166,10 @@ def classify_angle(space: NormedSpace, x, y, margin: float = MARGIN) -> AngleRel
         tag = AngleTag.STRICTLY_OBTUSE
     else:
         tag = AngleTag.ORTHOGONAL
-    if k:
-        mn, mx, scale = (float(_unscaled(v, k)) for v in (mn, mx, scale))
-    return AngleRelation(tag, mn, mx, scale)
+    if not k:
+        return AngleRelation(tag, mn, mx, scale)
+    return AngleRelation(tag, *(float(_unscaled(v, k)) for v in (mn, mx, scale)),
+                         _scaled=(mn, mx, scale))
 
 
 def _checked_rows(space: NormedSpace, X, Y, margin: float) -> tuple[np.ndarray, np.ndarray]:
@@ -196,9 +206,10 @@ def classify_many(space: NormedSpace, X, Y, margin: float = MARGIN) -> AngleRela
     tag[mx < -thr] = AngleTag.STRICTLY_OBTUSE
     tag[mn > thr] = AngleTag.STRICTLY_ACUTE
     tag[~live] = AngleTag.DEGENERATE_LEFT
-    if big.any():
-        mn, mx, scale = (_unscaled(v, k) for v in (mn, mx, scale))
-    return AngleRelations(tag, mn, mx, scale)
+    if not big.any():
+        return AngleRelations(tag, mn, mx, scale)
+    return AngleRelations(tag, *(_unscaled(v, k) for v in (mn, mx, scale)),
+                          _scaled=(mn, mx, scale))
 
 
 def is_bj_orthogonal(space: NormedSpace, x, y, margin: float = MARGIN) -> bool:

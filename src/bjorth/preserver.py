@@ -91,6 +91,24 @@ def _bisect_decreasing(g, lo: float, hi: float, root: float = math.nan) -> float
     return 0.5 * (a + b)
 
 
+def _pairing_root(fa: float, fb: float, lo: float, hi: float) -> float:
+    """Root in [lo, hi] of the pairing g(t) = fa cos t + fb sin t = R cos(t - phi)
+    of a norming functional (fa, fb): lo when g(lo) < 0, hi when g(hi) > 0,
+    else the bisection guided by phi + pi/2, moved by a multiple of 2 pi to
+    within pi of the bracket's midpoint, hence into the bracket."""
+
+    def g(t: float) -> float:
+        return fa * math.cos(t) + fb * math.sin(t)
+
+    if g(lo) < 0.0:
+        return lo
+    if g(hi) > 0.0:
+        return hi
+    root = math.atan2(fb, fa) + HALF_PI
+    root += 2.0 * math.pi * round((0.5 * (lo + hi) - root) / (2.0 * math.pi))
+    return _bisect_decreasing(g, lo, hi, root)
+
+
 def solve_eta(plane: NormedSpace, theta: float, tol: float = 1e-12) -> float:
     """Angle in [pi/2, pi] whose unit vector is orthogonal to y(theta).
 
@@ -125,7 +143,7 @@ def solve_eta(plane: NormedSpace, theta: float, tol: float = 1e-12) -> float:
         return HALF_PI
     if ghi >= 0.0:
         return math.pi
-    root = _bisect_decreasing(g, HALF_PI, math.pi, math.atan2(fb, fa) + HALF_PI)
+    root = _pairing_root(fa, fb, HALF_PI, math.pi)
     resid = abs(g(root)) / plane._norm2(math.cos(root), math.sin(root))
     if resid > max(tol, 1e-10) * fnorm:
         raise NonConvergence(f"orthogonality residual {resid} at theta={theta}")
@@ -140,7 +158,8 @@ class EtaTable:
     paired angles in [pi/2, pi]; residuals holds |f_{y(grid)}(y(value))| at
     each node.  Strict monotonicity of the values is a consequence of the
     pairing being a continuous bijection with pinned endpoints and is
-    enforced here rather than assumed.
+    enforced here rather than assumed.  The plane must be a supported smooth
+    Radon plane (else NotRadonPlane): the map's inverse relies on symmetry.
     """
 
     grid: np.ndarray
@@ -149,6 +168,8 @@ class EtaTable:
     plane: NormedSpace
 
     def __post_init__(self):
+        if not _is_radon_target(self.plane):
+            raise NotRadonPlane(f"not a supported smooth Radon plane: {self.plane!r}")
         grid = np.asarray(self.grid, dtype=float)
         values = np.asarray(self.values, dtype=float)
         residuals = np.asarray(self.residuals, dtype=float)
@@ -260,7 +281,9 @@ class RadonPlaneMap(PreserverMap):
     apply(-v) == -apply(v) holds exactly.  Off-grid pairing angles are
     re-solved by a fresh bisection bracketed between neighboring table
     nodes; tabulated values seed the bracket but are never interpolated
-    into the result.
+    into the result.  The inverse reads no table: by Radon symmetry, y(s) is
+    orthogonal to y(psi) exactly when y(psi) is orthogonal to y(s), so the
+    preimage of psi = eta(s) is pi/2 + s, s being psi's own pairing root.
     """
 
     eta: EtaTable
@@ -296,17 +319,8 @@ class RadonPlaneMap(PreserverMap):
         va, vb = float(values[i - 1]), float(values[i])
         lo = max(min(va, vb) - BRACKET_PAD, HALF_PI)
         hi = min(max(va, vb) + BRACKET_PAD, math.pi)
-        plane = self.eta.plane
-        fa, fb = plane._grad2(math.cos(s), math.sin(s))
-
-        def g(t: float) -> float:
-            return fa * math.cos(t) + fb * math.sin(t)
-
-        if g(lo) < 0.0:
-            return lo
-        if g(hi) > 0.0:
-            return hi
-        return _bisect_decreasing(g, lo, hi, math.atan2(fb, fa) + HALF_PI)
+        fa, fb = self.eta.plane._grad2(math.cos(s), math.sin(s))
+        return _pairing_root(fa, fb, lo, hi)
 
     def _upper(self, a: float, b: float) -> tuple[float, float]:
         # b >= 0, not both zero: polar angle lies in [0, pi].
@@ -320,42 +334,13 @@ class RadonPlaneMap(PreserverMap):
     def _forward(self, X: np.ndarray) -> np.ndarray:
         return _odd(self._upper, X)
 
-    def _eta_inverse(self, psi: float) -> float:
-        """Solve eta(t) = psi for psi in [pi/2, pi] by monotone bisection.
-
-        h(t) = -f_{y(t)}(y(psi)) runs from nonnegative at t = 0 to
-        nonpositive at t = pi/2, with the single root at the preimage; the
-        table brackets the root, the full interval is the fallback.
-        """
-        grid, values = self.eta.grid, self.eta.values
-        if psi <= values[0]:
-            return float(grid[0])
-        if psi >= values[-1]:
-            return float(grid[-1])
-        plane = self.eta.plane
-        w0, w1 = self._unit(psi)
-
-        def h(t: float) -> float:
-            fa, fb = plane._grad2(math.cos(t), math.sin(t))
-            return -(fa * w0 + fb * w1)
-
-        j = int(np.searchsorted(values, psi))
-        j = min(max(j, 1), len(values) - 1)
-        lo = max(float(grid[j - 1]) - BRACKET_PAD, 0.0)
-        hi = min(float(grid[j]) + BRACKET_PAD, HALF_PI)
-        if not (h(lo) >= 0.0 >= h(hi)):
-            lo, hi = 0.0, HALF_PI
-            if not (h(lo) >= 0.0 >= h(hi)):
-                raise NonConvergence(f"no pairing preimage bracket at psi={psi}")
-        return _bisect_decreasing(h, lo, hi)
-
     def _inverse_upper(self, a: float, b: float) -> tuple[float, float]:
-        r = self.eta.plane._norm2(a, b)
-        psi = math.atan2(b, a)
-        if psi <= HALF_PI:
-            t = psi
-        else:
-            t = HALF_PI + self._eta_inverse(psi)
+        plane = self.eta.plane
+        r = plane._norm2(a, b)
+        t = math.atan2(b, a)
+        if t > HALF_PI:
+            fa, fb = plane._grad2(math.cos(t), math.sin(t))
+            t = HALF_PI + _pairing_root(-fa, -fb, 0.0, HALF_PI)
         return r * math.cos(t), r * math.sin(t)
 
     def _backward(self, W: np.ndarray) -> np.ndarray:
@@ -415,8 +400,6 @@ def build_preserver(plane: NormedSpace, grid_size: int = 1024) -> RadonPlaneMap:
     """Tabulate the pairing on grid_size+1 uniform nodes and wrap it as a map."""
     if grid_size < 64:
         raise GridTooCoarse(f"grid_size must be >= 64, got {grid_size}")
-    if not _is_radon_target(plane):
-        raise NotRadonPlane(f"not a supported smooth Radon plane: {plane!r}")
     grid = np.linspace(0.0, HALF_PI, grid_size + 1)
     values = np.empty_like(grid)
     residuals = np.empty_like(grid)

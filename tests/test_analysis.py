@@ -340,7 +340,9 @@ def test_sum_acute_counts_boundary_exclusions():
                                         pair_samples=0),
     lambda: bj.verify_preserver(bj.IdentityMap(L2), 0),
     lambda: bj.radon_defect(DJ, grid=8),
-], ids=["sum_acute", "tie_every", "sections", "verify", "radon"])
+    lambda: bj.sample_orthograph(DJ, -2),
+    lambda: bj.sample_orthograph(DJ, 0),
+], ids=["sum_acute", "tie_every", "sections", "verify", "radon", "orthograph", "orthograph-0"])
 def test_counts_below_the_minimum_are_rejected(call):
     with pytest.raises(InvalidCount) as info:
         call()

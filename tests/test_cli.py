@@ -240,6 +240,23 @@ CERTIFY_SHA256 = {
 }
 
 
+# The same for `certify --fast --seed 7`.  The Radon scans, the pairing
+# table, the unit circle and the orthograph draw no samples, so only the
+# seeded artifacts differ from seed 0.
+CERTIFY_SHA256_SEED_7 = {
+    **CERTIFY_SHA256,
+    "preserver_dayjames_3.json": "179017589f6927533beccec3ff4a796921a68d1773e6b8474a58e5c82b5c208e",
+    "preserver_sum_linf1.json": "3731b48b2242839f4e2ab7d4842009e9f86014a382b92490b20e78441a2d5398",
+    "preserver_sum_linf2.json": "78b9e29cd9aef287c1ac3d199b3184662b091aa935f667afa9d2abe414f68873",
+    "preserver_sum_linf8.json": "1828638ec2abdb6c1ccaf4cb76505f01debe968e39ca08c5a8be2366ebd0a09e",
+    "sections_dj3_linf1.json": "ef2336c64932e73a91d9b1c19e3cbd9dc07fe61d01b7c565d3d86beec1c68225",
+    "sections_l2_linf1.json": "398f949079ccc2512380ef7a29ac0d6f430816f7649f1cf3ee71617fea2a1efb",
+    "sum_acute_dj3_linf2.json": "e4182940cb5925e256877d347e4983cb83425080ae8a32d046109ac8eba5a79e",
+    "sum_acute_l2_linf1.json": "e4182940cb5925e256877d347e4983cb83425080ae8a32d046109ac8eba5a79e",
+    "summary.json": "55495f24b36467315d958ed3890214fad535b515bc6c1c5adced675737f51740",
+}
+
+
 def test_certify_artifacts_are_byte_identical_across_runs(capsys, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["certify", "--fast", "--seed", "0", "--out", str(a)]) == 0
@@ -252,6 +269,14 @@ def test_certify_artifacts_are_byte_identical_across_runs(capsys, tmp_path):
     for name in CERTIFY_ARTIFACTS:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
         assert hashlib.sha256((a / name).read_bytes()).hexdigest() == CERTIFY_SHA256[name], name
+
+
+def test_certify_artifacts_match_the_pinned_digests_at_a_second_seed(capsys, tmp_path):
+    assert main(["certify", "--fast", "--seed", "7", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(CERTIFY_SHA256_SEED_7)
+    for name, digest in CERTIFY_SHA256_SEED_7.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_certify_artifacts_do_not_depend_on_cpu_dispatch(tmp_path):
@@ -298,8 +323,11 @@ def test_certify_failing_report_exits_one_and_writes_everything(capsys, tmp_path
     ["preserver-verify", "--target", "dayjames:3:1.5", "--grid", "64", "--samples", "0"],
     ["sections", "--space", "sum(lp:2:2,linf:1)", "--candidates", "4", "--pair-samples", "0"],
     ["radon", "--space", "dayjames:3:1.5", "--grid", "8"],
-], ids=["sum-acute", "preserver-verify", "sections", "radon"])
-def test_counts_below_the_minimum_exit_two(capsys, argv):
+    ["orthograph", "--space", "dayjames:3:1.5", "--directions", "-1"],
+    ["circle", "--space", "lp:2:3", "--grid", "-1", "--out", "circle.csv"],
+], ids=["sum-acute", "preserver-verify", "sections", "radon", "orthograph", "circle"])
+def test_counts_below_the_minimum_exit_two(capsys, argv, tmp_path, monkeypatch):
+    monkeypatch.setenv("BJORTH_OUTDIR", str(tmp_path))
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and "must be >= " in err

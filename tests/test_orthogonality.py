@@ -666,12 +666,15 @@ def test_angles_survive_a_y_norm_beyond_the_float_range(text):
     # ||y|| overflows for finite coordinates.  Before y was scaled down, the
     # margin band was infinite, so classify_angle called the strictly acute
     # pair ([1, 0], [1.7e308, 1.7e308]) orthogonal, and the line oracle
-    # returned (nan, nan).
+    # returned (nan, nan).  Until the distances were taken on the scaled y,
+    # that pair's read 0.0, and those of ([1, 0.6], [1.7e308, 1.7e308]),
+    # whose bounds overflow, read nan.
     space = bj.parse_space(text)
     pad = [0.0] * (space.dim - 2)
-    X = [[1.0, 0.0] + pad, [1.0, 0.0] + pad, [0.0, 1.0] + pad, [1.0, 1.0] + pad]
+    X = [[1.0, 0.0] + pad, [1.0, 0.0] + pad, [0.0, 1.0] + pad, [1.0, 1.0] + pad,
+         [1.0, 0.6] + pad]
     Y = [[1.7e308, 1.7e308] + pad, [-1.7e308, 1e308] + pad, [1e308, -1.7e308] + pad,
-         [1.7e308, -1.7e308] + pad]
+         [1.7e308, -1.7e308] + pad, [1.7e308, 1.7e308] + pad]
     def fields(rel):
         # In the caller's units, from y * 2**-1000: inf past the float range.
         with np.errstate(over="ignore"):
@@ -685,15 +688,20 @@ def test_angles_survive_a_y_norm_beyond_the_float_range(text):
         assert list(many.tag) == list(small_many.tag)
         assert [many.min_bound.tolist(), many.max_bound.tolist(),
                 many.scale.tolist()] == fields(small_many)
+        for distance in ("orthogonality_distance", "acute_distance"):
+            assert (getattr(many, distance)().tolist()
+                    == getattr(small_many, distance)().tolist()), distance
         for i, (x, y) in enumerate(zip(X, Y)):
             rel = bj.classify_angle(space, x, y)
             small = bj.classify_angle(space, x, np.ldexp(y, -1000))
             assert rel.tag is small.tag is many.tag[i], i
             assert [rel.min_bound, rel.max_bound, rel.scale] == fields(small), i
+            assert [rel.orthogonality_distance(), rel.acute_distance()] == [
+                small.orthogonality_distance(), small.acute_distance()], i
             t, val = bj.oracle_min_over_line(space, x, y)
             assert not (math.isnan(t) or math.isnan(val)), i
             assert bj.is_bj_orthogonal_oracle(space, x, y) == rel.is_orthogonal, i
             assert bj.one_sided_acute_oracle(space, x, y) == rel.is_acute, i
             assert acute_many[i] == rel.is_acute, i
     assert [t.value for t in many.tag] == [
-        "strictly-acute", "strictly-obtuse", "strictly-obtuse", "orthogonal"]
+        "strictly-acute", "strictly-obtuse", "strictly-obtuse", "orthogonal", "strictly-acute"]

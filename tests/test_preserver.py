@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bjorth as bj
-from bjorth import analysis, preserver
+from bjorth import preserver
 from bjorth.errors import (
     EmptyParts,
     GridTooCoarse,
@@ -72,6 +72,19 @@ def test_solve_eta_rejects_non_radon_planes():
         bj.solve_eta(bj.Lp(2, 3.0), 0.3)
     with pytest.raises(NotRadonPlane):
         bj.solve_eta(bj.DayJames(3.0, 2.0), 0.3)
+
+
+def test_table_rejects_non_radon_planes(dj_map, tmp_path):
+    # The map's inverse solves the pairing from the target side, which is
+    # right only where the pairing is symmetric.
+    columns = {f: getattr(dj_map.eta, f) for f in ("grid", "values", "residuals")}
+    path = tmp_path / "eta.csv"
+    dj_map.eta.to_csv(path)
+    for plane in (bj.Lp(2, 3.0), bj.DayJames(3.0, 2.0)):
+        with pytest.raises(NotRadonPlane):
+            bj.EtaTable(plane=plane, **columns)
+        with pytest.raises(NotRadonPlane):
+            bj.EtaTable.from_csv(path, plane)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +224,23 @@ def test_round_trip_inverse(dj_map):
     for _ in range(1000):
         v = random_nonzero(L2, rng)
         np.testing.assert_allclose(dj_map.apply_inverse(dj_map.apply(v)), v, atol=1e-8)
+
+
+@pytest.mark.parametrize("plane", [DJ, bj.DayJames(1.5, 3.0)], ids=str)
+def test_inverse_solves_the_pairing_equation(plane):
+    # The preimage s of a second-quadrant angle psi satisfies the equation
+    # f_{y(s)}(y(psi)) = 0, though the inverse solves f_{y(psi)}(y(s)) = 0.
+    pmap = bj.build_preserver(plane, 256)
+    rng = np.random.default_rng(12)
+    worst = 0.0
+    for psi in rng.uniform(math.pi / 2 + 1e-6, math.pi - 1e-6, 2000):
+        w = bj.unit_vector_at_angle(plane, float(psi))
+        v = pmap.apply_inverse(w)
+        s = math.atan2(v[1], v[0]) - math.pi / 2
+        assert 0.0 <= s <= math.pi / 2
+        mn, mx = bj.directional_bounds(plane, bj.unit_vector_at_angle(plane, s), w)
+        worst = max(worst, abs(mn), abs(mx))
+    assert worst <= 1e-11
 
 
 def test_unit_sphere_bijection(dj_map):
@@ -358,9 +388,10 @@ def test_rows_edge_cases(dj_map):
 
 def test_guided_bisection_takes_the_unguided_path(monkeypatch):
     # Every guided bisection of solve_eta ([pi/2, pi]), of the map's table
-    # cells (+- BRACKET_PAD, also of a swapped table) and of the Radon scan
-    # ((theta, theta + pi)) must return the unguided root bit for bit, and
-    # call g at most 12 times, so a guide that is silently ignored fails.
+    # cells (+- BRACKET_PAD, also of a swapped table), of its inverse
+    # ([0, pi/2]) and of the Radon scan ((theta, theta + pi)) must return the
+    # unguided root bit for bit, and call g at most 12 times, so a guide
+    # that is silently ignored fails.
     real = preserver._bisect_decreasing
     counts = []
 
@@ -379,7 +410,6 @@ def test_guided_bisection_takes_the_unguided_path(monkeypatch):
         return got
 
     monkeypatch.setattr(preserver, "_bisect_decreasing", checked)
-    monkeypatch.setattr(analysis, "_bisect_decreasing", checked)
     rng = np.random.default_rng(31)
     for plane in (DJ, bj.DayJames(1.5, 3.0), bj.DayJames(2.0, 2.0), L2):
         for theta in rng.uniform(0.0, math.pi / 2, 100):
@@ -388,10 +418,11 @@ def test_guided_bisection_takes_the_unguided_path(monkeypatch):
     for plane in (bj.Lp(2, 3.0), bj.Lp(2, 1.5)):
         bj.radon_defect(plane, grid=61)
     maps = (bj.build_preserver(DJ, 256), _swapped_map())
-    built = len(counts)
-    for pmap in maps:
-        pmap.apply(rng.standard_normal((300, 2)))
-    assert len(counts) - built > 200  # about half the rows re-solve a table cell
+    for method in ("apply", "apply_inverse"):
+        before = len(counts)
+        for pmap in maps:
+            getattr(pmap, method)(rng.standard_normal((300, 2)))
+        assert len(counts) - before > 200  # about half the rows bisect
 
 
 # ---------------------------------------------------------------------------
