@@ -144,10 +144,15 @@ def classify_angle(space: NormedSpace, x, y, margin: float = MARGIN) -> AngleRel
     orthogonal iff the bounds straddle the margin band.  x = 0 yields the
     degenerate tag.
     """
-    xa = space.check_vector(x)
-    ya = space.check_vector(y)
+    xa, ya = space.check_vector(x), space.check_vector(y)
     if not math.isfinite(margin):
         raise NonFiniteInput(f"margin must be finite, got {margin}")
+    return _classify(space, xa, ya, margin)
+
+
+def _classify(space: NormedSpace, xa: np.ndarray, ya: np.ndarray,
+              margin: float) -> AngleRelation:
+    """classify_angle on checked arrays and a checked margin."""
     if not xa.any():
         return AngleRelation(AngleTag.DEGENERATE_LEFT, 0.0, 0.0, 0.0)
     scale = space._norm(ya)  # scalar norms overflow to inf quietly
@@ -222,7 +227,11 @@ def is_bj_orthogonal(space: NormedSpace, x, y, margin: float = MARGIN) -> bool:
 
 def is_mutually_orthogonal(space: NormedSpace, x, y, margin: float = MARGIN) -> bool:
     """Mutual Birkhoff-James orthogonality: both directions at once."""
-    return is_bj_orthogonal(space, x, y, margin) and is_bj_orthogonal(space, y, x, margin)
+    xa, ya = space.check_vector(x), space.check_vector(y)
+    if not math.isfinite(margin):
+        raise NonFiniteInput(f"margin must be finite, got {margin}")
+    return (_classify(space, xa, ya, margin).is_bj_orthogonal
+            and _classify(space, ya, xa, margin).is_bj_orthogonal)
 
 
 def golden_section_min(phi, lo: float, hi: float, tol: float = 1e-10,
@@ -500,13 +509,13 @@ def _orthogonal_direction(space: NormedSpace, xa: np.ndarray,
     if isinstance(space, InfSum):
         pieces = space.split(xa)
         norms = [part._norm(piece) for part, piece in zip(space.parts, pieces)]
-        k = int(np.argmax(norms))
+        k = norms.index(max(norms))
         out = np.zeros(space.dim)
         off = space._offsets
         out[off[k] : off[k + 1]] = _orthogonal_direction(space.parts[k], pieces[k], rng)
         return out
     if isinstance(space, LInf):
-        m = float(np.max(np.abs(xa)))
+        m = max(map(abs, xa.tolist()))
         y = rng.standard_normal(space.dim)
         y[np.abs(xa) >= (1.0 - 10.0 * TAU_TIE) * m] = 0.0
         return y

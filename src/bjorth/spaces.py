@@ -158,8 +158,9 @@ class NormedSpace(ABC):
             raise DimensionMismatch(
                 f"expected a vector of length {self.dim}, got shape {arr.shape}"
             )
-        if not np.isfinite(arr).all():
-            raise NonFiniteInput(f"vector coordinates must be finite, got {arr.tolist()}")
+        coords = arr.tolist()
+        if not all(map(math.isfinite, coords)):
+            raise NonFiniteInput(f"vector coordinates must be finite, got {coords}")
         return arr
 
     def check_rows(self, X) -> np.ndarray:
@@ -216,7 +217,8 @@ class Lp(NormedSpace):
 
     def _norm(self, arr):
         if self.dim == 2:
-            return _pnorm2(float(arr[0]), float(arr[1]), self.p)
+            a, b = arr.tolist()
+            return _pnorm2(a, b, self.p)
         a = np.abs(arr)
         m = float(a.max())
         if m == 0.0:
@@ -226,7 +228,8 @@ class Lp(NormedSpace):
     def _support(self, arr):
         # Unique norming functional: sign(x_i) |x_i|^(p-1) / ||x||^(p-1).
         if self.dim == 2:
-            return [np.array(_pgrad2(float(arr[0]), float(arr[1]), self.p))]
+            a, b = arr.tolist()
+            return [np.array(_pgrad2(a, b, self.p))]
         a = np.abs(arr)
         m = float(a.max())
         t = a / m
@@ -261,14 +264,15 @@ class LInf(NormedSpace):
         object.__setattr__(self, "dim", _check_dim(self.dim))
 
     def _norm(self, arr):
-        return float(np.abs(arr).max())
+        return max(map(abs, arr.tolist()))
 
     def _support(self, arr):
         # One vertex sign(x_i) e_i per coordinate attaining the max,
         # within the tie tolerance.
-        m = float(np.max(np.abs(arr)))
+        coords = arr.tolist()
+        m = max(map(abs, coords))
         out = []
-        for i, c in enumerate(arr):
+        for i, c in enumerate(coords):
             if abs(c) >= (1.0 - TAU_TIE) * m:
                 f = np.zeros(self.dim)
                 f[i] = 1.0 if c > 0 else -1.0
@@ -317,10 +321,11 @@ class DayJames(NormedSpace):
         return self.p if (a < 0.0) == (b < 0.0) else self.q
 
     def _norm(self, arr):
-        return self._norm2(float(arr[0]), float(arr[1]))
+        a, b = arr.tolist()
+        return self._norm2(a, b)
 
     def _support(self, arr):
-        a, b = float(arr[0]), float(arr[1])
+        a, b = arr.tolist()
         if a == 0.0 or b == 0.0:
             fp = _pgrad2(a, b, self.p)
             fq = _pgrad2(a, b, self.q)
@@ -383,10 +388,7 @@ class InfSum(NormedSpace):
 
     def _norm(self, arr):
         off = self._offsets
-        return max(
-            part._norm(arr[off[k] : off[k + 1]])
-            for k, part in enumerate(self.parts)
-        )
+        return max([part._norm(arr[off[k] : off[k + 1]]) for k, part in enumerate(self.parts)])
 
     def _support(self, arr):
         # Embed the extreme functionals of every norm-attaining part

@@ -344,6 +344,32 @@ def test_non_finite_margin_is_rejected():
             bj.classify_many(dj, [[1.0, 1.0]], [[1.0, -1.0]], margin)
 
 
+def test_mutual_orthogonality_checks_each_vector_once(monkeypatch):
+    space = bj.InfSum((bj.DayJames(3.0, 1.5), bj.LInf(2)))
+    rng = np.random.default_rng(5)
+    pairs = [(random_nonzero(space, rng), random_nonzero(space, rng)) for _ in range(20)]
+    pairs += [(x, bj.orthogonal_direction(space, x, rng)) for x, _ in pairs]
+    pairs += [(np.zeros(4), pairs[0][0]), ([1.0, 0.0, 1.0, -1.0], [0.0, 1.0, 0.0, 0.0])]
+    want = [bj.is_bj_orthogonal(space, x, y) and bj.is_bj_orthogonal(space, y, x)
+            for x, y in pairs]
+    assert any(want) and not all(want)
+    calls = []
+    original = bj.NormedSpace.check_vector
+    monkeypatch.setattr(bj.NormedSpace, "check_vector",
+                        lambda self, u: calls.append(self) or original(self, u))
+    for (x, y), mutual in zip(pairs, want):
+        calls.clear()
+        assert bj.is_mutually_orthogonal(space, x, y) == mutual
+        assert calls == [space, space]
+
+
+def test_orthogonal_direction_takes_the_first_dominant_part():
+    # Both parts attain the norm: the partner lies in the first, as with np.argmax.
+    space = bj.InfSum((bj.LInf(2), bj.Lp(2, 2.0)))
+    y = bj.orthogonal_direction(space, [1.0, 0.5, 0.6, 0.8], np.random.default_rng(0))
+    assert y[0] == 0.0 and y[1] != 0.0 and not y[2:].any()
+
+
 def test_tiny_nonzero_vector_is_not_zero():
     l2 = bj.Lp(2, 2.0)
     assert not bj.is_bj_orthogonal(l2, [1e-13, 0.0], [1.0, 0.0])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bjorth as bj
@@ -332,3 +332,115 @@ def test_parse_error_names_the_piece_and_the_descriptor():
     with pytest.raises(ParseError) as err:
         bj.parse_space("frob:2")
     assert "position" not in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# Single vectors run on Python floats, bit for bit the numpy expressions they
+# replaced.  The references below are those expressions.
+
+
+def numpy_norm(space, arr):
+    if isinstance(space, bj.LInf):
+        return float(np.abs(arr).max())
+    if isinstance(space, bj.InfSum):
+        return max(numpy_norm(part, piece) for part, piece in zip(space.parts, space.split(arr)))
+    if isinstance(space, bj.DayJames):
+        return space._norm2(float(arr[0]), float(arr[1]))
+    if space.dim == 2:
+        return spaces._pnorm2(float(arr[0]), float(arr[1]), space.p)
+    return space._norm(arr)  # Lp above dimension 2 kept its numpy form
+
+
+def numpy_support(space, arr):
+    if isinstance(space, bj.LInf):
+        m = float(np.max(np.abs(arr)))
+        out = []
+        for i, c in enumerate(arr):
+            if abs(c) >= (1.0 - bj.TAU_TIE) * m:
+                f = np.zeros(space.dim)
+                f[i] = 1.0 if c > 0 else -1.0
+                out.append(f)
+        return out
+    if isinstance(space, bj.InfSum):
+        pieces = space.split(arr)
+        norms = [numpy_norm(part, piece) for part, piece in zip(space.parts, pieces)]
+        total = max(norms)
+        if total == math.inf:
+            return numpy_support(space, spaces._shrunk(arr))
+        off, out = space._offsets, []
+        for k, part in enumerate(space.parts):
+            if norms[k] >= (1.0 - bj.TAU_TIE) * total:
+                for f in numpy_support(part, pieces[k]):
+                    g = np.zeros(space.dim)
+                    g[off[k] : off[k + 1]] = f
+                    out.append(g)
+        return out
+    if space.dim == 2:
+        # Both Day-James gradients are (+-1, 0) or (0, +-1) exactly on the axes.
+        return [np.array(space._grad2(float(arr[0]), float(arr[1])))]
+    return space._support(arr)
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except bj.BjorthError as exc:
+        return type(exc)
+
+
+SCALAR_SPACES = [
+    bj.LInf(1), bj.LInf(4), bj.Lp(2, 2.0), bj.Lp(2, 3.0), bj.DayJames(3.0, 1.5),
+    bj.DayJames(1.5, 3.0), bj.InfSum((bj.Lp(2, 2.0), bj.LInf(1))),
+    bj.InfSum((bj.DayJames(3.0, 1.5), bj.LInf(2))),
+    bj.InfSum((bj.InfSum((bj.LInf(2), bj.Lp(2, 3.0))), bj.Lp(3, 2.5), bj.LInf(1))),
+]
+# Every magnitude from 2**-1074 to the largest float, with both zeros.
+EXTREME = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=400)
+@given(data=st.data(), space=st.sampled_from(SCALAR_SPACES))
+def test_scalar_norms_and_supports_match_their_numpy_forms(data, space):
+    v = data.draw(st.lists(EXTREME, min_size=space.dim, max_size=space.dim))
+    top = max(map(abs, v))
+    # Coordinates tied with the largest one, within TAU_TIE and just beyond.
+    for j in data.draw(st.lists(st.integers(0, space.dim - 1), max_size=3)):
+        v[j] = top * data.draw(st.sampled_from([1.0, -1.0])) * data.draw(
+            st.sampled_from([1.0, 1.0 - 0.5 * bj.TAU_TIE, 1.0 - bj.TAU_TIE, 1.0 - 2.0 * bj.TAU_TIE]))
+    arr = space.check_vector(v)
+    assert same_bits(space._norm(arr), numpy_norm(space, arr))
+    if not arr.any():
+        return
+    got, want = outcome(space._support, arr), outcome(numpy_support, space, arr)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert len(got) == len(want)
+    for f, g in zip(got, want):
+        assert f.dtype == g.dtype and f.tobytes() == g.tobytes()
+
+
+FAMILIES = ([bj.Lp(d, 2.5) for d in range(1, 10)] + [bj.LInf(d) for d in range(1, 10)]
+            + [bj.DayJames(3.0, 1.5)]
+            + [bj.InfSum((bj.LInf(1), bj.Lp(d - 1, 2.0))) for d in range(2, 10)])
+
+
+@pytest.mark.parametrize("space", FAMILIES, ids=str)
+def test_check_vector_rejects_non_finite_coordinates_anywhere(space):
+    for i in range(space.dim):
+        for bad in (math.nan, math.inf, -math.inf):
+            v = np.ones(space.dim)
+            v[i] = bad
+            with pytest.raises(bj.NonFiniteInput):
+                space.check_vector(v)
+            with pytest.raises(bj.NonFiniteInput):
+                space.check_vector(v.tolist())
+        for extreme in (5e-324, 1.7e308, -5e-324, -1.7e308):
+            v = np.ones(space.dim)
+            v[i] = extreme
+            np.testing.assert_array_equal(space.check_vector(v), v)
