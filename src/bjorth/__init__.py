@@ -20,6 +20,7 @@ from .errors import (
     GridTooCoarse,
     InvalidCount,
     InvalidExponent,
+    InvalidMargin,
     MonotonicityViolation,
     NoBracket,
     NonConvergence,

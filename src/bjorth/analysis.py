@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DegenerateSection, InvalidCount, NotAPlane, NotSmooth
 from .orthogonality import (
     MARGIN,
+    check_margin,
     classify_many,
     one_sided_acute_many,
     oracle_exclusion_band,
@@ -60,6 +61,7 @@ def radon_defect(plane: NormedSpace, grid: int = 720,
         raise NotAPlane(f"expected a plane, got dimension {plane.dim}")
     if grid < 16:
         raise InvalidCount(f"grid must be >= 16, got {grid}")
+    check_margin(margin)
     rows = []
     best = (-1.0, None)
     for theta in np.linspace(0.0, math.pi, grid, endpoint=False):
@@ -349,6 +351,7 @@ def sum_acute_equivalence_check(space_x: NormedSpace, space_y: NormedSpace,
     """
     if n_samples < 1 or tie_every < 1:
         raise InvalidCount(f"n_samples and tie_every must be >= 1, got {n_samples}, {tie_every}")
+    check_margin(margin)
     band = oracle_exclusion_band(margin) if boundary_band is None else boundary_band
     sum_space = InfSum((space_x, space_y))
     dx = space_x.dim
@@ -425,6 +428,7 @@ def sample_orthograph(space: NormedSpace, directions, margin: float = MARGIN) ->
     a sequence of angles (plane only), or a sequence of vectors (any
     space).  The matrix is symmetric by construction of mutuality.
     """
+    check_margin(margin)
     if isinstance(directions, (int, np.integer)):
         if space.dim != 2:
             raise NotAPlane("angle sampling needs a two-dimensional space")

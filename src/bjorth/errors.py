@@ -29,6 +29,10 @@ class InvalidCount(BjorthError, ValueError):
     """A sample, pair-sample or grid count is below its minimum."""
 
 
+class InvalidMargin(BjorthError, ValueError):
+    """A decision margin is negative."""
+
+
 class ZeroVector(BjorthError):
     """Operation requires a nonzero vector."""
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput, ZeroDirection, ZeroVector
+from .errors import DimensionMismatch, InvalidMargin, NonFiniteInput, ZeroDirection, ZeroVector
 from .spaces import TAU_TIE, DayJames, InfSum, LInf, Lp, NormedSpace
 
 # Default decision margin, relative to the norm of the right argument.
@@ -136,6 +136,16 @@ def directional_bounds(space: NormedSpace, x, y) -> tuple[float, float]:
     return rel.min_bound, rel.max_bound
 
 
+def check_margin(margin: float) -> None:
+    """Reject a decision margin that is NaN or infinite (NonFiniteInput) or
+    negative (InvalidMargin: the band would exclude zero and tag obtuse
+    pairs acute)."""
+    if not math.isfinite(margin):
+        raise NonFiniteInput(f"margin must be finite, got {margin}")
+    if margin < 0.0:
+        raise InvalidMargin(f"margin must be >= 0, got {margin}")
+
+
 def classify_angle(space: NormedSpace, x, y, margin: float = MARGIN) -> AngleRelation:
     """Three-way angle classification with a tolerance band around zero.
 
@@ -145,8 +155,7 @@ def classify_angle(space: NormedSpace, x, y, margin: float = MARGIN) -> AngleRel
     degenerate tag.
     """
     xa, ya = space.check_vector(x), space.check_vector(y)
-    if not math.isfinite(margin):
-        raise NonFiniteInput(f"margin must be finite, got {margin}")
+    check_margin(margin)
     return _classify(space, xa, ya, margin)
 
 
@@ -178,12 +187,11 @@ def _classify(space: NormedSpace, xa: np.ndarray, ya: np.ndarray,
 
 
 def _checked_rows(space: NormedSpace, X, Y, margin: float) -> tuple[np.ndarray, np.ndarray]:
-    """X and Y as two (n, dim) float arrays of finite rows; a finite margin."""
+    """X and Y as two (n, dim) float arrays of finite rows; a checked margin."""
     X, Y = space.check_rows(X), space.check_rows(Y)
     if Y.shape != X.shape:
         raise DimensionMismatch(f"X and Y have shapes {X.shape} and {Y.shape}")
-    if not math.isfinite(margin):
-        raise NonFiniteInput(f"margin must be finite, got {margin}")
+    check_margin(margin)
     return X, Y
 
 
@@ -228,8 +236,7 @@ def is_bj_orthogonal(space: NormedSpace, x, y, margin: float = MARGIN) -> bool:
 def is_mutually_orthogonal(space: NormedSpace, x, y, margin: float = MARGIN) -> bool:
     """Mutual Birkhoff-James orthogonality: both directions at once."""
     xa, ya = space.check_vector(x), space.check_vector(y)
-    if not math.isfinite(margin):
-        raise NonFiniteInput(f"margin must be finite, got {margin}")
+    check_margin(margin)
     return (_classify(space, xa, ya, margin).is_bj_orthogonal
             and _classify(space, ya, xa, margin).is_bj_orthogonal)
 
@@ -439,6 +446,7 @@ def is_bj_orthogonal_oracle(space: NormedSpace, x, y, margin: float = MARGIN) ->
     """Independent orthogonality check by direct line minimization."""
     xa = space.check_vector(x)
     ya = space.check_vector(y)
+    check_margin(margin)
     if not (xa.any() and ya.any()):
         return True
     _, val, nx, _ = _min_on_line(space, xa, ya, -1.0)
@@ -449,6 +457,7 @@ def one_sided_acute_oracle(space: NormedSpace, x, y, margin: float = MARGIN) -> 
     """Independent acute-angle check: minimize over t >= 0 only."""
     xa = space.check_vector(x)
     ya = space.check_vector(y)
+    check_margin(margin)
     if not xa.any():
         raise ZeroVector("acute-angle oracle needs x != 0")
     if not ya.any():

@@ -39,7 +39,8 @@ from .errors import (
     NotRadonPlane,
     NotSmooth,
 )
-from .orthogonality import MARGIN, AngleRelations, _orthogonal_direction, classify_many
+from .orthogonality import (MARGIN, AngleRelations, _orthogonal_direction, check_margin,
+                            classify_many)
 from .sampling import random_nonzero
 from .serialize import write_csv
 from .spaces import DayJames, InfSum, Lp, NormedSpace, unit_vector_at_angle
@@ -502,6 +503,7 @@ def verify_preserver(pmap: PreserverMap, n_samples: int, margin: float = MARGIN,
     """
     if n_samples < 1:
         raise InvalidCount(f"n_samples must be >= 1, got {n_samples}")
+    check_margin(margin)
     band = 10.0 * margin if boundary_band is None else boundary_band
     src, tgt = pmap.source, pmap.target
 

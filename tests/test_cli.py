@@ -333,6 +333,22 @@ def test_counts_below_the_minimum_exit_two(capsys, argv, tmp_path, monkeypatch):
     assert err.startswith("error: ") and "must be >= " in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--space", "lp:2:2", "--x", "1,0", "--y=-1e-3,1", "--margin=-0.01"],
+    ["radon", "--space", "dayjames:3:1.5", "--grid", "16", "--margin=-1e-8"],
+    ["preserver-verify", "--target", "dayjames:3:1.5", "--grid", "64", "--samples", "2",
+     "--margin=-1e-9"],
+    ["sum-acute", "--x-space", "lp:2:2", "--y-space", "linf:1", "--samples", "2",
+     "--margin=-1e-9"],
+    ["orthograph", "--space", "dayjames:3:1.5", "--directions", "4", "--margin=-1e-9"],
+], ids=["check", "radon", "preserver-verify", "sum-acute", "orthograph"])
+def test_negative_margins_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: margin must be >= 0")
+    assert "acute" not in out and "witness" not in out
+
+
 def test_sections_of_a_line_exit_two(capsys):
     code, _, err = run(capsys, "sections", "--space", "linf:1", "--candidates", "3")
     assert code == 2

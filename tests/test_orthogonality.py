@@ -344,6 +344,47 @@ def test_non_finite_margin_is_rejected():
             bj.classify_many(dj, [[1.0, 1.0]], [[1.0, -1.0]], margin)
 
 
+L2 = bj.Lp(2, 2.0)
+OBTUSE = ([1.0, 0.0], [-1e-3, 1.0])  # strictly obtuse, within 1e-2 of orthogonal
+
+# Every public entry point that takes a decision margin, called with margin m.
+MARGIN_ENTRY_POINTS = {
+    "classify_angle": lambda m: bj.classify_angle(L2, *OBTUSE, margin=m),
+    "classify_many": lambda m: bj.classify_many(L2, [OBTUSE[0]], [OBTUSE[1]], m),
+    "is_bj_orthogonal": lambda m: bj.is_bj_orthogonal(L2, *OBTUSE, margin=m),
+    "is_mutually_orthogonal": lambda m: bj.is_mutually_orthogonal(L2, *OBTUSE, margin=m),
+    "is_bj_orthogonal_oracle": lambda m: bj.is_bj_orthogonal_oracle(
+        L2, [1.0, 0.0], [0.0, 1.0], margin=m),
+    "one_sided_acute_oracle": lambda m: bj.one_sided_acute_oracle(L2, *OBTUSE, margin=m),
+    "one_sided_acute_many": lambda m: bj.one_sided_acute_many(
+        L2, [OBTUSE[0]], [OBTUSE[1]], m),
+    "radon_defect": lambda m: bj.radon_defect(bj.DayJames(3.0, 1.5), grid=16, margin=m),
+    "sum_acute_equivalence_check": lambda m: bj.sum_acute_equivalence_check(
+        L2, bj.LInf(1), n_samples=4, margin=m),
+    "sample_orthograph": lambda m: bj.sample_orthograph(L2, [0.0, 1.0], margin=m),
+    "verify_preserver": lambda m: bj.verify_preserver(
+        bj.IdentityMap(L2), 2, margin=m),
+}
+
+
+@pytest.mark.parametrize("margin", [-1e-2, -1e-8, -5e-324, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(MARGIN_ENTRY_POINTS))
+def test_bad_margins_are_rejected_at_every_entry(entry, margin):
+    # A negative margin used to tag the obtuse pair strictly acute, report a
+    # Radon-plane witness, and so on; a NaN made the oracle answer False.
+    error = bj.NonFiniteInput if not math.isfinite(margin) else bj.InvalidMargin
+    with pytest.raises(error):
+        MARGIN_ENTRY_POINTS[entry](margin)
+
+
+@pytest.mark.parametrize("entry", sorted(MARGIN_ENTRY_POINTS))
+def test_zero_margins_are_accepted_at_every_entry(entry):
+    assert issubclass(bj.InvalidMargin, ValueError)
+    for margin in (0.0, -0.0):
+        MARGIN_ENTRY_POINTS[entry](margin)
+    assert bj.classify_angle(L2, *OBTUSE, margin=0.0).tag is AngleTag.STRICTLY_OBTUSE
+
+
 def test_mutual_orthogonality_checks_each_vector_once(monkeypatch):
     space = bj.InfSum((bj.DayJames(3.0, 1.5), bj.LInf(2)))
     rng = np.random.default_rng(5)
