@@ -27,7 +27,7 @@ from .orthogonality import (
 )
 from .preserver import _pairing_root
 from .sampling import random_nonzero, random_unit
-from .spaces import InfSum, LInf, NormedSpace, unit_vector_at_angle
+from .spaces import InfSum, LInf, NormedSpace, format_space, unit_vector_at_angle
 
 # Rows judged per block of array passes: orthograph pairs (all of them up to
 # 362 directions), sum-acute samples, and section-search coefficient draws
@@ -262,8 +262,10 @@ def euclidean_section_search(space: NormedSpace, candidates, pair_samples: int =
 
 @dataclass(frozen=True)
 class SumAcuteReport:
-    """Outcome of the max-sum acute-angle equivalence sweep."""
+    """Outcome of the max-sum acute-angle equivalence sweep on the space
+    named by space (its format_space form)."""
 
+    space: str
     samples: int
     evaluated: int
     disagreements: int
@@ -284,6 +286,7 @@ class SumAcuteReport:
         from . import __version__
 
         return {
+            "space": self.space,
             "samples": self.samples,
             "evaluated": self.evaluated,
             "disagreements": self.disagreements,
@@ -394,6 +397,7 @@ def sum_acute_equivalence_check(space_x: NormedSpace, space_y: NormedSpace,
         disagreements += int((predicted[judged] != actual).sum())
 
     return SumAcuteReport(
+        space=format_space(sum_space),
         samples=n_samples,
         evaluated=evaluated,
         disagreements=disagreements,

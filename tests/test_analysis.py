@@ -290,7 +290,7 @@ def test_sum_acute_equivalence(space_x, space_y):
 
 
 # to_dict() minus tool_version of the two certify pairs, recorded with the
-# sample-at-a-time check.
+# sample-at-a-time check; the reports name their space (CERTIFY_SPACES).
 PINNED_SUM_ACUTE = {
     ("l2_linf1", 0, 20): {"evaluated": 20, "boundary_excluded": 0, "tie_samples": 3},
     ("l2_linf1", 0, 1000): {"evaluated": 1000, "boundary_excluded": 0, "tie_samples": 125},
@@ -302,6 +302,7 @@ PINNED_SUM_ACUTE = {
     ("dj3_linf2", 7, 1000): {"evaluated": 1000, "boundary_excluded": 0, "tie_samples": 125},
 }
 CERTIFY_PAIRS = {"l2_linf1": (L2, bj.LInf(1)), "dj3_linf2": (DJ, bj.LInf(2))}
+CERTIFY_SPACES = {"l2_linf1": "sum(lp:2:2,linf:1)", "dj3_linf2": "sum(dayjames:3:1.5,linf:2)"}
 
 
 @pytest.mark.parametrize("label,seed,n", sorted(PINNED_SUM_ACUTE))
@@ -311,6 +312,7 @@ def test_sum_acute_report_matches_pinned_values(label, seed, n):
     del got["tool_version"]
     pinned = PINNED_SUM_ACUTE[label, seed, n]
     assert got == {
+        "space": CERTIFY_SPACES[label],
         "samples": n, "evaluated": pinned["evaluated"], "disagreements": 0,
         "boundary_excluded": pinned["boundary_excluded"], "tie_excluded": 0,
         "tie_samples": pinned["tie_samples"],
