@@ -39,8 +39,8 @@ from .errors import (
     NotRadonPlane,
     NotSmooth,
 )
-from .orthogonality import (MARGIN, AngleRelations, _orthogonal_direction, check_margin,
-                            classify_many)
+from .orthogonality import (MARGIN, AngleRelations, check_margin, classify_many,
+                            orthogonal_direction)
 from .sampling import random_nonzero
 from .serialize import write_csv
 from .spaces import DayJames, InfSum, Lp, NormedSpace, unit_vector_at_angle
@@ -516,7 +516,7 @@ def verify_preserver(pmap: PreserverMap, n_samples: int, margin: float = MARGIN,
         ys.append(random_nonzero(src, rng))
         nx = src._norm(x)
         nxs.append(nx)
-        yps.append(_orthogonal_direction(src, x, rng))
+        yps.append(orthogonal_direction(src, x, rng))
         if i % 5 == 0:
             c = float(rng.choice([-1.0, 1.0])) * math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
             homog.append((i, c))
