@@ -358,7 +358,7 @@ MARGIN_ENTRY_POINTS = {
     "one_sided_acute_oracle": lambda m: bj.one_sided_acute_oracle(L2, *OBTUSE, margin=m),
     "one_sided_acute_many": lambda m: bj.one_sided_acute_many(
         L2, [OBTUSE[0]], [OBTUSE[1]], m),
-    "radon_defect": lambda m: bj.radon_defect(bj.DayJames(3.0, 1.5), grid=16, margin=m),
+    "radon_defect": lambda m: bj.radon_defect(DJ, grid=16, margin=m),
     "sum_acute_equivalence_check": lambda m: bj.sum_acute_equivalence_check(
         L2, bj.LInf(1), n_samples=4, margin=m),
     "sample_orthograph": lambda m: bj.sample_orthograph(L2, [0.0, 1.0], margin=m),
@@ -373,13 +373,13 @@ def test_bad_margins_are_rejected_at_every_entry(entry, margin):
     # A negative margin used to tag the obtuse pair strictly acute, report a
     # Radon-plane witness, and so on; a NaN made the oracle answer False.
     error = bj.NonFiniteInput if not math.isfinite(margin) else bj.InvalidMargin
+    assert issubclass(bj.InvalidMargin, ValueError)
     with pytest.raises(error):
         MARGIN_ENTRY_POINTS[entry](margin)
 
 
 @pytest.mark.parametrize("entry", sorted(MARGIN_ENTRY_POINTS))
 def test_zero_margins_are_accepted_at_every_entry(entry):
-    assert issubclass(bj.InvalidMargin, ValueError)
     for margin in (0.0, -0.0):
         MARGIN_ENTRY_POINTS[entry](margin)
     assert bj.classify_angle(L2, *OBTUSE, margin=0.0).tag is AngleTag.STRICTLY_OBTUSE
