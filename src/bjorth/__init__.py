@@ -15,7 +15,6 @@ from .errors import (
     BjorthError,
     DegenerateSection,
     DimensionMismatch,
-    EmptyParts,
     EmptySum,
     GridTooCoarse,
     InvalidCount,
@@ -43,6 +42,7 @@ from .spaces import (
     format_space,
     functional_apply,
     load_space_file,
+    pairing_angle,
     parse_space,
     space_to_dict,
     unit_vector_at_angle,

@@ -25,9 +25,9 @@ from .orthogonality import (
     oracle_exclusion_band,
     oracle_min_over_line,
 )
-from .preserver import _pairing_root
 from .sampling import random_nonzero, random_unit
-from .spaces import InfSum, LInf, NormedSpace, format_space, unit_vector_at_angle
+from .spaces import (InfSum, LInf, NormedSpace, format_space, pairing_angle,
+                     unit_vector_at_angle)
 
 # Rows judged per block of array passes: orthograph pairs (all of them up to
 # 362 directions), sum-acute samples, and section-search coefficient draws
@@ -52,7 +52,7 @@ def radon_defect(plane: NormedSpace, grid: int = 720,
     """Measure how far Birkhoff-James orthogonality is from symmetric.
 
     For each grid direction theta, the forward orthogonal partner
-    theta_star is solved by bisection over (theta, theta + pi); the
+    theta_star is solved in closed form over (theta, theta + pi); the
     reverse deficit is how far min_t ||y(theta_star) + t y(theta)|| falls
     below one.  The defect is the maximal reverse deficit; a witness pair
     (first maximal in grid order) is reported when it exceeds the margin.
@@ -72,7 +72,7 @@ def radon_defect(plane: NormedSpace, grid: int = 720,
             raise NotSmooth(f"support set at angle {theta} has {len(fs)} extremes")
         fa, fb = float(fs[0][0]), float(fs[0][1])
         # f(y(theta)) = ||y(theta)|| > 0 and f(y(theta + pi)) < 0: always bracketed.
-        theta_star = _pairing_root(fa, fb, theta, theta + math.pi)
+        theta_star = pairing_angle(fa, fb, theta, theta + math.pi)
         y_star = unit_vector_at_angle(plane, theta_star)
         forward = abs(fa * y_star[0] + fb * y_star[1])
         _, val = oracle_min_over_line(plane, y_star, y)

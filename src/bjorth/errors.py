@@ -14,7 +14,8 @@ class BadDimension(BjorthError):
 
 
 class EmptySum(BjorthError):
-    """A max-sum space needs at least two parts."""
+    """A max-sum space, or a componentwise map between two, needs at least
+    two parts."""
 
 
 class DimensionMismatch(BjorthError):
@@ -66,11 +67,7 @@ class MonotonicityViolation(BjorthError):
 
 
 class NonConvergence(BjorthError):
-    """Iterative solve failed to converge."""
-
-
-class EmptyParts(BjorthError):
-    """Componentwise map composition needs at least two parts."""
+    """A solved pairing angle misses its orthogonality residual tolerance."""
 
 
 class DegenerateSection(BjorthError):

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    EmptyParts,
     GridTooCoarse,
     InvalidCount,
     MonotonicityViolation,
@@ -43,20 +42,14 @@ from .orthogonality import (MARGIN, AngleRelations, check_margin, classify_many,
                             orthogonal_direction)
 from .sampling import random_nonzero
 from .serialize import write_csv
-from .spaces import DayJames, InfSum, Lp, NormedSpace, unit_vector_at_angle
+from .spaces import DayJames, InfSum, Lp, NormedSpace, pairing_angle, unit_vector_at_angle
 
 HALF_PI = 0.5 * math.pi
 
-# Bisection stops once the angle bracket is this narrow; well below every
-# verification tolerance while leaving slack over double-precision ulps.
-ANGLE_RESOLUTION = 1e-14
-
-# Brackets taken from tabulated neighbors are widened by this pad.
+# The forward map clamps each pairing to its table cell widened by this pad,
+# so the table stays the map's certified data: a corrupted cell shows up as
+# verification disagreements rather than being silently solved around.
 BRACKET_PAD = 1e-9
-
-# A guided bisection calls its function only at midpoints this close to the
-# closed-form root (see _bisect_decreasing).
-GUIDE_GAP = 1e-12
 
 EUCLIDEAN_PLANE = Lp(dim=2, p=2.0)
 
@@ -67,56 +60,14 @@ def _is_radon_target(plane: NormedSpace) -> bool:
     return isinstance(plane, Lp) and plane.dim == 2 and plane.p == 2.0
 
 
-def _bisect_decreasing(g, lo: float, hi: float, root: float = math.nan) -> float:
-    """Root of a continuous g with g(lo) >= 0 >= g(hi).
-
-    A guided call passes the closed-form root phi + pi/2 of a pairing
-    g(t) = fa cos t + fb sin t = R cos(t - phi).  Midpoints farther than
-    GUIDE_GAP from it, where |g| > 1e-12 R dwarfs g's rounding (1e-15 R),
-    go to its side without calling g: the halvings are the unguided ones.
-    """
-    a, b = lo, hi
-    below, above = root - GUIDE_GAP, root + GUIDE_GAP  # nan when unguided
-    for _ in range(64):
-        if b - a <= ANGLE_RESOLUTION:
-            break
-        m = 0.5 * (a + b)
-        if m < below:
-            a = m
-        elif m > above:
-            b = m
-        elif g(m) >= 0.0:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
-
-
-def _pairing_root(fa: float, fb: float, lo: float, hi: float) -> float:
-    """Root in [lo, hi] of the pairing g(t) = fa cos t + fb sin t = R cos(t - phi)
-    of a norming functional (fa, fb): lo when g(lo) < 0, hi when g(hi) > 0,
-    else the bisection guided by phi + pi/2, moved by a multiple of 2 pi to
-    within pi of the bracket's midpoint, hence into the bracket."""
-
-    def g(t: float) -> float:
-        return fa * math.cos(t) + fb * math.sin(t)
-
-    if g(lo) < 0.0:
-        return lo
-    if g(hi) > 0.0:
-        return hi
-    root = math.atan2(fb, fa) + HALF_PI
-    root += 2.0 * math.pi * round((0.5 * (lo + hi) - root) / (2.0 * math.pi))
-    return _bisect_decreasing(g, lo, hi, root)
-
-
 def solve_eta(plane: NormedSpace, theta: float, tol: float = 1e-12) -> float:
     """Angle in [pi/2, pi] whose unit vector is orthogonal to y(theta).
 
-    Bisects g(t) = f(y(t)) over [pi/2, pi], where f is the unique norming
-    functional at y(theta); g starts nonnegative and ends nonpositive for
-    every first-quadrant direction of a smooth plane.  The endpoints 0 and
-    pi/2 map to pi/2 and pi exactly.
+    Solves g(t) = f(y(t)) = 0 over [pi/2, pi] in closed form, where f is the
+    unique norming functional at y(theta); g starts nonnegative and ends
+    nonpositive for every first-quadrant direction of a smooth plane (else
+    NoBracket), and a root whose residual |g| exceeds the tolerance raises
+    NonConvergence.  The endpoints 0 and pi/2 map to pi/2 and pi exactly.
     """
     if not _is_radon_target(plane):
         raise NotRadonPlane(f"not a supported smooth Radon plane: {plane!r}")
@@ -140,11 +91,7 @@ def solve_eta(plane: NormedSpace, theta: float, tol: float = 1e-12) -> float:
         raise NoBracket(
             f"f(y(t)) does not change sign on [pi/2, pi] at theta={theta}"
         )
-    if glo <= 0.0:
-        return HALF_PI
-    if ghi >= 0.0:
-        return math.pi
-    root = _pairing_root(fa, fb, HALF_PI, math.pi)
+    root = pairing_angle(fa, fb, HALF_PI, math.pi)
     resid = abs(g(root)) / plane._norm2(math.cos(root), math.sin(root))
     if resid > max(tol, 1e-10) * fnorm:
         raise NonConvergence(f"orthogonality residual {resid} at theta={theta}")
@@ -279,12 +226,14 @@ class RadonPlaneMap(PreserverMap):
     Unit circle action: angle t maps to y(t) for t in [0, pi/2] and to
     y(eta(t - pi/2)) for t in [pi/2, pi]; the lower half circle is the odd
     reflection, applied by sign canonicalization so that
-    apply(-v) == -apply(v) holds exactly.  Off-grid pairing angles are
-    re-solved by a fresh bisection bracketed between neighboring table
-    nodes; tabulated values seed the bracket but are never interpolated
-    into the result.  The inverse reads no table: by Radon symmetry, y(s) is
-    orthogonal to y(psi) exactly when y(psi) is orthogonal to y(s), so the
-    preimage of psi = eta(s) is pi/2 + s, s being psi's own pairing root.
+    apply(-v) == -apply(v) holds exactly.  A second-quadrant row's pairing
+    is solved in closed form from the norming functional and clamped to the
+    table cell (+- BRACKET_PAD) that holds it: tabulated values bound the
+    result but are never interpolated into it.  The image's offset is
+    measured from the nearer axis, so no bits are lost near either axis.
+    The inverse reads no table: by Radon symmetry, y(s) is orthogonal to
+    y(psi) exactly when y(psi) is orthogonal to y(s), so the functional at
+    y(psi) annuls y(s) and points along the preimage pi/2 + s.
     """
 
     eta: EtaTable
@@ -297,40 +246,33 @@ class RadonPlaneMap(PreserverMap):
     def target(self) -> NormedSpace:
         return self.eta.plane
 
-    def _unit(self, t: float) -> tuple[float, float]:
-        c, s = math.cos(t), math.sin(t)
-        n = self.eta.plane._norm2(c, s)
-        return c / n, s / n
-
-    def _eta_at(self, s: float) -> float:
-        """Pairing angle for s in [0, pi/2], re-solved inside the table cell.
-
-        When the table is inconsistent with the solved root (no sign change
-        over the local bracket), the nearer bracket end is returned; a
-        corrupted table thereby surfaces as verification disagreements
-        instead of a crash.
-        """
+    def _cell(self, s: float) -> tuple[float, float]:
+        """Bracket [lo, hi] within [pi/2, pi] of the pairing angle of s in
+        [0, pi/2]: the table cell holding s, widened by BRACKET_PAD."""
         grid, values = self.eta.grid, self.eta.values
-        if s <= grid[0]:
-            return float(values[0])
-        if s >= grid[-1]:
-            return float(values[-1])
-        i = int(grid.searchsorted(s))
-        i = min(max(i, 1), len(grid) - 1)
+        i = min(max(int(grid.searchsorted(s)), 1), len(grid) - 1)
         va, vb = float(values[i - 1]), float(values[i])
-        lo = max(min(va, vb) - BRACKET_PAD, HALF_PI)
-        hi = min(max(va, vb) + BRACKET_PAD, math.pi)
-        fa, fb = self.eta.plane._grad2(math.cos(s), math.sin(s))
-        return _pairing_root(fa, fb, lo, hi)
+        return max(min(va, vb) - BRACKET_PAD, HALF_PI), min(max(va, vb) + BRACKET_PAD, math.pi)
 
     def _upper(self, a: float, b: float) -> tuple[float, float]:
         # b >= 0, not both zero: polar angle lies in [0, pi].
+        plane = self.eta.plane
         r = math.hypot(a, b)
-        t = math.atan2(b, a)
-        if t > HALF_PI:
-            t = self._eta_at(t - HALF_PI)
-        u0, u1 = self._unit(t)
-        return r * u0, r * u1
+        if a >= 0.0:
+            t = math.atan2(b, a)
+            c, d = math.cos(t), math.sin(t)
+        else:
+            # (a, b) lies at pi/2 + s, s = atan2(-a, b); (b, -a) lies at s.
+            lo, hi = self._cell(math.atan2(-a, b))
+            fa, fb = plane._grad2(b, -a)
+            if fb <= fa:  # the image lies within pi/4 of the y-axis
+                phi = min(max(math.atan2(fb, fa), lo - HALF_PI), hi - HALF_PI)
+                c, d = -math.sin(phi), math.cos(phi)
+            else:  # ... or of the negative x-axis
+                chi = min(max(math.atan2(fa, fb), math.pi - hi), math.pi - lo)
+                c, d = -math.cos(chi), math.sin(chi)
+        n = plane._norm2(c, d)
+        return r * (c / n), r * (d / n)
 
     def _forward(self, X: np.ndarray) -> np.ndarray:
         return _odd(self._upper, X)
@@ -338,11 +280,12 @@ class RadonPlaneMap(PreserverMap):
     def _inverse_upper(self, a: float, b: float) -> tuple[float, float]:
         plane = self.eta.plane
         r = plane._norm2(a, b)
-        t = math.atan2(b, a)
-        if t > HALF_PI:
-            fa, fb = plane._grad2(math.cos(t), math.sin(t))
-            t = HALF_PI + _pairing_root(-fa, -fb, 0.0, HALF_PI)
-        return r * math.cos(t), r * math.sin(t)
+        if a >= 0.0:
+            t = math.atan2(b, a)
+            return r * math.cos(t), r * math.sin(t)
+        fa, fb = plane._grad2(a, b)
+        h = math.hypot(fa, fb)
+        return r * (fa / h), r * (fb / h)
 
     def _backward(self, W: np.ndarray) -> np.ndarray:
         return _odd(self._inverse_upper, W)
@@ -374,8 +317,6 @@ class SumMap(PreserverMap):
 
     def __post_init__(self):
         parts = tuple(self.parts)
-        if len(parts) < 2:
-            raise EmptyParts(f"need at least 2 parts, got {len(parts)}")
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "_source", InfSum(tuple(p.source for p in parts)))
         object.__setattr__(self, "_target", InfSum(tuple(p.target for p in parts)))

@@ -586,3 +586,17 @@ def unit_vector_at_angle(plane: NormedSpace, theta: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
     n = plane._norm(np.array([c, s]))
     return np.array([c / n, s / n])
+
+
+def pairing_angle(fa: float, fb: float, lo: float, hi: float) -> float:
+    """Root in [lo, hi] of the pairing g(t) = fa cos t + fb sin t of a norming
+    functional (fa, fb): the angle whose direction the functional annuls.
+
+    g(t) = R cos(t - phi) with phi = atan2(fb, fa) falls through zero at
+    phi + pi/2.  That root is moved by a multiple of 2 pi to within pi of the
+    bracket's midpoint and clamped to [lo, hi], so a bracket that excludes it
+    gives its nearer end.
+    """
+    root = math.atan2(fb, fa) + 0.5 * math.pi
+    root += 2.0 * math.pi * round((0.5 * (lo + hi) - root) / (2.0 * math.pi))
+    return min(max(root, lo), hi)

@@ -73,30 +73,30 @@ def _radon_digest(plane, grid=180):
     return hashlib.sha256(rows.encode()).hexdigest(), float(scan.defect).hex(), witness
 
 
-# Recorded when the scan's line objective still ran on numpy arrays: the
-# plane objective on Python floats must reproduce every bit.
+# Recorded with the closed-form pairing angle.  Before that, the line
+# objective on Python floats reproduced every bit of the earlier array one.
 PINNED_RADON = {
     "dayjames_1.5": (
-        "582b936752b333f18d00217c6fe9fee7747d93fdd29f455306a9da87aa7c6dd8",
+        "5124faa99e9718408078995d6d94cca2d53b3588adf48fefb8c3f58179c4100f",
         "0x1.8000000000000p-52", None),
     "dayjames_2": (
-        "30263a8f87172466f4e351cb1e510640130ae7f468f007103bdbe59e03621d2c",
-        "0x1.0000000000000p-52", None),
+        "86884c86c34db8ad3ccc83d4f452835baa6bcf15ac33de81e13b51a8864e1ad2",
+        "0x1.8000000000000p-52", None),
     "dayjames_3": (
-        "adb5a70c4f767853deb8bc4690efe76cbadaa7990ef3514b77c4c4cad2c666e1",
+        "e800e7d53e344817d65b76e9abb7b18d9040e98bf7cb35d643f70ca65d585765",
         "0x1.0000000000000p-52", None),
     "dayjames_4": (
-        "38b79541de89565980a6432a00c45ff82dc01cc6319890818ae1ea02a507dc6f",
+        "fe53614cfb73044c3727db1c03c20a9ffbb1749640c2fdfb4b9ba4976bd73450",
         "0x1.8000000000000p-52", None),
     "lp_1.5": (
-        "b2a7516d3999ef162c9baaae6185d524255af6bbba3ad1df5a3cf65f137f8579",
-        "0x1.65bfdf40f85f0p-4", ("0x1.893011f31982ep-3", "0x1.fc6d73ae47414p+0")),
+        "da17fe2c6fecf52fe344f9960074ab2de91283521d6c7624a0b5ae26b988f8d2",
+        "0x1.65bfdf40f85b8p-4", ("0x1.893011f31982ep-3", "0x1.fc6d73ae47408p+0")),
     "lp_3": (
-        "59b57786fb2cd0a831dd81b797f35e0bea43a3ec489b38ed176ea1a38f25ac8b",
-        "0x1.65d96579623d0p-4", ("0x1.fd5b5d123280ep+0", "0x1.ab2c222ec308cp+1")),
+        "ec5c06e36abc681bc2f3c670fac5f277c02279b7ff22abd010c03bdfe0339342",
+        "0x1.65d9657962390p-4", ("0x1.fd5b5d123280ep+0", "0x1.ab2c222ec3092p+1")),
     "lp_4": (
-        "422da7da81d9f09af283163ef31ccecf65c0243f1ef9e289a110646f952214af",
-        "0x1.6594536d1b7e0p-3", ("0x1.f46bb9c109324p-2", "0x1.b85202522ecdcp+0")),
+        "4154527ef85c5d61e8a48bfc350835949203ecfd244ddd7c816f1f8bfc1df0da",
+        "0x1.6594536d1b7ecp-3", ("0x1.f46bb9c109324p-2", "0x1.b85202522ecd7p+0")),
 }
 
 

@@ -217,27 +217,29 @@ CERTIFY_ARTIFACTS = sorted(
 # SHA-256 of each `certify --fast --seed 0` artifact, recorded with numpy
 # 2.4.6 on x86-64.  Refactors must keep them; a deliberate change to an
 # artifact updates its digest here and says why.  The two sum_acute digests
-# moved when the reports began to name their max-sum space.
+# moved when the reports began to name their max-sum space.  The eta table,
+# the Radon scans, the preserver reports and summary.json moved in their
+# last bits when the pairing became closed-form.
 CERTIFY_SHA256 = {
     "circle_dayjames_3.csv": "ac4ca594efa803796a82b3d42ca128c0f4b5f60afddeb90c70dad02dd294465a",
-    "eta_dayjames_3.csv": "ab19e8e5c24db45f392fa497f58263fe4ab4a124d27ceab3e675cb75760215b8",
+    "eta_dayjames_3.csv": "3c2e2813f5ed700e675676c73f886a94d06243a0e64831f1fcf1184d240dcec0",
     "orthograph_dayjames_3.txt": "3d98f0352f0624f54b301dee7b634cda8716062f18cdeffeb92eeb07a23f6073",
-    "preserver_dayjames_3.json": "c646b16773428013e67c6fb0e1eef97ff6e383ad8e82e02bd3b93642831f8002",
-    "preserver_sum_linf1.json": "6d0f46489b5c4ad437eaf467ef55e2d2e851a6c8f1cc6d52d00293b2fc517411",
-    "preserver_sum_linf2.json": "c3f484e65d6f904c04724b8efad6544e9d543ed42263491dafde2326ae274b67",
-    "preserver_sum_linf8.json": "5cc9a8ba0327f425ac5a0fb3c5c8f8f7887c8c8f91b2b8be011e9e7b2b759cd6",
-    "radon_dayjames_1.5.csv": "f5c90b9de7a833f62625e480d8abe5d4ef084ce85a32d734a470894b7141a62c",
-    "radon_dayjames_2.csv": "3680115c51136ac6edf2a2042505e839382733216a384be2d0bd026962ff5c00",
-    "radon_dayjames_3.csv": "2603377db16ed554906c2306824e42cf0de9679583ee8967cfab36003649e69d",
-    "radon_dayjames_4.csv": "7bfd6eda7a3768fd3904274d7ca042b716510a21659a60fadd7ffac3ba092b40",
-    "radon_lp_1.5.csv": "09dd45b49ffa39318c23de4cb0d62a2fb9446e695c7da291f407aa5c08ef3922",
-    "radon_lp_3.csv": "12f4b45d2db1d831fde1718827d57806a6b40b8160aea3b03ef40f74b2ae828f",
-    "radon_lp_4.csv": "b9cdb12d37aefd47b30f75b4b3c11a8cee84b474cb59503d46af7aa713ded451",
+    "preserver_dayjames_3.json": "89f3c899f65e06d02f2d521ce2e4dca649117a6bbdec7c272c3bd757c49669cd",
+    "preserver_sum_linf1.json": "411bb78e2a45293147f962d31e62428628328c1d053629434f9a7d3354bc8671",
+    "preserver_sum_linf2.json": "5633cca98cab0b34c1a6954cae752ac6523324ffe7fc1ec141f697e4c379c31d",
+    "preserver_sum_linf8.json": "0e8e7bc6ef6590b1c423c75905f7570dd46cfbfcad131b32732b18dfa3255879",
+    "radon_dayjames_1.5.csv": "391d379b9db500be3c0094b20866eb431819bdf2c80fda0d3439878ae12e4da1",
+    "radon_dayjames_2.csv": "98968c2f31257d64f229041464ed1959137b22f769e143f0854c3ff5f3651f56",
+    "radon_dayjames_3.csv": "e82c1f8f5d31961fbdb042905f5974fedd7dc1beb859b8b8600c0a5c167b6f20",
+    "radon_dayjames_4.csv": "a55b6a7e2d03e9b1fb28861c9002eb1f7e95d158a8591d94b7b9d9813341de52",
+    "radon_lp_1.5.csv": "95cc16d94fbae0b0976ab3da6a94fadc13a75016fab9dd21664804d0d3160b0b",
+    "radon_lp_3.csv": "3b8887a4daf93a83d95bb15f0ce0a28da2ef6f88b2332b67d00dc76ef807d828",
+    "radon_lp_4.csv": "450928c683b6aa8f31fcd25eed85f2f6568d65a69ec2d0b8dd16c5581bcf1e66",
     "sections_dj3_linf1.json": "d08eb58e139733e5b58b65ddd284bf090bb185b52e2c778967352ddd8d175b4f",
     "sections_l2_linf1.json": "c8a74b96ad9ef9ef092ea48d9b5096f5a1697108fa5f5dc2d375c9e68f646ab0",
     "sum_acute_dj3_linf2.json": "eb0b88aca5ef6ede1d38238cc0bcae77f9d760a58c6a0eb9e983ddc86e4ad66d",
     "sum_acute_l2_linf1.json": "97b008303e52bd28037083b91988996fffb0ac0171387968eb55da742a7db84d",
-    "summary.json": "9a9e1d75210e2d9d5be5c73dc3b7b5a329306227c389f79bc20464bcebc52273",
+    "summary.json": "3b813296d51b49ec32b8ccb4be71d20108cf0c1ae355fc7ddff6e9d9834f7ef7",
 }
 
 
@@ -246,15 +248,15 @@ CERTIFY_SHA256 = {
 # seeded artifacts differ from seed 0.
 CERTIFY_SHA256_SEED_7 = {
     **CERTIFY_SHA256,
-    "preserver_dayjames_3.json": "179017589f6927533beccec3ff4a796921a68d1773e6b8474a58e5c82b5c208e",
-    "preserver_sum_linf1.json": "3731b48b2242839f4e2ab7d4842009e9f86014a382b92490b20e78441a2d5398",
-    "preserver_sum_linf2.json": "78b9e29cd9aef287c1ac3d199b3184662b091aa935f667afa9d2abe414f68873",
-    "preserver_sum_linf8.json": "1828638ec2abdb6c1ccaf4cb76505f01debe968e39ca08c5a8be2366ebd0a09e",
+    "preserver_dayjames_3.json": "4817a38d5952fd39ac8b50b18c8f149efe1cc87dbfd6d8870d1f6be9ad147681",
+    "preserver_sum_linf1.json": "e9187316ed49113fb5660bd6a69ac2e8825f1e4f1e33e7ae7a2f4a167a165153",
+    "preserver_sum_linf2.json": "109e61331352e1bbbf3950032afd8bf90851fa91daffd86539381a688c1219f3",
+    "preserver_sum_linf8.json": "9df42379dd51e1230cad865dd92ff689779c8d4f79ce10605cd8a1304b225375",
     "sections_dj3_linf1.json": "ef2336c64932e73a91d9b1c19e3cbd9dc07fe61d01b7c565d3d86beec1c68225",
     "sections_l2_linf1.json": "398f949079ccc2512380ef7a29ac0d6f430816f7649f1cf3ee71617fea2a1efb",
     "sum_acute_dj3_linf2.json": "cf59ce7546219928f04743f4f150a2b017a97940e417b8631673aaf26dc34da8",
     "sum_acute_l2_linf1.json": "45cfac3af6942f71022404fdc8e24f946ad63d3bad0c9f2161ca3f48a0ea1f5f",
-    "summary.json": "55495f24b36467315d958ed3890214fad535b515bc6c1c5adced675737f51740",
+    "summary.json": "60e20af6ee310fa54f28eba368786b8ebd8a487cdbd48d5c770240500430531f",
 }
 
 

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,3 +446,19 @@ def test_check_vector_rejects_non_finite_coordinates_anywhere(space):
             v = np.ones(space.dim)
             v[i] = extreme
             np.testing.assert_array_equal(space.check_vector(v), v)
+
+
+# ---------------------------------------------------------------------------
+# Module boundaries.
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # A helper two modules share lives, public, in the lower one.
+    package = Path(bj.__file__).parent
+    private = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                private += [(path.name, a.name) for a in node.names
+                            if a.name.startswith("_") and a.name != "__version__"]
+    assert private == []
