@@ -40,7 +40,6 @@ from .spaces import (
     Lp,
     NormedSpace,
     format_space,
-    functional_apply,
     load_space_file,
     pairing_angle,
     parse_space,
@@ -55,7 +54,6 @@ from .orthogonality import (
     AngleTag,
     classify_angle,
     classify_many,
-    directional_bounds,
     is_bj_orthogonal,
     is_bj_orthogonal_oracle,
     is_mutually_orthogonal,

@@ -25,7 +25,7 @@ from .orthogonality import (
     oracle_exclusion_band,
     oracle_min_over_line,
 )
-from .sampling import random_nonzero, random_unit
+from .sampling import as_uniform, draw_rows, nonzero_rows, random_unit
 from .spaces import (InfSum, LInf, NormedSpace, format_space, pairing_angle,
                      unit_vector_at_angle)
 
@@ -273,6 +273,7 @@ class SumAcuteReport:
     tie_excluded: int
     tie_samples: int
     seed: int
+    first_disagreement: int | None = None  # the first sample that disagrees
 
     @property
     def excluded_fraction(self) -> float:
@@ -290,6 +291,7 @@ class SumAcuteReport:
             "samples": self.samples,
             "evaluated": self.evaluated,
             "disagreements": self.disagreements,
+            "first_disagreement": self.first_disagreement,
             "boundary_excluded": self.boundary_excluded,
             "tie_excluded": self.tie_excluded,
             "tie_samples": self.tie_samples,
@@ -300,33 +302,29 @@ class SumAcuteReport:
         }
 
 
-def _exact_tie(space_x: NormedSpace, space_y: NormedSpace, z1: np.ndarray,
-               rng: np.random.Generator) -> np.ndarray | None:
-    """Rescale one part of z1 so both part norms are float-equal.
+def _exact_tie(sum_space: InfSum, k: int, z1: np.ndarray, draws: np.ndarray) -> np.ndarray | None:
+    """z1 with its max-norm part k redrawn at the other part's norm, so both
+    part norms are float-equal.
 
-    Max-norm parts admit exact ties: scaling a vector whose largest
-    coordinate is exactly +-1 multiplies the norm exactly.  Returns None
-    when neither part is a max norm.
+    Scaling a vector whose largest coordinate is exactly +-1 multiplies the
+    norm exactly.  draws are the sample's tie columns: one per coordinate of
+    part k, read as a uniform draw in [-1, 1], then the coordinate set to
+    +-1 and its sign.  Returns None when the other part is zero or the
+    product misses the tie.
     """
-    dx = space_x.dim
-    x1, y1 = z1[:dx], z1[dx:]
-    if isinstance(space_y, LInf):
-        target = space_x._norm(x1)
-        if target == 0.0:
-            return None
-        u = rng.uniform(-1.0, 1.0, space_y.dim)
-        j = int(rng.integers(space_y.dim))
-        u[j] = 1.0 if rng.random() < 0.5 else -1.0
-        y1 = target * u
-        if space_y._norm(y1) != target:
-            return None
-        return np.concatenate([x1, y1])
-    if isinstance(space_x, LInf):
-        flipped = _exact_tie(space_y, space_x, np.concatenate([y1, x1]), rng)
-        if flipped is None:
-            return None
-        return np.concatenate([flipped[space_y.dim:], flipped[:space_y.dim]])
-    return None
+    part, other = sum_space.parts[k], sum_space.parts[1 - k]
+    target = other._norm(sum_space.split(z1)[1 - k])
+    if target == 0.0:
+        return None
+    u = [2.0 * as_uniform(z) - 1.0 for z in draws[: part.dim].tolist()]
+    u[min(int(as_uniform(draws[part.dim]) * part.dim), part.dim - 1)] = math.copysign(
+        1.0, draws[part.dim + 1])
+    rebuilt = target * np.array(u)
+    if part._norm(rebuilt) != target:
+        return None
+    tied = z1.copy()
+    sum_space.split(tied)[k][:] = rebuilt
+    return tied
 
 
 def sum_acute_equivalence_check(space_x: NormedSpace, space_y: NormedSpace,
@@ -339,49 +337,57 @@ def sum_acute_equivalence_check(space_x: NormedSpace, space_y: NormedSpace,
     On X (+) Y with the max norm, (x1, y1) is at an acute angle to
     (x2, y2) exactly when the dominant part is (with both sub-conditions
     OR-ed at a tie).  Every tie_every-th sample is rebuilt as an exact tie
-    when a max-norm part allows it, since random draws never tie.  Pairs
-    whose deciding part relation sits within the oracle exclusion band, or
-    whose part norms differ by less than tie_band without being equal, are
-    excluded rather than adjudicated.
+    when a max-norm part allows it (Y's if it is one, else X's), since
+    random draws never tie.  Pairs whose deciding part relation sits within
+    the oracle exclusion band, or whose part norms differ by less than
+    tie_band without being equal, are excluded rather than adjudicated.
 
     The check runs in two phases per block of PAIR_BLOCK samples.  The draw
-    phase loops over the samples in order: sample i draws from a child
-    generator keyed by (seed, i), is rebuilt as a tie when due, and is
-    excluded or assigned its deciding parts by the tie rule.  The judge
-    phase classifies the deciding parts with one classify_many call per
-    part, excludes the samples near the acute boundary, and runs
-    one_sided_acute_many on the rest.
+    phase reads the samples' rows of the seeded draw table
+    (sampling.draw_rows): z1, a reserve for z1 and z2, each dim wide, then
+    the tie columns, the max-norm part's dim plus two (none without such a
+    part).  The reserve replaces a z1 whose norm is below
+    sampling.MIN_SAMPLE_NORM; ties are rebuilt from the tie columns; the
+    tie rule then excludes a sample or assigns its deciding parts on the
+    parts' scalar norms, so float-equal ties stay equal.  The judge phase
+    classifies the deciding parts with one classify_many call per part,
+    excludes the samples near the acute boundary, and runs
+    one_sided_acute_many on the rest.  A sample depends only on (seed, i),
+    so the report does not depend on PAIR_BLOCK, and first_disagreement at
+    n samples names the same sample at any larger n.
     """
     if n_samples < 1 or tie_every < 1:
         raise InvalidCount(f"n_samples and tie_every must be >= 1, got {n_samples}, {tie_every}")
     check_margin(margin)
     band = oracle_exclusion_band(margin) if boundary_band is None else boundary_band
     sum_space = InfSum((space_x, space_y))
-    dx = space_x.dim
+    dim, dx = sum_space.dim, space_x.dim
+    tie_part = 1 if isinstance(space_y, LInf) else 0 if isinstance(space_x, LInf) else None
+    tie_columns = 0 if tie_part is None else sum_space.parts[tie_part].dim + 2
 
     evaluated = disagreements = boundary_excluded = tie_excluded = tie_samples = 0
+    first = None
     for start in range(0, n_samples, PAIR_BLOCK):
-        z1s, z2s, needs = [], [], []
-        for i in range(start, min(start + PAIR_BLOCK, n_samples)):
-            rng = np.random.default_rng([seed, i])
-            z1 = random_nonzero(sum_space, rng)
-            z2 = rng.standard_normal(sum_space.dim)
-            if i % tie_every == 0:
-                tied = _exact_tie(space_x, space_y, z1, rng)
+        stop = min(start + PAIR_BLOCK, n_samples)
+        W = draw_rows(seed, start, stop, 3 * dim + tie_columns)
+        Z1 = nonzero_rows(sum_space, W[:, :dim], W[:, dim : 2 * dim])
+        kept, needs = [], []
+        for r, z1 in enumerate(Z1):
+            if tie_part is not None and (start + r) % tie_every == 0:
+                tied = _exact_tie(sum_space, tie_part, z1, W[r, 3 * dim :])
                 if tied is not None:
-                    z1 = tied
+                    z1 = Z1[r] = tied
                     tie_samples += 1
             nx, ny = space_x._norm(z1[:dx]), space_y._norm(z1[dx:])
             if nx != ny and abs(nx - ny) <= tie_band * max(nx, ny):
                 tie_excluded += 1
                 continue
-            z1s.append(z1)
-            z2s.append(z2)
+            kept.append(r)
             needs.append((nx >= ny, ny >= nx))
-        if not z1s:
+        if not kept:
             continue
 
-        Z1, Z2, need = np.array(z1s), np.array(z2s), np.array(needs)
+        Z1, Z2, need = Z1[kept], W[kept, 2 * dim : 3 * dim], np.array(needs)
         near = np.zeros(len(Z1), dtype=bool)
         predicted = np.zeros(len(Z1), dtype=bool)
         for k, (part, P1, P2) in enumerate(zip(sum_space.parts, sum_space.split(Z1),
@@ -392,9 +398,12 @@ def sum_acute_equivalence_check(space_x: NormedSpace, space_y: NormedSpace,
             predicted[rows] |= rel.is_acute
         judged = ~near
         actual = one_sided_acute_many(sum_space, Z1[judged], Z2[judged], margin)
+        wrong = np.flatnonzero(judged)[predicted[judged] != actual]
+        if first is None and len(wrong):
+            first = start + kept[wrong[0]]
         boundary_excluded += int(near.sum())
         evaluated += int(judged.sum())
-        disagreements += int((predicted[judged] != actual).sum())
+        disagreements += len(wrong)
 
     return SumAcuteReport(
         space=format_space(sum_space),
@@ -405,6 +414,7 @@ def sum_acute_equivalence_check(space_x: NormedSpace, space_y: NormedSpace,
         tie_excluded=tie_excluded,
         tie_samples=tie_samples,
         seed=seed,
+        first_disagreement=first,
     )
 
 

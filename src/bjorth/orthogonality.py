@@ -124,18 +124,6 @@ class AngleRelations(AngleRelation):
         return self._per_scale(np.abs(mx), scale)
 
 
-def directional_bounds(space: NormedSpace, x, y) -> tuple[float, float]:
-    """(min, max) of f(y) over the extreme norming functionals of x.
-
-    These equal the one-sided derivatives of t -> ||x + t*y|| at 0 from
-    the left and from the right.
-    """
-    rel = classify_angle(space, x, y)
-    if rel.tag is AngleTag.DEGENERATE_LEFT:
-        raise ZeroVector("directional bounds need x != 0")
-    return rel.min_bound, rel.max_bound
-
-
 def check_margin(margin: float) -> None:
     """Reject a decision margin that is NaN or infinite (NonFiniteInput) or
     negative (InvalidMargin: the band would exclude zero and tag obtuse
@@ -534,3 +522,37 @@ def _orthogonal_direction(space: NormedSpace, xa: np.ndarray,
         return np.array([-f[1], f[0]])
     v = rng.standard_normal(space.dim)
     return v - (float(np.dot(f, v)) / float(np.dot(f, xa))) * xa
+
+
+def orthogonal_rows(space: NormedSpace, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """orthogonal_direction on every row of X, with row i of V as the random
+    vector that row draws.  It checks nothing: X and V are finite (n, dim)
+    arrays and every row of X is nonzero, as verify_preserver draws them.
+
+    The rules are orthogonal_direction's, in array passes: planes take the
+    Euclidean perp of the norming functional row by row on Python floats,
+    p-norm spaces project V onto the functional's kernel, max norms zero V
+    at each row's tied coordinates, and max-sums take each row's partner in
+    its first part of largest norm (the row norms decide, so only a part
+    tie within rounding may pick the other side of it).
+    """
+    if isinstance(space, InfSum):
+        xs, out = space.split(X), np.zeros_like(X)
+        top = np.argmax([part._norms(x) for part, x in zip(space.parts, xs)], axis=0)
+        for k, (part, x, v, o) in enumerate(zip(space.parts, xs, space.split(V),
+                                                space.split(out))):
+            rows = top == k
+            o[rows] = orthogonal_rows(part, x[rows], v[rows])
+        return out
+    if isinstance(space, LInf):
+        A = np.abs(X)
+        return np.where(A >= (1.0 - 10.0 * TAU_TIE) * A.max(axis=1, keepdims=True), 0.0, V)
+    if isinstance(space, (Lp, DayJames)) and space.dim == 2:
+        out = []
+        for a, b in X.tolist():
+            fa, fb = space._grad2(a, b)
+            out += -fb, fa
+        return np.array(out).reshape(-1, 2)
+    fv, _ = space._bounds(X, V)
+    fx, _ = space._bounds(X, X)
+    return V - (fv / fx)[:, None] * X

@@ -39,8 +39,8 @@ from .errors import (
     NotSmooth,
 )
 from .orthogonality import (MARGIN, AngleRelations, check_margin, classify_many,
-                            orthogonal_direction)
-from .sampling import random_nonzero
+                            orthogonal_rows)
+from .sampling import as_uniform, draw_rows, nonzero_rows
 from .serialize import write_csv
 from .spaces import DayJames, InfSum, Lp, NormedSpace, pairing_angle, unit_vector_at_angle
 
@@ -373,6 +373,7 @@ class VerificationReport:
     continuity_modulus: float
     seed: int
     passed: bool
+    first_disagreement: int | None = None  # the first sample that disagrees
 
     @property
     def disagreements(self) -> int:
@@ -384,6 +385,7 @@ class VerificationReport:
         return {
             "samples": self.samples,
             "disagreements": self.disagreements,
+            "first_disagreement": self.first_disagreement,
             "boundary_excluded": self.boundary_excluded,
             "max_norm_error": self.max_norm_error,
             "max_homog_error": self.max_homog_error,
@@ -397,16 +399,18 @@ class VerificationReport:
 
 
 def _pair_agreement(rel_s: AngleRelations, rel_t: AngleRelations,
-                    band: float) -> tuple[int, int, int]:
+                    band: float) -> tuple[int, np.ndarray, np.ndarray]:
     """Compare source and image classifications, pair by pair.
 
     Rows alternate a random pair and a constructed orthogonal pair.  Returns
-    (excluded, orth_disagreements, acute_disagreements) summed over the
-    pairs.  A pair is excluded from the orthogonality comparison when
-    either side is non-orthogonal but within the band of the decision
-    boundary; pairs classified orthogonal are always kept (they are the
-    informative ones).  A random pair is excluded from the acute comparison
-    when either side's right derivative sits within the band of zero.
+    the number of excluded comparisons and two arrays over the samples: how
+    many of its two pairs disagree on orthogonality, and whether its random
+    pair disagrees on acuteness.  A pair is excluded from the orthogonality
+    comparison when either side is non-orthogonal but within the band of
+    the decision boundary; pairs classified orthogonal are always kept (they
+    are the informative ones).  A random pair is excluded from the acute
+    comparison when either side's right derivative sits within the band of
+    zero.
     """
     orth_skip = (
         (~rel_s.is_orthogonal & (rel_s.orthogonality_distance() <= band))
@@ -415,7 +419,7 @@ def _pair_agreement(rel_s: AngleRelations, rel_t: AngleRelations,
     acute_skip = ((rel_s.acute_distance() <= band) | (rel_t.acute_distance() <= band))[::2]
     orth_dis = ~orth_skip & (rel_s.is_orthogonal != rel_t.is_orthogonal)
     acute_dis = ~acute_skip & (rel_s.is_acute != rel_t.is_acute)[::2]
-    return int(orth_skip.sum() + acute_skip.sum()), int(orth_dis.sum()), int(acute_dis.sum())
+    return int(orth_skip.sum() + acute_skip.sum()), orth_dis.reshape(-1, 2).sum(axis=1), acute_dis
 
 
 def verify_preserver(pmap: PreserverMap, n_samples: int, margin: float = MARGIN,
@@ -432,44 +436,45 @@ def verify_preserver(pmap: PreserverMap, n_samples: int, margin: float = MARGIN,
     close to a decision boundary to adjudicate.  Homogeneity is probed on
     every fifth sample and the continuity modulus on every tenth.
 
-    The sweep runs in three phases.  The draw phase loops over the samples
-    in order, each with an independent child generator keyed by
-    (seed, index): x, y, y_perp, then c and d where it probes homogeneity
-    and continuity.  The map phase maps x, y, y_perp, c*x and x + d of
-    every sample in one call of the row method pmap._forward.  The judge
-    phase takes the norm, homogeneity and continuity errors in sample
-    order, then classifies every source and image pair with classify_many
-    and compares them.  Results depend only on (seed, index) per sample, so the sweep
-    can be partitioned across workers without changing them.
+    The sweep runs in three phases.  The draw phase reads sample i's row of
+    the seeded draw table (sampling.draw_rows), 6 * dim + 2 normals wide:
+    x, a reserve for x, y, a reserve for y, the random vector of y_perp and
+    the continuity step's direction d, each dim wide, then the sign and the
+    log-uniform size of the homogeneity scale c.  A reserve replaces a draw
+    whose norm is below sampling.MIN_SAMPLE_NORM, and every sample reads
+    every column, probed or not.  y_perp is orthogonal_rows's partner of
+    x; c and d are scaled on Python floats.  The map phase maps x, y, y_perp,
+    c*x and x + d of every sample in one call of the row method
+    pmap._forward.  The judge phase takes the norm, homogeneity and
+    continuity errors in sample order, then classifies every source and
+    image pair with classify_many and compares them.  Results depend only
+    on (seed, index) per sample, so the sweep can be partitioned across
+    workers without changing them, and first_disagreement at n samples
+    names the same sample at any larger n.
     """
     if n_samples < 1:
         raise InvalidCount(f"n_samples must be >= 1, got {n_samples}")
     check_margin(margin)
     band = 10.0 * margin if boundary_band is None else boundary_band
     src, tgt = pmap.source, pmap.target
+    n, m = n_samples, src.dim
 
-    xs, ys, yps, nxs = [], [], [], []
-    homog, steps = [], []  # (i, c) every fifth sample, (i, d) every tenth
-    for i in range(n_samples):
-        rng = np.random.default_rng([seed, i])
-        x = random_nonzero(src, rng)
-        xs.append(x)
-        ys.append(random_nonzero(src, rng))
-        nx = src._norm(x)
-        nxs.append(nx)
-        yps.append(orthogonal_direction(src, x, rng))
-        if i % 5 == 0:
-            c = float(rng.choice([-1.0, 1.0])) * math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
-            homog.append((i, c))
-        if i % 10 == 0:
-            d = rng.standard_normal(src.dim)
-            d *= 1e-6 * nx / np.linalg.norm(d)
-            steps.append((i, d))
+    W = draw_rows(seed, 0, n, 6 * m + 2)
+    X = nonzero_rows(src, W[:, :m], W[:, m : 2 * m])
+    Y = nonzero_rows(src, W[:, 2 * m : 3 * m], W[:, 3 * m : 4 * m])
+    Yp = orthogonal_rows(src, X, W[:, 4 * m : 5 * m])
+    nxs = [src._norm(x) for x in X]
+    lo, hi = math.log(0.1), math.log(10.0)  # |c| is log-uniform on [0.1, 10]
+    homog = [(5 * k, math.copysign(math.exp(lo + (hi - lo) * as_uniform(u)), s))
+             for k, (s, u) in enumerate(W[::5, -2:].tolist())]
+    steps = []  # (i, d) every tenth sample
+    for i in range(0, n, 10):
+        d = W[i, 5 * m : 6 * m]
+        steps.append((i, d * (1e-6 * nxs[i] / math.hypot(*d.tolist()))))
 
-    n, h = n_samples, len(homog)
-    X = np.array(xs)
+    h = len(homog)
     images = pmap._forward(np.concatenate(
-        [X, ys, yps, [c * xs[i] for i, c in homog], [xs[i] + d for i, d in steps]]
+        [X, Y, Yp, [c * X[i] for i, c in homog], [X[i] + d for i, d in steps]]
     ))
     TX = images[:n]
 
@@ -490,25 +495,26 @@ def verify_preserver(pmap: PreserverMap, n_samples: int, margin: float = MARGIN,
         return np.repeat(P, 2, axis=0), np.stack([Q, R], axis=1).reshape(2 * n, -1)
 
     excluded, orth_dis, acute_dis = _pair_agreement(
-        classify_many(src, *pairs(X, ys, yps), margin),
+        classify_many(src, *pairs(X, Y, Yp), margin),
         classify_many(tgt, *pairs(TX, images[n : 2 * n], images[2 * n : 3 * n]), margin),
         band,
     )
+    disagreeing = np.flatnonzero(orth_dis + acute_dis)
 
     passed = (
-        orth_dis == 0
-        and acute_dis == 0
+        len(disagreeing) == 0
         and max_norm_err <= norm_tol
         and max_homog_err <= homog_tol
     )
     return VerificationReport(
         samples=n_samples,
         boundary_excluded=excluded,
-        orth_disagreements=orth_dis,
-        acute_disagreements=acute_dis,
+        orth_disagreements=int(orth_dis.sum()),
+        acute_disagreements=int(acute_dis.sum()),
         max_norm_error=float(max_norm_err),
         max_homog_error=float(max_homog_err),
         continuity_modulus=float(continuity),
         seed=seed,
         passed=bool(passed),
+        first_disagreement=int(disagreeing[0]) if len(disagreeing) else None,
     )

@@ -570,15 +570,6 @@ def load_space_file(path) -> NormedSpace:
         return validate_space(json.load(fh))
 
 
-def functional_apply(f, v) -> float:
-    """Dual pairing: coordinate dot product of a functional with a vector."""
-    fa = np.asarray(f, dtype=float)
-    va = np.asarray(v, dtype=float)
-    if fa.shape != va.shape:
-        raise DimensionMismatch(f"functional shape {fa.shape} vs vector shape {va.shape}")
-    return float(np.dot(fa, va))
-
-
 def unit_vector_at_angle(plane: NormedSpace, theta: float) -> np.ndarray:
     """(cos t, sin t) rescaled to norm one in a two-dimensional space."""
     if plane.dim != 2:

@@ -7,6 +7,7 @@ import pytest
 import bjorth as bj
 from bjorth.cli import _sections_record
 from bjorth.errors import DegenerateSection, InvalidCount, NotAPlane
+from bjorth.sampling import BLOCK
 
 DJ = bj.DayJames(3.0, 1.5)
 L2 = bj.Lp(2, 2.0)
@@ -291,15 +292,26 @@ def test_sum_acute_equivalence(space_x, space_y):
 
 # to_dict() minus tool_version of the two certify pairs, recorded with the
 # sample-at-a-time check; the reports name their space (CERTIFY_SPACES).
+# Recorded again when the samples moved to the block draw table: every
+# report still passes with 0 disagreements, and the exclusion counts moved
+# with the draws.
 PINNED_SUM_ACUTE = {
-    ("l2_linf1", 0, 20): {"evaluated": 20, "boundary_excluded": 0, "tie_samples": 3},
-    ("l2_linf1", 0, 1000): {"evaluated": 1000, "boundary_excluded": 0, "tie_samples": 125},
-    ("l2_linf1", 7, 20): {"evaluated": 20, "boundary_excluded": 0, "tie_samples": 3},
-    ("l2_linf1", 7, 1000): {"evaluated": 1000, "boundary_excluded": 0, "tie_samples": 125},
-    ("dj3_linf2", 0, 20): {"evaluated": 20, "boundary_excluded": 0, "tie_samples": 3},
-    ("dj3_linf2", 0, 1000): {"evaluated": 999, "boundary_excluded": 1, "tie_samples": 125},
-    ("dj3_linf2", 7, 20): {"evaluated": 20, "boundary_excluded": 0, "tie_samples": 3},
-    ("dj3_linf2", 7, 1000): {"evaluated": 1000, "boundary_excluded": 0, "tie_samples": 125},
+    ("l2_linf1", 0, 20): {"evaluated": 20, "boundary_excluded": 0, "tie_excluded": 0,
+                          "tie_samples": 3},
+    ("l2_linf1", 0, 1000): {"evaluated": 1000, "boundary_excluded": 0, "tie_excluded": 0,
+                            "tie_samples": 125},
+    ("l2_linf1", 7, 20): {"evaluated": 20, "boundary_excluded": 0, "tie_excluded": 0,
+                          "tie_samples": 3},
+    ("l2_linf1", 7, 1000): {"evaluated": 999, "boundary_excluded": 1, "tie_excluded": 0,
+                            "tie_samples": 125},
+    ("dj3_linf2", 0, 20): {"evaluated": 20, "boundary_excluded": 0, "tie_excluded": 0,
+                           "tie_samples": 3},
+    ("dj3_linf2", 0, 1000): {"evaluated": 999, "boundary_excluded": 1, "tie_excluded": 0,
+                             "tie_samples": 125},
+    ("dj3_linf2", 7, 20): {"evaluated": 20, "boundary_excluded": 0, "tie_excluded": 0,
+                           "tie_samples": 3},
+    ("dj3_linf2", 7, 1000): {"evaluated": 997, "boundary_excluded": 2, "tie_excluded": 1,
+                             "tie_samples": 125},
 }
 CERTIFY_PAIRS = {"l2_linf1": (L2, bj.LInf(1)), "dj3_linf2": (DJ, bj.LInf(2))}
 CERTIFY_SPACES = {"l2_linf1": "sum(lp:2:2,linf:1)", "dj3_linf2": "sum(dayjames:3:1.5,linf:2)"}
@@ -314,17 +326,22 @@ def test_sum_acute_report_matches_pinned_values(label, seed, n):
     assert got == {
         "space": CERTIFY_SPACES[label],
         "samples": n, "evaluated": pinned["evaluated"], "disagreements": 0,
-        "boundary_excluded": pinned["boundary_excluded"], "tie_excluded": 0,
-        "tie_samples": pinned["tie_samples"],
-        "excluded_fraction": pinned["boundary_excluded"] / n, "seed": seed, "pass": True}
+        "first_disagreement": None,
+        "boundary_excluded": pinned["boundary_excluded"],
+        "tie_excluded": pinned["tie_excluded"], "tie_samples": pinned["tie_samples"],
+        "excluded_fraction": (pinned["boundary_excluded"] + pinned["tie_excluded"]) / n,
+        "seed": seed, "pass": True}
 
 
 def test_sum_acute_report_does_not_depend_on_blocks(monkeypatch):
     full = bj.sum_acute_equivalence_check(DJ, bj.LInf(2), n_samples=300, seed=3, tie_band=0.05)
     assert full.tie_excluded > 0 and full.boundary_excluded == 0
-    monkeypatch.setattr(bj.analysis, "PAIR_BLOCK", 7)
-    assert bj.sum_acute_equivalence_check(DJ, bj.LInf(2), n_samples=300, seed=3,
-                                          tie_band=0.05) == full
+    # Judging blocks of 7 samples, and blocks that cut through the draw
+    # table's blocks of BLOCK samples at other offsets.
+    for pair_block in (7, BLOCK - 1, BLOCK + 1, 100):
+        monkeypatch.setattr(bj.analysis, "PAIR_BLOCK", pair_block)
+        assert bj.sum_acute_equivalence_check(DJ, bj.LInf(2), n_samples=300, seed=3,
+                                              tie_band=0.05) == full
 
 
 def test_sum_acute_counts_boundary_exclusions():

@@ -219,15 +219,17 @@ CERTIFY_ARTIFACTS = sorted(
 # artifact updates its digest here and says why.  The two sum_acute digests
 # moved when the reports began to name their max-sum space.  The eta table,
 # the Radon scans, the preserver reports and summary.json moved in their
-# last bits when the pairing became closed-form.
+# last bits when the pairing became closed-form.  The preserver and
+# sum-acute reports moved again when the samples moved to the block draw
+# table and the reports gained first_disagreement.
 CERTIFY_SHA256 = {
     "circle_dayjames_3.csv": "ac4ca594efa803796a82b3d42ca128c0f4b5f60afddeb90c70dad02dd294465a",
     "eta_dayjames_3.csv": "3c2e2813f5ed700e675676c73f886a94d06243a0e64831f1fcf1184d240dcec0",
     "orthograph_dayjames_3.txt": "3d98f0352f0624f54b301dee7b634cda8716062f18cdeffeb92eeb07a23f6073",
-    "preserver_dayjames_3.json": "89f3c899f65e06d02f2d521ce2e4dca649117a6bbdec7c272c3bd757c49669cd",
-    "preserver_sum_linf1.json": "411bb78e2a45293147f962d31e62428628328c1d053629434f9a7d3354bc8671",
-    "preserver_sum_linf2.json": "5633cca98cab0b34c1a6954cae752ac6523324ffe7fc1ec141f697e4c379c31d",
-    "preserver_sum_linf8.json": "0e8e7bc6ef6590b1c423c75905f7570dd46cfbfcad131b32732b18dfa3255879",
+    "preserver_dayjames_3.json": "44914dcd95a1364fec8612cc6a415af52f002fbe7149e8adc8fdb6b3fa07b3e4",
+    "preserver_sum_linf1.json": "fb4b45e16cd12f12520836b636fba9ee5bbf8d3285f9a035fd113787767e4d8b",
+    "preserver_sum_linf2.json": "e20fc451834121a79593995431ced4d6be625e19b762b0ed6cb934d995a805f8",
+    "preserver_sum_linf8.json": "28a80db5315a2292a780265f5088684c88ce873077f3374c24fb516ac0bc3ce4",
     "radon_dayjames_1.5.csv": "391d379b9db500be3c0094b20866eb431819bdf2c80fda0d3439878ae12e4da1",
     "radon_dayjames_2.csv": "98968c2f31257d64f229041464ed1959137b22f769e143f0854c3ff5f3651f56",
     "radon_dayjames_3.csv": "e82c1f8f5d31961fbdb042905f5974fedd7dc1beb859b8b8600c0a5c167b6f20",
@@ -237,8 +239,8 @@ CERTIFY_SHA256 = {
     "radon_lp_4.csv": "450928c683b6aa8f31fcd25eed85f2f6568d65a69ec2d0b8dd16c5581bcf1e66",
     "sections_dj3_linf1.json": "d08eb58e139733e5b58b65ddd284bf090bb185b52e2c778967352ddd8d175b4f",
     "sections_l2_linf1.json": "c8a74b96ad9ef9ef092ea48d9b5096f5a1697108fa5f5dc2d375c9e68f646ab0",
-    "sum_acute_dj3_linf2.json": "eb0b88aca5ef6ede1d38238cc0bcae77f9d760a58c6a0eb9e983ddc86e4ad66d",
-    "sum_acute_l2_linf1.json": "97b008303e52bd28037083b91988996fffb0ac0171387968eb55da742a7db84d",
+    "sum_acute_dj3_linf2.json": "9b763ed1ba2102d2979b3d2b204f00a11f5a531051024707d06bb30751d0bf19",
+    "sum_acute_l2_linf1.json": "8a16a10537f14aabcee0ce20b4120bfce883317c277f3087206340fbe13f5adc",
     "summary.json": "3b813296d51b49ec32b8ccb4be71d20108cf0c1ae355fc7ddff6e9d9834f7ef7",
 }
 
@@ -248,14 +250,14 @@ CERTIFY_SHA256 = {
 # seeded artifacts differ from seed 0.
 CERTIFY_SHA256_SEED_7 = {
     **CERTIFY_SHA256,
-    "preserver_dayjames_3.json": "4817a38d5952fd39ac8b50b18c8f149efe1cc87dbfd6d8870d1f6be9ad147681",
-    "preserver_sum_linf1.json": "e9187316ed49113fb5660bd6a69ac2e8825f1e4f1e33e7ae7a2f4a167a165153",
-    "preserver_sum_linf2.json": "109e61331352e1bbbf3950032afd8bf90851fa91daffd86539381a688c1219f3",
-    "preserver_sum_linf8.json": "9df42379dd51e1230cad865dd92ff689779c8d4f79ce10605cd8a1304b225375",
+    "preserver_dayjames_3.json": "9d1e0f475ba06a8eeea8840376666e91543bd05c51237db5f5d551608bf7235b",
+    "preserver_sum_linf1.json": "db13ecc14fb73e75c84c863e9bd2b1c51144a4c5e911da56857656679f9ca4aa",
+    "preserver_sum_linf2.json": "f4cdedd04a11c7ebe91da46f2d746ce7743a606b7a5627dcfd103b9542d0decc",
+    "preserver_sum_linf8.json": "ec8484e0bf4b79e0b549c18ad32999e0b92d516a5c834403f75c2e156d44d027",
     "sections_dj3_linf1.json": "ef2336c64932e73a91d9b1c19e3cbd9dc07fe61d01b7c565d3d86beec1c68225",
     "sections_l2_linf1.json": "398f949079ccc2512380ef7a29ac0d6f430816f7649f1cf3ee71617fea2a1efb",
-    "sum_acute_dj3_linf2.json": "cf59ce7546219928f04743f4f150a2b017a97940e417b8631673aaf26dc34da8",
-    "sum_acute_l2_linf1.json": "45cfac3af6942f71022404fdc8e24f946ad63d3bad0c9f2161ca3f48a0ea1f5f",
+    "sum_acute_dj3_linf2.json": "1067de921b7d05158c274207e3b698524e9c28efc4389704567f7e5c45a80a03",
+    "sum_acute_l2_linf1.json": "87442e6badede9b1e1f1859c3b8c904ca4660a1f1cde6cce049f5b70acf5b667",
     "summary.json": "60e20af6ee310fa54f28eba368786b8ebd8a487cdbd48d5c770240500430531f",
 }
 

@@ -44,14 +44,19 @@ def brute_min_on_line(space, x, y, points=4001, refinements=4):
 # Directional bounds.
 
 
+def _bounds(space, x, y):
+    rel = bj.classify_angle(space, x, y)
+    return rel.min_bound, rel.max_bound
+
+
 def test_bounds_euclid_singleton():
-    assert bj.directional_bounds(bj.Lp(2, 2.0), [1, 0], [0, 1]) == (0.0, 0.0)
-    assert bj.directional_bounds(bj.Lp(2, 2.0), [1, 0], [1, 1]) == (1.0, 1.0)
+    assert _bounds(bj.Lp(2, 2.0), [1, 0], [0, 1]) == (0.0, 0.0)
+    assert _bounds(bj.Lp(2, 2.0), [1, 0], [1, 1]) == (1.0, 1.0)
 
 
 def test_bounds_linf_vertices_and_quotients():
     space = bj.LInf(2)
-    mn, mx = bj.directional_bounds(space, [1, 1], [1, -1])
+    mn, mx = _bounds(space, [1, 1], [1, -1])
     assert (mn, mx) == (-1.0, 1.0)
     # Cross-check: one-sided difference quotients of the max norm.
     x, y = np.array([1.0, 1.0]), np.array([1.0, -1.0])
@@ -63,8 +68,10 @@ def test_bounds_linf_vertices_and_quotients():
 
 
 def test_bounds_zero_vector():
+    rel = bj.classify_angle(bj.Lp(2, 2.0), [0, 0], [1, 0])
+    assert rel.tag is AngleTag.DEGENERATE_LEFT and (rel.min_bound, rel.max_bound) == (0.0, 0.0)
     with pytest.raises(ZeroVector):
-        bj.directional_bounds(bj.Lp(2, 2.0), [0, 0], [1, 0])
+        bj.Lp(2, 2.0).support_set([0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +98,7 @@ def test_orthogonality_asymmetry_witness():
     # f at (2,1) is (4,1)/9^(2/3), which kills (1,-4) exactly.
     assert bj.is_bj_orthogonal(l3, [2, 1], [1, -4])
     # f at (1,-4) is (1,-16)/65^(2/3); on (2,1) it gives -14/65^(2/3).
-    mn, mx = bj.directional_bounds(l3, [1, -4], [2, 1])
+    mn, mx = _bounds(l3, [1, -4], [2, 1])
     assert mx == pytest.approx(-14 / 65 ** (2 / 3), abs=1e-12)
     assert not bj.is_bj_orthogonal(l3, [1, -4], [2, 1])
 
@@ -429,8 +436,6 @@ VECTOR_ENTRY_POINTS = {
     "norm": (2, lambda v, m: DJ.norm(v)),
     "is_zero": (2, lambda v, m: DJ.is_zero(v)),
     "support_set": (2, lambda v, m: DJ.support_set(v)),
-    "directional_bounds-x": (2, lambda v, m: bj.directional_bounds(DJ, v, G)),
-    "directional_bounds-y": (2, lambda v, m: bj.directional_bounds(DJ, G, v)),
     "classify_angle-x": (2, lambda v, m: bj.classify_angle(DJ, v, G)),
     "classify_angle-y": (2, lambda v, m: bj.classify_angle(DJ, G, v)),
     "classify_many-x": (2, lambda v, m: bj.classify_many(DJ, [v], [G])),

@@ -256,8 +256,8 @@ def test_inverse_solves_the_pairing_equation(plane):
         v = pmap.apply_inverse(w)
         s = math.atan2(v[1], v[0]) - math.pi / 2
         assert 0.0 <= s <= math.pi / 2
-        mn, mx = bj.directional_bounds(plane, bj.unit_vector_at_angle(plane, s), w)
-        worst = max(worst, abs(mn), abs(mx))
+        rel = bj.classify_angle(plane, bj.unit_vector_at_angle(plane, s), w)
+        worst = max(worst, abs(rel.min_bound), abs(rel.max_bound))
     assert worst <= 1e-11
 
 
@@ -466,6 +466,18 @@ def test_verify_detects_swapped_table_entries():
     assert rep.orth_disagreements >= 1
 
 
+def test_verify_names_its_first_disagreement(dj_map):
+    i = bj.verify_preserver(SWAPPED, 1000, seed=0).first_disagreement
+    assert i is not None and i > 0
+    # Samples do not depend on the sample count, so a run that stops just
+    # before sample i sees no disagreement, and one that takes it names it.
+    before = bj.verify_preserver(SWAPPED, i, seed=0)
+    assert before.disagreements == 0 and before.to_dict()["first_disagreement"] is None
+    upto = bj.verify_preserver(SWAPPED, i + 1, seed=0)
+    assert upto.disagreements >= 1 and upto.to_dict()["first_disagreement"] == i
+    assert bj.verify_preserver(dj_map, 1000, seed=0).first_disagreement is None
+
+
 def test_verify_report_is_deterministic(dj_map):
     a = bj.verify_preserver(dj_map, 200, seed=5).to_dict()
     b = bj.verify_preserver(dj_map, 200, seed=5).to_dict()
@@ -480,29 +492,31 @@ def test_verify_report_is_deterministic(dj_map):
 # sampling contract and the judging rules do not depend on how the pairs are
 # classified, so the reports must match exactly.  tool_version is left out.
 # The map's own floats (max_norm_error, continuity_modulus) were recorded
-# again when the pairing became closed-form; no judged field moved.
+# again when the pairing became closed-form; no judged field moved.  Every
+# float was recorded again when the samples moved to the block draw table;
+# every report still passes with 0 disagreements.
 # boundary_excluded is 0: constructed pairs are not compared on acuteness,
 # and no other comparison of these runs comes near a decision boundary.
 PINNED_REPORTS = {
     ("plane", 0): {
-        "samples": 300, "disagreements": 0, "boundary_excluded": 0,
-        "max_norm_error": 4.383738165771362e-16, "max_homog_error": 3.9905456023577915e-16,
-        "continuity_modulus": 1.5765829080303606, "seed": 0, "pass": True,
+        "samples": 300, "disagreements": 0, "first_disagreement": None, "boundary_excluded": 0,
+        "max_norm_error": 4.323838900325819e-16, "max_homog_error": 4.597934499408728e-16,
+        "continuity_modulus": 1.5335887195828288, "seed": 0, "pass": True,
         "orthogonality_disagreements": 0, "acute_disagreements": 0},
     ("plane", 7): {
-        "samples": 300, "disagreements": 0, "boundary_excluded": 0,
-        "max_norm_error": 5.016794186642511e-16, "max_homog_error": 3.170520961000166e-16,
-        "continuity_modulus": 1.3637200313105233, "seed": 7, "pass": True,
+        "samples": 300, "disagreements": 0, "first_disagreement": None, "boundary_excluded": 0,
+        "max_norm_error": 4.007415898743872e-16, "max_homog_error": 2.3712651755630535e-16,
+        "continuity_modulus": 1.2409620067847582, "seed": 7, "pass": True,
         "orthogonality_disagreements": 0, "acute_disagreements": 0},
     ("sum_linf8", 0): {
-        "samples": 300, "disagreements": 0, "boundary_excluded": 0,
-        "max_norm_error": 3.4811607380639467e-16, "max_homog_error": 2.04793928805765e-16,
-        "continuity_modulus": 1.4315144776771611, "seed": 0, "pass": True,
+        "samples": 300, "disagreements": 0, "first_disagreement": None, "boundary_excluded": 0,
+        "max_norm_error": 2.9866028759977686e-16, "max_homog_error": 2.1854195079067614e-16,
+        "continuity_modulus": 1.1211651395589801, "seed": 0, "pass": True,
         "orthogonality_disagreements": 0, "acute_disagreements": 0},
     ("sum_linf8", 7): {
-        "samples": 300, "disagreements": 0, "boundary_excluded": 0,
-        "max_norm_error": 3.39246903467686e-16, "max_homog_error": 1.6091905734407107e-16,
-        "continuity_modulus": 1.0813160379930886, "seed": 7, "pass": True,
+        "samples": 300, "disagreements": 0, "first_disagreement": None, "boundary_excluded": 0,
+        "max_norm_error": 3.3815233304537007e-16, "max_homog_error": 1.6851888179270473e-16,
+        "continuity_modulus": 1.3258688956610685, "seed": 7, "pass": True,
         "orthogonality_disagreements": 0, "acute_disagreements": 0},
 }
 
@@ -522,7 +536,7 @@ def test_swapped_table_report_matches_pinned_values():
     report = bj.verify_preserver(bad, 1000, seed=0).to_dict()
     del report["tool_version"]
     assert report == {
-        "samples": 1000, "disagreements": 1, "boundary_excluded": 0,
-        "max_norm_error": 4.4337148032606986e-16, "max_homog_error": 5.030213509388748e-16,
-        "continuity_modulus": 1.5765829080303606, "seed": 0, "pass": False,
-        "orthogonality_disagreements": 1, "acute_disagreements": 0}
+        "samples": 1000, "disagreements": 6, "first_disagreement": 120, "boundary_excluded": 0,
+        "max_norm_error": 4.383738165771362e-16, "max_homog_error": 4.597934499408728e-16,
+        "continuity_modulus": 1.557523451248149, "seed": 0, "pass": False,
+        "orthogonality_disagreements": 6, "acute_disagreements": 0}

@@ -155,7 +155,7 @@ def test_support_inf_sum_tie_embeds_both_parts():
     fs = s.support_set(x)
     assert sorted(tuple(f) for f in fs) == [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)]
     for f in fs:
-        assert bj.functional_apply(f, x) == pytest.approx(s.norm(x), abs=1e-12)
+        assert float(np.dot(f, x)) == pytest.approx(s.norm(x), abs=1e-12)
 
 
 def test_support_zero_vector_rejected():
@@ -239,12 +239,16 @@ def test_unit_vector_requires_plane():
 # Dual pairing.
 
 
-def test_functional_apply():
-    assert bj.functional_apply([0.6, 0.8], [3, 4]) == pytest.approx(5.0)
-    assert bj.functional_apply([1, 0], [0, 1]) == 0.0
-    assert bj.functional_apply([2 ** (-2 / 3), 2 ** (-2 / 3)], [1, -1]) == 0.0
-    with pytest.raises(DimensionMismatch):
-        bj.functional_apply([1, 0], [1, 2, 3])
+def test_support_functional_pairing():
+    # The norming functional at x pairs with x to its norm and annuls its
+    # orthogonal directions.
+    (f,) = bj.Lp(2, 2.0).support_set([3, 4])
+    assert float(np.dot(f, [3, 4])) == pytest.approx(5.0)
+    (f,) = bj.Lp(2, 2.0).support_set([1, 0])
+    assert float(np.dot(f, [0, 1])) == 0.0
+    (f,) = bj.Lp(2, 3.0).support_set([1, 1])
+    np.testing.assert_allclose(f, [2 ** (-2 / 3), 2 ** (-2 / 3)], rtol=1e-15)
+    assert float(np.dot(f, [1, -1])) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +292,15 @@ def test_support_norming_and_dual_feasibility(space):
         x = random_nonzero(space, rng)
         nx = space.norm(x)
         for f in space.support_set(x):
-            assert abs(bj.functional_apply(f, x) - nx) <= bj.TAU_SUP * nx
+            assert abs(float(np.dot(f, x)) - nx) <= bj.TAU_SUP * nx
         f = space.support_set(x)[0]
         for v in probes[:20]:
-            assert bj.functional_apply(f, v) <= space.norm(v) * (1 + bj.TAU_SUP)
+            assert float(np.dot(f, v)) <= space.norm(v) * (1 + bj.TAU_SUP)
     # Full probe sweep with one fixed functional per space.
     x = random_nonzero(space, rng)
     for f in space.support_set(x):
         for v in probes:
-            assert bj.functional_apply(f, v) <= space.norm(v) * (1 + bj.TAU_SUP)
+            assert float(np.dot(f, v)) <= space.norm(v) * (1 + bj.TAU_SUP)
 
 
 # ---------------------------------------------------------------------------
