@@ -274,50 +274,63 @@ def golden_section_min(phi, lo: float, hi: float, tol: float = 1e-10,
     return best_x, best_f
 
 
-def _golden_section_rows(phi, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-10,
+def _golden_section_rows(phi, lo: np.ndarray, hi: np.ndarray, data: tuple, tol: float = 1e-10,
                          max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
     """golden_section_min on every row at once.
 
-    phi(rows, t) evaluates the objectives of the row indices rows at the
-    points t.  Each row takes exactly the scalar search's bracket updates
-    and evaluations (lt: the rows where fc < fd, rt: the others); a pass
-    evaluates only the rows still shrinking.
+    data holds arrays with a row axis first; phi(*rows, t) evaluates at the
+    points t the objectives of the rows whose slices of data it is given.
+    Each row takes exactly the scalar search's bracket updates and
+    evaluations, in order.  The rows still shrinking keep their state and
+    slices of data packed, advanced with np.where by one phi call a pass; a
+    row leaves when its bracket reaches tol or max_iter runs out, and its
+    midpoint is evaluated after the last pass.
     """
     a, b = lo.astype(float), hi.astype(float)
-    every = np.arange(len(a))
-    best_x, best_f = a.copy(), phi(every, a)
-
-    def improve(rows, t, f):
-        better = f < best_f[rows]
-        best_x[rows[better]], best_f[rows[better]] = t[better], f[better]
-
-    improve(every, b, phi(every, b))
+    fa, fb = phi(*data, a), phi(*data, b)
+    better = fb < fa
+    best_x, best_f = np.where(better, b, a), np.where(better, fb, fa)
+    rows = np.flatnonzero(b - a > tol)
+    if not len(rows):
+        return best_x, best_f
+    mids = np.empty(len(a))  # the midpoints of the rows that left
+    # Packed: row indices, slices of data, brackets [a, b] of width h with
+    # interior points c < d, and the best point and value so far.
+    idx, a, b = rows, a[rows], b[rows]
+    packed = at_rows = tuple(v[rows] for v in data)
     h = b - a
-    rows = np.flatnonzero(h > tol)
-    c = b - _INV_PHI * h
-    d = a + _INV_PHI * h
-    fc, fd = np.empty(len(a)), np.empty(len(a))
-    fc[rows], fd[rows] = phi(rows, c[rows]), phi(rows, d[rows])
-    improve(rows, c[rows], fc[rows])
-    improve(rows, d[rows], fd[rows])
-    live = rows
-    for _ in range(max_iter):
-        live = live[h[live] > tol]
-        if not len(live):
-            break
-        left = fc[live] < fd[live]
-        lt, rt = live[left], live[~left]
-        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
-        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
-        h[live] = b[live] - a[live]
-        c[lt] = b[lt] - _INV_PHI * h[lt]
-        d[rt] = a[rt] + _INV_PHI * h[rt]
-        t = np.where(left, c[live], d[live])
-        f = phi(live, t)
-        fc[lt], fd[rt] = f[left], f[~left]
-        improve(live, t, f)
-    mid = 0.5 * (a[rows] + b[rows])
-    improve(rows, mid, phi(rows, mid))
+    c, d = b - _INV_PHI * h, a + _INV_PHI * h
+    fc, fd = phi(*packed, c), phi(*packed, d)
+    bx, bf = best_x[idx], best_f[idx]
+    for t, f in ((c, fc), (d, fd)):
+        better = f < bf
+        bx, bf = np.where(better, t, bx), np.where(better, f, bf)
+    for i in range(max_iter + 1):
+        if i == max_iter or h.min() <= tol:
+            done = (h <= tol) | (i == max_iter)
+            out = idx[done]
+            mids[out] = 0.5 * (a[done] + b[done])
+            best_x[out], best_f[out] = bx[done], bf[done]
+            keep = ~done
+            if not keep.any():
+                break
+            idx, a, b, h, c, d, fc, fd, bx, bf = (
+                v[keep] for v in (idx, a, b, h, c, d, fc, fd, bx, bf))
+            packed = tuple(v[keep] for v in packed)
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        h = b - a
+        step = _INV_PHI * h
+        t = np.where(left, b - step, a + step)
+        f = phi(*packed, t)
+        c, d = np.where(left, t, d), np.where(left, c, t)
+        fc, fd = np.where(left, f, fd), np.where(left, fc, f)
+        better = f < bf
+        bx, bf = np.where(better, t, bx), np.where(better, f, bf)
+    mid = mids[rows]
+    fm = phi(*at_rows, mid)
+    better = fm < best_f[rows]
+    best_x[rows[better]], best_f[rows[better]] = mid[better], fm[better]
     return best_x, best_f
 
 
@@ -373,7 +386,7 @@ def _min_on_line(space: NormedSpace, xa: np.ndarray, ya: np.ndarray, lo: float,
         ya = np.ldexp(ya, e)
         lam = 2.0 * nx / space._norm(ya)
     t, val = golden_section_min(space._line(xa, ya), lo * lam, lam, tol=tol)
-    return float(_unscaled(t, e + s)), val, nx, s
+    return (float(_unscaled(t, e + s)) if e + s else t), val, nx, s
 
 
 def _min_on_lines(space: NormedSpace, X: np.ndarray, Y: np.ndarray, lo: float,
@@ -400,8 +413,8 @@ def _min_on_lines(space: NormedSpace, X: np.ndarray, Y: np.ndarray, lo: float,
         Y = Y.copy()
         Y[far] = np.ldexp(Y[far], e[far, None])
         lam[far] = 2.0 * nx[far] / space._norms(Y[far])
-    phi = lambda rows, t: space._norms(X[rows] + t[:, None] * Y[rows])
-    t, val = _golden_section_rows(phi, lo * lam, lam, tol=tol)
+    phi = lambda x, y, t: space._norms(x + t[:, None] * y)
+    t, val = _golden_section_rows(phi, lo * lam, lam, (X, Y), tol=tol)
     return _unscaled(t, e + s), val, nx, s
 
 
@@ -458,9 +471,9 @@ def one_sided_acute_many(space: NormedSpace, X, Y, margin: float = MARGIN) -> np
     """one_sided_acute_oracle on every row pair (X[i], Y[i]), as a bool array.
 
     The rows run golden_section_min's bracket updates in lockstep, each pass
-    one space._norms call over the rows still shrinking.  The rules are the
-    scalar oracle's, which stays the reference: a zero row of X raises
-    ZeroVector and a zero row of Y counts as acute.
+    one space._norms call over the packed rows still shrinking.  The rules
+    are the scalar oracle's, which stays the reference: a zero row of X
+    raises ZeroVector and a zero row of Y counts as acute.
     """
     X, Y = _checked_rows(space, X, Y, margin)
     if not X.any(axis=1).all():

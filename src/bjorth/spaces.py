@@ -23,6 +23,7 @@ import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -94,15 +95,21 @@ def _pgrad2(a: float, b: float, r: float) -> tuple[float, float]:
     )
 
 
-def _line2(norm2, xa: np.ndarray, ya: np.ndarray):
-    """NormedSpace._line of a plane whose norm2(a, b) takes Python floats.
-
-    x0 + t*y0 rounds twice, as numpy's xa + t*ya does (no FMA), so the
-    objective returns the array form's floats bit for bit, with no numpy
-    call per evaluation.
-    """
+def _line2(xa: np.ndarray, ya: np.ndarray, p: float, q: float):
+    """NormedSpace._line of a plane on Python floats: one _pnorm2 call with
+    exponent p where the coordinates share a sign and q elsewhere (the test of
+    DayJames._exponent_at, skipped when p == q; Lp planes pass q = p).
+    x0 + t*y0 rounds twice, as numpy's xa + t*ya does (no FMA), so the values
+    are the array form's bit for bit."""
     x0, x1, y0, y1 = float(xa[0]), float(xa[1]), float(ya[0]), float(ya[1])
-    return lambda t: norm2(x0 + t * y0, x1 + t * y1)
+    if p == q:
+        return lambda t: _pnorm2(x0 + t * y0, x1 + t * y1, p)
+
+    def line(t):
+        a, b = x0 + t * y0, x1 + t * y1
+        return _pnorm2(a, b, p if (a < 0.0) == (b < 0.0) else q)
+
+    return line
 
 
 def _pscaled(X: np.ndarray, r):
@@ -116,9 +123,16 @@ def _pscaled(X: np.ndarray, r):
 
 
 def _pnorms(X: np.ndarray, r) -> np.ndarray:
-    """Row-wise p-norms: the array form of _pnorm2."""
-    M, _, S = _pscaled(X, r)
-    return (M * S)[:, 0]
+    """Row-wise p-norms, the array form of _pnorm2; r is a number or, for two
+    columns, a vector of per-row exponents.  Two columns take _pscaled's form
+    as M * (1 + (m/M)**r) ** (1/r), M >= m the absolute coordinates: the
+    larger one's scaled power is exactly 1.0, so one power per row is saved."""
+    if X.shape[1] != 2:
+        M, _, S = _pscaled(X, r)
+        return (M * S)[:, 0]
+    A = np.abs(X)
+    M, m = np.maximum(A[:, 0], A[:, 1]), np.minimum(A[:, 0], A[:, 1])
+    return M * (1.0 + (m / np.where(M > 0.0, M, 1.0)) ** r) ** (1.0 / r)
 
 
 def _pbounds(X: np.ndarray, Y: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
@@ -143,11 +157,10 @@ class NormedSpace(ABC):
     array forms: ``_norms`` on an (n, dim) array, and ``_bounds``, the
     (min, max) of f(y) over the extreme norming functionals f of x, row by
     row, for nonzero rows x of X and rows y of Y.  The line oracles minimize
-    ``_line``, which planes with a scalar ``_norm2`` evaluate on Python
-    floats.  Public entry points pass
-    each caller's vector through ``check_vector`` (a stack of rows through
-    ``check_rows``) once; a vector is zero only when every coordinate is
-    exactly zero.
+    ``_line``, which Lp and Day-James planes evaluate on Python floats
+    (``_line2``).  Public entry points pass each caller's vector through
+    ``check_vector`` (a stack of rows through ``check_rows``) once; a vector
+    is zero only when every coordinate is exactly zero.
     """
 
     dim: int
@@ -244,7 +257,7 @@ class Lp(NormedSpace):
         return _pbounds(X, Y, self.p)
 
     def _line(self, xa, ya):
-        return _line2(self._norm2, xa, ya) if self.dim == 2 else super()._line(xa, ya)
+        return _line2(xa, ya, self.p, self.p) if self.dim == 2 else super()._line(xa, ya)
 
     # Scalar fast paths used by the plane constructions.
     def _norm2(self, a: float, b: float) -> float:
@@ -280,7 +293,7 @@ class LInf(NormedSpace):
         return out
 
     def _norms(self, X):
-        return np.abs(X).max(axis=1)
+        return np.maximum.reduce(np.abs(X), axis=1)
 
     def _bounds(self, X, Y):
         # Masked min/max of sign(x_i) y_i over the tied coordinates.
@@ -336,8 +349,8 @@ class DayJames(NormedSpace):
         return [np.array(_pgrad2(a, b, self._exponent_at(a, b)))]
 
     def _exponents(self, X: np.ndarray) -> np.ndarray:
-        # Column of per-row exponents, by _exponent_at's exact sign test.
-        return np.where((X[:, 0] < 0.0) == (X[:, 1] < 0.0), self.p, self.q)[:, None]
+        # Per-row exponents, by _exponent_at's exact sign test.
+        return np.where((X[:, 0] < 0.0) == (X[:, 1] < 0.0), self.p, self.q)
 
     def _norms(self, X):
         return _pnorms(X, self._exponents(X))
@@ -345,10 +358,10 @@ class DayJames(NormedSpace):
     def _bounds(self, X, Y):
         # Axis rows take the p-gradient without _support's agreement check:
         # there both exponents give (+-1, 0) or (0, +-1) exactly.
-        return _pbounds(X, Y, self._exponents(X))
+        return _pbounds(X, Y, self._exponents(X)[:, None])
 
     def _line(self, xa, ya):
-        return _line2(self._norm2, xa, ya)
+        return _line2(xa, ya, self.p, self.q)
 
     def _norm2(self, a: float, b: float) -> float:
         return _pnorm2(a, b, self._exponent_at(a, b))
@@ -411,14 +424,14 @@ class InfSum(NormedSpace):
         return out
 
     def _norms(self, X):
-        return np.max([part._norms(x) for part, x in zip(self.parts, self.split(X))], axis=0)
+        return reduce(np.maximum, [part._norms(x) for part, x in zip(self.parts, self.split(X))])
 
     def _bounds(self, X, Y):
         # Recurse into each part on the rows where it attains the max.
         xs, ys = self.split(X), self.split(Y)
         with np.errstate(over="ignore"):
             norms = [part._norms(x) for part, x in zip(self.parts, xs)]
-        total = np.max(norms, axis=0)
+        total = reduce(np.maximum, norms)
         big = total == math.inf
         if big.any():  # as in _support
             X = X.copy()

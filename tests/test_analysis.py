@@ -361,7 +361,9 @@ def test_sum_acute_counts_boundary_exclusions():
     lambda: bj.radon_defect(DJ, grid=8),
     lambda: bj.sample_orthograph(DJ, -2),
     lambda: bj.sample_orthograph(DJ, 0),
-], ids=["sum_acute", "tie_every", "sections", "verify", "radon", "orthograph", "orthograph-0"])
+    lambda: bj.euclidean_section_search(DJ, []),
+], ids=["sum_acute", "tie_every", "sections", "verify", "radon", "orthograph", "orthograph-0",
+        "sections-empty"])
 def test_counts_below_the_minimum_are_rejected(call):
     with pytest.raises(InvalidCount) as info:
         call()

@@ -354,6 +354,17 @@ def test_negative_margins_exit_two(capsys, argv):
     assert "acute" not in out and "witness" not in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-6"])
+def test_sections_bad_tol_exits_two(capsys, tol):
+    # A NaN tol used to flag every candidate of a sum that has no Euclidean
+    # section, and exit 0; a negative one flagged nothing.
+    code, out, err = run(capsys, "sections", "--space", "sum(dayjames:3:1.5,linf:1)",
+                         f"--tol={tol}", "--candidates", "10")
+    assert code == 2
+    assert err.startswith("error: margin must be ")
+    assert "flagged" not in out
+
+
 def test_sections_of_a_line_exit_two(capsys):
     code, _, err = run(capsys, "sections", "--space", "linf:1", "--candidates", "3")
     assert code == 2

@@ -8,10 +8,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import bjorth as bj
+from bjorth import orthogonality
 from bjorth.errors import ZeroDirection, ZeroVector
 from bjorth.orthogonality import (
+    _INV_PHI,
     _MIN_BRACKET,
     AngleTag,
+    _golden_section_rows,
     _min_on_line,
     _min_on_lines,
     golden_section_min,
@@ -369,6 +372,8 @@ MARGIN_ENTRY_POINTS = {
     "sum_acute_equivalence_check": lambda m: bj.sum_acute_equivalence_check(
         L2, bj.LInf(1), n_samples=4, margin=m),
     "sample_orthograph": lambda m: bj.sample_orthograph(L2, [0.0, 1.0], margin=m),
+    "euclidean_section_search": lambda m: bj.euclidean_section_search(
+        L2, [bj.SectionCandidate([1.0, 0.0], [0.0, 1.0])], pair_samples=4, tol=m),
     "verify_preserver": lambda m: bj.verify_preserver(
         bj.IdentityMap(L2), 2, margin=m),
 }
@@ -624,6 +629,124 @@ def test_lockstep_oracle_matches_scalar_oracle(text):
         ref_t, ref_val, _, _ = _min_on_line(space, X[i], Y[i], 0.0)
         assert abs(val[i] - ref_val) <= 4e-16 * ref_val, i
         assert t[i] == pytest.approx(ref_t, rel=1e-6, abs=1e-6 * abs(val[i]) / space.norm(Y[i]))
+
+
+def reference_golden_section_rows(phi, lo, hi, tol=1e-10, max_iter=200):
+    """The lockstep search as it was before its state was packed: full-length
+    state arrays, scattered through the live row indices on every pass."""
+    a, b = lo.astype(float), hi.astype(float)
+    every = np.arange(len(a))
+    best_x, best_f = a.copy(), phi(every, a)
+
+    def improve(rows, t, f):
+        better = f < best_f[rows]
+        best_x[rows[better]], best_f[rows[better]] = t[better], f[better]
+
+    improve(every, b, phi(every, b))
+    h = b - a
+    rows = np.flatnonzero(h > tol)
+    c = b - _INV_PHI * h
+    d = a + _INV_PHI * h
+    fc, fd = np.empty(len(a)), np.empty(len(a))
+    fc[rows], fd[rows] = phi(rows, c[rows]), phi(rows, d[rows])
+    improve(rows, c[rows], fc[rows])
+    improve(rows, d[rows], fd[rows])
+    live = rows
+    for _ in range(max_iter):
+        live = live[h[live] > tol]
+        if not len(live):
+            break
+        left = fc[live] < fd[live]
+        lt, rt = live[left], live[~left]
+        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
+        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
+        h[live] = b[live] - a[live]
+        c[lt] = b[lt] - _INV_PHI * h[lt]
+        d[rt] = a[rt] + _INV_PHI * h[rt]
+        t = np.where(left, c[live], d[live])
+        f = phi(live, t)
+        fc[lt], fd[rt] = f[left], f[~left]
+        improve(live, t, f)
+    mid = 0.5 * (a[rows] + b[rows])
+    improve(rows, mid, phi(rows, mid))
+    return best_x, best_f
+
+
+def counted(phi):
+    """phi, and a list that collects the row indices of every evaluation."""
+    seen = []
+
+    def wrapped(rows, t):
+        seen.extend(np.asarray(rows).tolist())
+        return phi(rows, t)
+
+    return wrapped, seen
+
+
+def packed_search(phi, lo, hi, tol=1e-10, max_iter=200):
+    """_golden_section_rows with the reference's phi(rows, t): the row
+    indices are the one array packed with the state."""
+    return _golden_section_rows(phi, lo, hi, (np.arange(len(lo)),),
+                                tol=tol, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("space", SPACE_ZOO, ids=str)
+def test_packed_lockstep_is_the_reference_lockstep(space, monkeypatch):
+    X, Y = _oracle_rows(space, 8)
+    got = _min_on_lines(space, X, Y, 0.0)
+    evals = {}
+
+    def packed(phi, lo, hi, data, tol):
+        evals["packed"] = []
+
+        def phi_counted(*args):
+            evals["packed"].append(len(args[-1]))
+            return phi(*args)
+
+        return _golden_section_rows(phi_counted, lo, hi, data, tol=tol)
+
+    def reference(phi, lo, hi, data, tol):
+        row_phi, evals["reference"] = counted(lambda rows, t: phi(*(v[rows] for v in data), t))
+        return reference_golden_section_rows(row_phi, lo, hi, tol=tol)
+
+    for search in (packed, reference):
+        monkeypatch.setattr(orthogonality, "_golden_section_rows", search)
+        want = _min_on_lines(space, X, Y, 0.0)
+        for g, w in zip(got, want):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+    assert sum(evals["packed"]) == len(evals["reference"])
+
+
+# Row i minimizes |t - centre_i| + slope_i * t**2: Python floats and numpy
+# rows round it alike, so a scalar search is the same search as its row.
+CENTRES = np.array([0.3, -0.7, 1e-12, 5.0, -3.3, 0.0, 2.0**-30, 0.618])
+SLOPES = np.array([1.0, 0.25, 3.0, 1e-3, 0.0, 2.0, 0.5, 1.0])
+
+
+def bowl_rows(rows, t):
+    return np.abs(t - CENTRES[rows]) + SLOPES[rows] * t * t
+
+
+@pytest.mark.parametrize("tol, max_iter", [(1e-10, 200), (1e-3, 200), (1e-10, 7), (1e-10, 0),
+                                           (10.0, 200)])
+def test_lockstep_rows_are_scalar_searches(tol, max_iter):
+    # Brackets at, below and above tol, and caps that stop rows early.
+    lo = np.array([-1.0, -2.0, 0.0, 0.0, -5.0, 1.0, -1e-3, -4.0])
+    hi = lo + np.array([2.0, 4.0, 1e-3, 10.0, 10.0, 1e-10, 2e-3, 8.0])
+    for search in (packed_search, reference_golden_section_rows):
+        phi, seen = counted(bowl_rows)
+        best_x, best_f = search(phi, lo, hi, tol=tol, max_iter=max_iter)
+        for i in range(len(lo)):
+            calls = []
+
+            def objective(t, i=i):
+                calls.append(t)
+                return float(bowl_rows(np.array([i]), np.array([t]))[0])
+
+            want = golden_section_min(objective, lo[i], hi[i], tol=tol, max_iter=max_iter)
+            assert (float(best_x[i]).hex(), float(best_f[i]).hex()) == tuple(
+                float(v).hex() for v in want), (search.__name__, i)
+            assert seen.count(i) == len(calls), (search.__name__, i)
 
 
 @given(data=st.data(), space=st.sampled_from(SPACE_ZOO))

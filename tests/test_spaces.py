@@ -453,6 +453,63 @@ def test_check_vector_rejects_non_finite_coordinates_anywhere(space):
 
 
 # ---------------------------------------------------------------------------
+# Row kernels: the two-column p-norm and the max norms' ufunc reductions are,
+# bit for bit, the general forms they replaced.  The references below are
+# those forms.
+
+
+def pscaled_norms(X, r):
+    """_pscaled's general form: scale each row by its largest coordinate and
+    take the r-norm of the scaled row (r a number or a column of per-row
+    exponents)."""
+    A = np.abs(X)
+    M = A.max(axis=1, keepdims=True)
+    T = A / np.where(M > 0.0, M, 1.0)
+    return (M * np.sum(T**r, axis=1, keepdims=True) ** (1.0 / r))[:, 0]
+
+
+def reference_norms(space, X):
+    if isinstance(space, bj.LInf):
+        return np.abs(X).max(axis=1)
+    if isinstance(space, bj.InfSum):
+        return np.max([reference_norms(part, x) for part, x in zip(space.parts, space.split(X))],
+                      axis=0)
+    if isinstance(space, bj.DayJames):
+        same = (X[:, 0] < 0.0) == (X[:, 1] < 0.0)
+        return pscaled_norms(X, np.where(same, space.p, space.q)[:, None])
+    return pscaled_norms(X, space.p)
+
+
+def kernel_rows(dim, seed, n=3000):
+    """Rows of random signs with magnitudes from 1e-300 to 1e300, and rows
+    that are zero, on an axis, exactly tied (|a| == |b|), subnormal, or at
+    the top of the float range."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-290, 290, (n, 1))
+    X *= 10.0 ** rng.uniform(-10, 10, (n, dim))
+    X[::10] = 0.0
+    X[1::10, 1:] = 0.0
+    X[2::10, 0] = 0.0
+    X[3::10, 1] = X[3::10, 0] * rng.choice([-1.0, 1.0], len(X[3::10]))
+    X[4::10] = rng.integers(-1000, 1001, (len(X[4::10]), dim)) * 5e-324
+    X[5::10, 0] = rng.choice([-1.0, 1.0], len(X[5::10])) * 1.7976931348623157e308
+    X[6::10] = rng.choice([-1e-300, 1e-300, -1e300, 1e300], X[6::10].shape)
+    return X
+
+
+@pytest.mark.parametrize("space", [
+    bj.DayJames(3.0, 1.5), bj.DayJames(1.5, 3.0), bj.DayJames(4.0, 4.0 / 3.0),
+    bj.Lp(2, 3.0), bj.Lp(2, 1.2), bj.Lp(3, 2.5), bj.LInf(2), bj.LInf(3),
+    bj.InfSum((bj.DayJames(3.0, 1.5), bj.LInf(2))),
+    bj.InfSum((bj.InfSum((bj.LInf(2), bj.Lp(2, 3.0))), bj.Lp(3, 2.5), bj.LInf(1))),
+], ids=str)
+def test_row_norms_are_their_general_forms_bit_for_bit(space):
+    X = kernel_rows(space.dim, seed=space.dim)
+    with np.errstate(over="ignore"):
+        assert space._norms(X).tobytes() == reference_norms(space, X).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # Module boundaries.
 
 
