@@ -233,14 +233,13 @@ def euclidean_section_search(space: NormedSpace, candidates, pair_samples: int =
     prefix-stable per candidate, so flags can only shrink as pair_samples
     grows.  Flagged sections are Euclidean up to the sampling evidence; this
     falsification search is not a proof.  All draws of a block of
-    candidates are judged together, with four space._norms passes.  An empty
-    candidate list raises InvalidCount, and tol is checked as a margin is.
+    candidates are judged together, with four space._norms passes.
     """
     if not candidates:
         raise InvalidCount("candidate list must be nonempty")
     if pair_samples < 1:
         raise InvalidCount(f"pair_samples must be >= 1, got {pair_samples}")
-    check_margin(tol)
+    check_margin(tol, "tol")
     bases = [(space.check_vector(cand.u), space.check_vector(cand.v)) for cand in candidates]
     per_block = max(1, PAIR_BLOCK // pair_samples)
     flagged = []

@@ -124,14 +124,14 @@ class AngleRelations(AngleRelation):
         return self._per_scale(np.abs(mx), scale)
 
 
-def check_margin(margin: float) -> None:
+def check_margin(margin: float, name: str = "margin") -> None:
     """Reject a decision margin that is NaN or infinite (NonFiniteInput) or
     negative (InvalidMargin: the band would exclude zero and tag obtuse
-    pairs acute)."""
+    pairs acute).  name is the parameter the messages give."""
     if not math.isfinite(margin):
-        raise NonFiniteInput(f"margin must be finite, got {margin}")
+        raise NonFiniteInput(f"{name} must be finite, got {margin}")
     if margin < 0.0:
-        raise InvalidMargin(f"margin must be >= 0, got {margin}")
+        raise InvalidMargin(f"{name} must be >= 0, got {margin}")
 
 
 def classify_angle(space: NormedSpace, x, y, margin: float = MARGIN) -> AngleRelation:
@@ -276,47 +276,40 @@ def golden_section_min(phi, lo: float, hi: float, tol: float = 1e-10,
 
 def _golden_section_rows(phi, lo: np.ndarray, hi: np.ndarray, data: tuple, tol: float = 1e-10,
                          max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
-    """golden_section_min on every row at once.
+    """golden_section_min on every row at once: phi(*rows, t) evaluates at t
+    the objectives of the rows whose slices of data (arrays with a row axis
+    first) it is given.  Each row takes exactly the scalar search's bracket
+    updates and evaluations.  The rows still shrinking keep their state and
+    data packed, advanced with np.where by one phi call a pass; a row leaves
+    when its bracket reaches tol or max_iter runs out, and its midpoint is
+    evaluated after the last pass."""
+    def improve(t, f, bx, bf):
+        better = f < bf
+        return np.where(better, t, bx), np.where(better, f, bf)
 
-    data holds arrays with a row axis first; phi(*rows, t) evaluates at the
-    points t the objectives of the rows whose slices of data it is given.
-    Each row takes exactly the scalar search's bracket updates and
-    evaluations, in order.  The rows still shrinking keep their state and
-    slices of data packed, advanced with np.where by one phi call a pass; a
-    row leaves when its bracket reaches tol or max_iter runs out, and its
-    midpoint is evaluated after the last pass.
-    """
     a, b = lo.astype(float), hi.astype(float)
-    fa, fb = phi(*data, a), phi(*data, b)
-    better = fb < fa
-    best_x, best_f = np.where(better, b, a), np.where(better, fb, fa)
+    best_x, best_f = improve(b, phi(*data, b), a, phi(*data, a))
     rows = np.flatnonzero(b - a > tol)
     if not len(rows):
         return best_x, best_f
-    mids = np.empty(len(a))  # the midpoints of the rows that left
-    # Packed: row indices, slices of data, brackets [a, b] of width h with
-    # interior points c < d, and the best point and value so far.
-    idx, a, b = rows, a[rows], b[rows]
-    packed = at_rows = tuple(v[rows] for v in data)
+    # Packed: row indices, brackets [a, b] (width h, interior points c < d
+    # valued fc, fd), best points and values, data.  mids: rows that left.
+    at_rows = tuple(v[rows] for v in data)
+    idx, mids, a, b, packed = rows, a, a[rows], b[rows], at_rows
     h = b - a
     c, d = b - _INV_PHI * h, a + _INV_PHI * h
     fc, fd = phi(*packed, c), phi(*packed, d)
-    bx, bf = best_x[idx], best_f[idx]
-    for t, f in ((c, fc), (d, fd)):
-        better = f < bf
-        bx, bf = np.where(better, t, bx), np.where(better, f, bf)
+    bx, bf = improve(d, fd, *improve(c, fc, best_x[rows], best_f[rows]))
     for i in range(max_iter + 1):
         if i == max_iter or h.min() <= tol:
             done = (h <= tol) | (i == max_iter)
-            out = idx[done]
-            mids[out] = 0.5 * (a[done] + b[done])
-            best_x[out], best_f[out] = bx[done], bf[done]
-            keep = ~done
-            if not keep.any():
+            mids[idx[done]] = 0.5 * (a[done] + b[done])
+            best_x[idx[done]], best_f[idx[done]] = bx[done], bf[done]
+            if done.all():
                 break
-            idx, a, b, h, c, d, fc, fd, bx, bf = (
-                v[keep] for v in (idx, a, b, h, c, d, fc, fd, bx, bf))
-            packed = tuple(v[keep] for v in packed)
+            keep = ~done
+            idx, a, b, c, d, fc, fd, bx, bf, *packed = (
+                v[keep] for v in (idx, a, b, c, d, fc, fd, bx, bf, *packed))
         left = fc < fd
         a, b = np.where(left, a, c), np.where(left, d, b)
         h = b - a
@@ -325,12 +318,9 @@ def _golden_section_rows(phi, lo: np.ndarray, hi: np.ndarray, data: tuple, tol: 
         f = phi(*packed, t)
         c, d = np.where(left, t, d), np.where(left, c, t)
         fc, fd = np.where(left, f, fd), np.where(left, fc, f)
-        better = f < bf
-        bx, bf = np.where(better, t, bx), np.where(better, f, bf)
+        bx, bf = improve(t, f, bx, bf)
     mid = mids[rows]
-    fm = phi(*at_rows, mid)
-    better = fm < best_f[rows]
-    best_x[rows[better]], best_f[rows[better]] = mid[better], fm[better]
+    best_x[rows], best_f[rows] = improve(mid, phi(*at_rows, mid), best_x[rows], best_f[rows])
     return best_x, best_f
 
 
@@ -432,8 +422,8 @@ def oracle_min_over_line(space: NormedSpace, x, y,
     ||x|| is beyond 2**1020, x is scaled down by a power of two for the
     search, and the min, returned in units of x, is inf when it is past the
     float range.  On Lp and Day-James planes the objective runs on Python
-    floats through the plane's scalar norm, with the same roundings as the
-    array form ||x + t*y||, so the results are the same bit for bit.
+    floats (spaces._line2), with the same roundings as the array form
+    ||x + t*y||, so the results are the same bit for bit.
     """
     xa = space.check_vector(x)
     ya = space.check_vector(y)

@@ -96,19 +96,15 @@ def _pgrad2(a: float, b: float, r: float) -> tuple[float, float]:
 
 
 def _line2(xa: np.ndarray, ya: np.ndarray, p: float, q: float):
-    """NormedSpace._line of a plane on Python floats: one _pnorm2 call with
-    exponent p where the coordinates share a sign and q elsewhere (the test of
-    DayJames._exponent_at, skipped when p == q; Lp planes pass q = p).
-    x0 + t*y0 rounds twice, as numpy's xa + t*ya does (no FMA), so the values
-    are the array form's bit for bit."""
+    """NormedSpace._line of a plane on Python floats: _pnorm2 with exponent p
+    where the coordinates share a sign, else q (Lp planes pass q = p).  The
+    values are the array form's bit for bit: x0 + t*y0 rounds twice, as
+    numpy's xa + t*ya does (no FMA)."""
     x0, x1, y0, y1 = float(xa[0]), float(xa[1]), float(ya[0]), float(ya[1])
-    if p == q:
-        return lambda t: _pnorm2(x0 + t * y0, x1 + t * y1, p)
 
     def line(t):
         a, b = x0 + t * y0, x1 + t * y1
         return _pnorm2(a, b, p if (a < 0.0) == (b < 0.0) else q)
-
     return line
 
 
@@ -125,8 +121,9 @@ def _pscaled(X: np.ndarray, r):
 def _pnorms(X: np.ndarray, r) -> np.ndarray:
     """Row-wise p-norms, the array form of _pnorm2; r is a number or, for two
     columns, a vector of per-row exponents.  Two columns take _pscaled's form
-    as M * (1 + (m/M)**r) ** (1/r), M >= m the absolute coordinates: the
-    larger one's scaled power is exactly 1.0, so one power per row is saved."""
+    as M * (1 + (m/M)**r) ** (1/r), M >= m the absolute coordinates, with one
+    power a row: bit for bit _pscaled's floats on finite rows (an infinite
+    coordinate gives inf here and NaN there)."""
     if X.shape[1] != 2:
         M, _, S = _pscaled(X, r)
         return (M * S)[:, 0]

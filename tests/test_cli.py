@@ -361,7 +361,7 @@ def test_sections_bad_tol_exits_two(capsys, tol):
     code, out, err = run(capsys, "sections", "--space", "sum(dayjames:3:1.5,linf:1)",
                          f"--tol={tol}", "--candidates", "10")
     assert code == 2
-    assert err.startswith("error: margin must be ")
+    assert err.startswith("error: tol must be ")
     assert "flagged" not in out
 
 

@@ -454,8 +454,8 @@ def test_check_vector_rejects_non_finite_coordinates_anywhere(space):
 
 # ---------------------------------------------------------------------------
 # Row kernels: the two-column p-norm and the max norms' ufunc reductions are,
-# bit for bit, the general forms they replaced.  The references below are
-# those forms.
+# bit for bit on finite rows, the general forms they replaced.  The references
+# below are those forms.
 
 
 def pscaled_norms(X, r):
