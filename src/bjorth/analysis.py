@@ -91,47 +91,42 @@ class SmoothnessProbe:
     worst_gap: float
 
 
-def _tie_probes(space: NormedSpace) -> list[tuple[np.ndarray, list[np.ndarray]]]:
-    """Deterministic probe points at norm-attainment ties, with the
+def _tie_probe(space: NormedSpace) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A deterministic probe point at a norm-attainment tie, with the
     difference directions along which a kink would show."""
-    probes = []
     if isinstance(space, LInf):
-        x = np.ones(space.dim)
         dirs = []
         if space.dim >= 2:
             d = np.zeros(space.dim)
             d[0], d[1] = 1.0, -1.0
             dirs.append(d / math.sqrt(2.0))
-        probes.append((x, dirs))
-    elif isinstance(space, InfSum):
+        return np.ones(space.dim), dirs
+    if isinstance(space, InfSum):
         units = [np.ones(p.dim) / p._norm(np.ones(p.dim)) for p in space.parts]
-        x = np.concatenate(units)
-        off = space._offsets
         d = np.zeros(space.dim)
-        d[off[0] : off[1]] = units[0] / math.sqrt(2.0)
-        d[off[1] : off[2]] = -units[1] / math.sqrt(2.0)
-        probes.append((x, [d]))
-    else:
-        x = np.ones(space.dim)
-        probes.append((x / space._norm(x), []))
-    return probes
+        first, second = space.split(d)[:2]
+        first[:] = units[0] / math.sqrt(2.0)
+        second[:] = -units[1] / math.sqrt(2.0)
+        return np.concatenate(units), [d]
+    x = np.ones(space.dim)
+    return x / space._norm(x), []
 
 
-def smoothness_probe(space: NormedSpace, samples: int = 200, seed: int = 0,
-                     step: float = 1e-6, gap_tol: float = 1e-4) -> SmoothnessProbe:
+def smoothness_probe(space: NormedSpace, samples: int = 200, seed: int = 0) -> SmoothnessProbe:
     """Empirical smoothness check.
 
-    Compares left and right difference quotients of the norm along random
-    directions at random unit vectors and at deterministic tie probes, and
-    requires a singleton support set at every probe including the axes.
-    Axis neighborhoods enter only through the singleton test: one-sided
-    quotients converge like step^(min(p,q)-1) there, too slowly at the
-    default step to compare against the gap tolerance, so random probes
-    keep their smallest coordinate away from zero.
+    Compares left and right difference quotients of the norm at step 1e-6
+    along random directions at random unit vectors and at a deterministic
+    tie probe (a gap above 1e-4 is a kink), and requires a singleton
+    support set at every probe including the axes.  Axis neighborhoods
+    enter only through the singleton test: one-sided quotients converge
+    like step^(min(p,q)-1) there, too slowly to compare against the gap
+    bound, so random probes keep their smallest coordinate away from zero.
     """
     rng = np.random.default_rng(seed)
     worst_gap = 0.0
     singletons = True
+    step = 1e-6
 
     def gap_at(x: np.ndarray, d: np.ndarray) -> float:
         n0 = space._norm(x)
@@ -149,12 +144,12 @@ def smoothness_probe(space: NormedSpace, samples: int = 200, seed: int = 0,
         for x in (e, -e):
             singletons = singletons and len(space._support(x)) == 1
 
-    for x, dirs in _tie_probes(space):
-        singletons = singletons and len(space._support(x)) == 1
-        for d in dirs:
-            worst_gap = max(worst_gap, gap_at(x, d))
-        for _ in range(2):
-            worst_gap = max(worst_gap, gap_at(x, random_dir()))
+    x, dirs = _tie_probe(space)
+    singletons = singletons and len(space._support(x)) == 1
+    for d in dirs:
+        worst_gap = max(worst_gap, gap_at(x, d))
+    for _ in range(2):
+        worst_gap = max(worst_gap, gap_at(x, random_dir()))
 
     for _ in range(samples):
         x = random_unit(space, rng)
@@ -164,7 +159,7 @@ def smoothness_probe(space: NormedSpace, samples: int = 200, seed: int = 0,
             worst_gap = max(worst_gap, gap_at(x, random_dir()))
         singletons = singletons and len(space._support(x)) == 1
 
-    return SmoothnessProbe(smooth=bool(worst_gap <= gap_tol and singletons),
+    return SmoothnessProbe(smooth=bool(worst_gap <= 1e-4 and singletons),
                            worst_gap=float(worst_gap))
 
 
@@ -361,6 +356,8 @@ def sum_acute_equivalence_check(space_x: NormedSpace, space_y: NormedSpace,
         raise InvalidCount(f"n_samples and tie_every must be >= 1, got {n_samples}, {tie_every}")
     check_margin(margin)
     band = oracle_exclusion_band(margin) if boundary_band is None else boundary_band
+    check_margin(band, "boundary_band")
+    check_margin(tie_band, "tie_band")
     sum_space = InfSum((space_x, space_y))
     dim, dx = sum_space.dim, space_x.dim
     tie_part = 1 if isinstance(space_y, LInf) else 0 if isinstance(space_x, LInf) else None
@@ -445,20 +442,16 @@ def sample_orthograph(space: NormedSpace, directions, margin: float = MARGIN) ->
     """
     check_margin(margin)
     if isinstance(directions, (int, np.integer)):
-        if space.dim != 2:
-            raise NotAPlane("angle sampling needs a two-dimensional space")
         if directions < 1:
             raise InvalidCount(f"directions must be >= 1, got {directions}")
-        vectors = [unit_vector_at_angle(space, float(t))
-                   for t in np.linspace(0.0, math.pi, int(directions), endpoint=False)]
+        directions = np.linspace(0.0, math.pi, int(directions), endpoint=False)
+    items = list(directions)
+    if items and np.isscalar(items[0]):
+        if space.dim != 2:
+            raise NotAPlane("angle sampling needs a two-dimensional space")
+        vectors = [unit_vector_at_angle(space, float(t)) for t in items]
     else:
-        items = list(directions)
-        if items and np.isscalar(items[0]):
-            if space.dim != 2:
-                raise NotAPlane("angle sampling needs a two-dimensional space")
-            vectors = [unit_vector_at_angle(space, float(t)) for t in items]
-        else:
-            vectors = [space.check_vector(v) for v in items]
+        vectors = [space.check_vector(v) for v in items]
     n = len(vectors)
     V = np.reshape(vectors, (n, space.dim))
     i, j = np.triu_indices(n, 1)

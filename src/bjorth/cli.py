@@ -53,13 +53,27 @@ def load_space(descriptor: str) -> NormedSpace:
     return parse_space(descriptor)
 
 
-def _out_path(name: str | None) -> Path | None:
-    if name is None:
-        return None
+def _out_path(name: str) -> Path:
     p = Path(name)
     if p.is_absolute():
         return p
     return Path(os.environ.get("BJORTH_OUTDIR", ".")) / p
+
+
+def _emit(name: str | None, write) -> None:
+    """Write an artifact by write(path) to the --out path name, if given."""
+    if name is not None:
+        path = _out_path(name)
+        write(path)
+        print(f"wrote {path}")
+
+
+def _seed(text: str) -> int:
+    """The type of every --seed: numpy's generators take integers >= 0."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _coords(text: str) -> np.ndarray:
@@ -129,10 +143,7 @@ def cmd_radon(args) -> int:
     print(f"defect: {fmt_float(scan.defect)}")
     if scan.witness is not None:
         print(f"witness: theta={fmt_float(scan.witness[0])} theta_star={fmt_float(scan.witness[1])}")
-    out = _out_path(args.out)
-    if out is not None:
-        _write_radon(out, scan)
-        print(f"wrote {out}")
+    _emit(args.out, lambda path: _write_radon(path, scan))
     return 0 if scan.defect <= args.margin else 1
 
 
@@ -154,10 +165,7 @@ def cmd_preserver_build(args) -> int:
     print(f"nodes: {len(table.grid)}")
     print(f"endpoints: {fmt_float(float(table.values[0]))} {fmt_float(float(table.values[-1]))}")
     print(f"max_residual: {fmt_float(float(table.residuals.max()))}")
-    out = _out_path(args.out)
-    if out is not None:
-        table.to_csv(out)
-        print(f"wrote {out}")
+    _emit(args.out, table.to_csv)
     return 0
 
 
@@ -170,10 +178,7 @@ def cmd_preserver_verify(args) -> int:
     print(f"pass: {'yes' if report.passed else 'no'}")
     print(f"disagreements: {report.disagreements}")
     print(f"max_norm_error: {fmt_float(report.max_norm_error)}")
-    out = _out_path(args.out)
-    if out is not None:
-        write_json(out, report.to_dict())
-        print(f"wrote {out}")
+    _emit(args.out, lambda path: write_json(path, report.to_dict()))
     return 0 if report.passed else 1
 
 
@@ -184,10 +189,7 @@ def cmd_sections(args) -> int:
     print(f"space: {record['space']}")
     print(f"candidates: {record['candidates']}")
     print(f"flagged: {len(record['flagged'])}")
-    out = _out_path(args.out)
-    if out is not None:
-        write_json(out, record)
-        print(f"wrote {out}")
+    _emit(args.out, lambda path: write_json(path, record))
     return 0
 
 
@@ -201,36 +203,25 @@ def cmd_sum_acute(args) -> int:
     print(f"spaces: {format_space(space_x)} (+) {format_space(space_y)}")
     print(f"disagreements: {report.disagreements}")
     print(f"excluded_fraction: {fmt_float(report.excluded_fraction)}")
-    out = _out_path(args.out)
-    if out is not None:
-        write_json(out, report.to_dict())
-        print(f"wrote {out}")
+    _emit(args.out, lambda path: write_json(path, report.to_dict()))
     return 0 if report.passed else 1
 
 
 def cmd_orthograph(args) -> int:
     space = load_space(args.space)
     _print_header()
-    if args.angles is not None:
-        directions = [float(t) for t in args.angles.split(",")]
-    else:
-        directions = args.directions
+    directions = args.directions if args.angles is None else _coords(args.angles)
     graph = sample_orthograph(space, directions, margin=args.margin)
     print(f"vertices: {len(graph.vectors)}")
     print(f"edges: {len(graph.edge_list())}")
-    out = _out_path(args.out)
-    if out is not None:
-        graph.write_edges(out)
-        print(f"wrote {out}")
+    _emit(args.out, graph.write_edges)
     return 0
 
 
 def cmd_circle(args) -> int:
     space = load_space(args.space)
     _print_header()
-    out = _out_path(args.out)
-    _write_circle(out, space, args.grid)
-    print(f"wrote {out}")
+    _emit(args.out, lambda path: _write_circle(path, space, args.grid))
     return 0
 
 
@@ -342,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("smooth", help="probe norm smoothness")
     p.add_argument("--space", required=True)
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_smooth)
 
     p = sub.add_parser("preserver-build", help="tabulate the plane preserver pairing")
@@ -356,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=1024)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--margin", type=float, default=MARGIN)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_preserver_verify)
 
@@ -365,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", type=int, default=1000)
     p.add_argument("--pair-samples", type=int, default=64)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sections)
 
@@ -374,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-space", required=True)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--margin", type=float, default=MARGIN)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sum_acute)
 
@@ -394,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="run the full certification sweep and write every artifact")
     p.add_argument("--out", default="out")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--fast", action="store_true",
                    help="smaller grids and sample counts for a quick pass")
     p.set_defaults(func=cmd_certify)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidMargin, NonFiniteInput, ZeroDirection, ZeroVector
-from .spaces import TAU_TIE, DayJames, InfSum, LInf, Lp, NormedSpace
+from .spaces import TAU_TIE, DayJames, InfSum, LInf, Lp, NormedSpace, top_exponents
 
 # Default decision margin, relative to the norm of the right argument.
 MARGIN = 1e-9
@@ -156,7 +156,7 @@ def _classify(space: NormedSpace, xa: np.ndarray, ya: np.ndarray,
     k = 0
     if scale == math.inf:
         # The relation is homogeneous in y: decide on y * 2**-k instead.
-        k = int(_top_exponents(ya))
+        k = int(top_exponents(ya))
         ya = np.ldexp(ya, -k)
         scale = space._norm(ya)
     vals = [float(np.dot(f, ya)) for f in space._support(xa)]
@@ -198,7 +198,7 @@ def classify_many(space: NormedSpace, X, Y, margin: float = MARGIN) -> AngleRela
     k = np.zeros(n, dtype=int)
     big = scale == math.inf
     if big.any():  # as in classify_angle
-        k[big] = _top_exponents(Y[big])
+        k[big] = top_exponents(Y[big])
         Y = np.ldexp(Y, -k[:, None])
         scale[big] = space._norms(Y[big])
     mn[live], mx[live] = space._bounds(X[live], Y[live])
@@ -344,14 +344,8 @@ def _unscaled(t, e):
         return np.ldexp(t, e)
 
 
-def _top_exponents(V: np.ndarray):
-    """The exponents e that put the largest coordinate of V * 2**-e (of a
-    vector, or of each row) in [1/2, 1)."""
-    return np.frexp(np.abs(V).max(axis=-1))[1]
-
-
-def _min_on_line(space: NormedSpace, xa: np.ndarray, ya: np.ndarray, lo: float,
-                 tol: float = 1e-10) -> tuple[float, float, float, int]:
+def _min_on_line(space: NormedSpace, xa: np.ndarray, ya: np.ndarray,
+                 lo: float) -> tuple[float, float, float, int]:
     """oracle_min_over_line over [lo * L, L] on checked arrays, y != 0.
 
     Returns (argmin, min, ||x||, s): the argmin in units of y, and the min
@@ -362,7 +356,7 @@ def _min_on_line(space: NormedSpace, xa: np.ndarray, ya: np.ndarray, lo: float,
     nx, ny = space._norm(xa), space._norm(ya)  # scalar norms overflow to inf quietly
     s = 0
     if nx > _MAX_NORM:
-        s = int(_top_exponents(xa))
+        s = int(top_exponents(xa))
         xa = np.ldexp(xa, -s)
         nx = space._norm(xa)
     if nx == 0.0:
@@ -372,15 +366,15 @@ def _min_on_line(space: NormedSpace, xa: np.ndarray, ya: np.ndarray, lo: float,
     if not _MIN_BRACKET <= lam < math.inf:
         # An overflowing ||y|| takes its exponent from y's largest coordinate.
         e = math.frexp(nx)[1] - (math.frexp(ny)[1] if ny < math.inf
-                                 else int(_top_exponents(ya)))
+                                 else int(top_exponents(ya)))
         ya = np.ldexp(ya, e)
         lam = 2.0 * nx / space._norm(ya)
-    t, val = golden_section_min(space._line(xa, ya), lo * lam, lam, tol=tol)
+    t, val = golden_section_min(space._line(xa, ya), lo * lam, lam)
     return (float(_unscaled(t, e + s)) if e + s else t), val, nx, s
 
 
-def _min_on_lines(space: NormedSpace, X: np.ndarray, Y: np.ndarray, lo: float,
-                  tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _min_on_lines(space: NormedSpace, X: np.ndarray, Y: np.ndarray,
+                  lo: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """_min_on_line on every row pair, nonzero x and y, with its rescaling
     rules, in lockstep passes of space._norms."""
     with np.errstate(over="ignore"):
@@ -389,7 +383,7 @@ def _min_on_lines(space: NormedSpace, X: np.ndarray, Y: np.ndarray, lo: float,
     s = np.zeros(len(X), dtype=int)
     big = nx > _MAX_NORM
     if big.any():
-        s[big] = _top_exponents(X[big])
+        s[big] = top_exponents(X[big])
         X = X.copy()
         X[big] = np.ldexp(X[big], -s[big, None])
         nx[big] = space._norms(X[big])
@@ -398,38 +392,37 @@ def _min_on_lines(space: NormedSpace, X: np.ndarray, Y: np.ndarray, lo: float,
     e = np.zeros(len(X), dtype=int)
     far = ~((lam >= _MIN_BRACKET) & (lam < math.inf))
     if far.any():
-        ey = np.where(ny[far] < math.inf, np.frexp(ny[far])[1], _top_exponents(Y[far]))
+        ey = np.where(ny[far] < math.inf, np.frexp(ny[far])[1], top_exponents(Y[far]))
         e[far] = np.frexp(nx[far])[1] - ey
         Y = Y.copy()
         Y[far] = np.ldexp(Y[far], e[far, None])
         lam[far] = 2.0 * nx[far] / space._norms(Y[far])
     phi = lambda x, y, t: space._norms(x + t[:, None] * y)
-    t, val = _golden_section_rows(phi, lo * lam, lam, (X, Y), tol=tol)
+    t, val = _golden_section_rows(phi, lo * lam, lam, (X, Y))
     return _unscaled(t, e + s), val, nx, s
 
 
-def oracle_min_over_line(space: NormedSpace, x, y,
-                         tol: float = 1e-10) -> tuple[float, float]:
+def oracle_min_over_line(space: NormedSpace, x, y) -> tuple[float, float]:
     """Directly minimize t -> ||x + t*y|| over t.
 
     Any minimizer lies in [-L, L] with L = 2||x||/||y||, since beyond that
     the reverse triangle inequality forces the value above ||x||.  Returns
-    (argmin, min) with the argmin resolved to absolute tolerance tol.  When
-    L is not finite or far below one, the search runs on y rescaled by a
-    power of two: tol then applies in those units, and the argmin, returned
-    in units of y, can overflow to +-inf; when ||y|| is itself past the
-    float range, the power of two comes from y's largest coordinate.  When
-    ||x|| is beyond 2**1020, x is scaled down by a power of two for the
-    search, and the min, returned in units of x, is inf when it is past the
-    float range.  On Lp and Day-James planes the objective runs on Python
-    floats (spaces._line2), with the same roundings as the array form
-    ||x + t*y||, so the results are the same bit for bit.
+    (argmin, min) with the argmin resolved to absolute tolerance 1e-10.
+    When L is not finite or far below one, the search runs on y rescaled by
+    a power of two: the tolerance then applies in those units, and the
+    argmin, returned in units of y, can overflow to +-inf; when ||y|| is
+    itself past the float range, the power of two comes from y's largest
+    coordinate.  When ||x|| is beyond 2**1020, x is scaled down by a power
+    of two for the search, and the min, returned in units of x, is inf when
+    it is past the float range.  On Lp and Day-James planes the objective
+    runs on Python floats (spaces._line2), with the same roundings as the
+    array form ||x + t*y||, so the results are the same bit for bit.
     """
     xa = space.check_vector(x)
     ya = space.check_vector(y)
     if not ya.any():
         raise ZeroDirection("line minimization needs y != 0")
-    t, val, _, s = _min_on_line(space, xa, ya, -1.0, tol)
+    t, val, _, s = _min_on_line(space, xa, ya, -1.0)
     return t, (float(_unscaled(val, s)) if s else val)
 
 
@@ -511,8 +504,7 @@ def _orthogonal_direction(space: NormedSpace, xa: np.ndarray,
         norms = [part._norm(piece) for part, piece in zip(space.parts, pieces)]
         k = norms.index(max(norms))
         out = np.zeros(space.dim)
-        off = space._offsets
-        out[off[k] : off[k + 1]] = _orthogonal_direction(space.parts[k], pieces[k], rng)
+        space.split(out)[k][:] = _orthogonal_direction(space.parts[k], pieces[k], rng)
         return out
     if isinstance(space, LInf):
         m = max(map(abs, xa.tolist()))

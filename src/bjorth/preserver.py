@@ -60,14 +60,14 @@ def _is_radon_target(plane: NormedSpace) -> bool:
     return isinstance(plane, Lp) and plane.dim == 2 and plane.p == 2.0
 
 
-def solve_eta(plane: NormedSpace, theta: float, tol: float = 1e-12) -> float:
+def solve_eta(plane: NormedSpace, theta: float) -> float:
     """Angle in [pi/2, pi] whose unit vector is orthogonal to y(theta).
 
     Solves g(t) = f(y(t)) = 0 over [pi/2, pi] in closed form, where f is the
-    unique norming functional at y(theta); g starts nonnegative and ends
-    nonpositive for every first-quadrant direction of a smooth plane (else
-    NoBracket), and a root whose residual |g| exceeds the tolerance raises
-    NonConvergence.  The endpoints 0 and pi/2 map to pi/2 and pi exactly.
+    unique norming functional at y(theta); g starts at least -1e-12 ||f|| and
+    ends at most 1e-12 ||f|| on every first-quadrant direction of a smooth
+    plane (else NoBracket), and a root whose residual |g| exceeds 1e-10 ||f||
+    raises NonConvergence.  The endpoints 0 and pi/2 map to pi/2 and pi exactly.
     """
     if not _is_radon_target(plane):
         raise NotRadonPlane(f"not a supported smooth Radon plane: {plane!r}")
@@ -87,13 +87,13 @@ def solve_eta(plane: NormedSpace, theta: float, tol: float = 1e-12) -> float:
         return fa * math.cos(t) + fb * math.sin(t)
 
     glo, ghi = g(HALF_PI), g(math.pi)
-    if glo < -tol * fnorm or ghi > tol * fnorm:
+    if glo < -1e-12 * fnorm or ghi > 1e-12 * fnorm:
         raise NoBracket(
             f"f(y(t)) does not change sign on [pi/2, pi] at theta={theta}"
         )
     root = pairing_angle(fa, fb, HALF_PI, math.pi)
     resid = abs(g(root)) / plane._norm2(math.cos(root), math.sin(root))
-    if resid > max(tol, 1e-10) * fnorm:
+    if resid > 1e-10 * fnorm:
         raise NonConvergence(f"orthogonality residual {resid} at theta={theta}")
     return root
 
@@ -423,8 +423,7 @@ def _pair_agreement(rel_s: AngleRelations, rel_t: AngleRelations,
 
 
 def verify_preserver(pmap: PreserverMap, n_samples: int, margin: float = MARGIN,
-                     seed: int = 0, boundary_band: float | None = None,
-                     norm_tol: float = 1e-9, homog_tol: float = 1e-12) -> VerificationReport:
+                     seed: int = 0) -> VerificationReport:
     """Certify a map on seeded random pairs from its source space.
 
     Each sample draws a random pair (x, y) plus a constructed pair
@@ -432,9 +431,10 @@ def verify_preserver(pmap: PreserverMap, n_samples: int, margin: float = MARGIN,
     orthogonal, so the constructed ones are what make the orthogonality
     comparison informative in both directions.  Only random pairs are
     compared on acuteness (y_perp sits on the acute boundary by
-    construction).  boundary_excluded counts the comparisons skipped as too
-    close to a decision boundary to adjudicate.  Homogeneity is probed on
-    every fifth sample and the continuity modulus on every tenth.
+    construction).  boundary_excluded counts the comparisons skipped within
+    10 * margin of a decision boundary.  Homogeneity is probed on every
+    fifth sample and the continuity modulus on every tenth.  A pass allows
+    no disagreement, norm errors to 1e-9 and homogeneity errors to 1e-12.
 
     The sweep runs in three phases.  The draw phase reads sample i's row of
     the seeded draw table (sampling.draw_rows), 6 * dim + 2 normals wide:
@@ -455,7 +455,6 @@ def verify_preserver(pmap: PreserverMap, n_samples: int, margin: float = MARGIN,
     if n_samples < 1:
         raise InvalidCount(f"n_samples must be >= 1, got {n_samples}")
     check_margin(margin)
-    band = 10.0 * margin if boundary_band is None else boundary_band
     src, tgt = pmap.source, pmap.target
     n, m = n_samples, src.dim
 
@@ -497,15 +496,11 @@ def verify_preserver(pmap: PreserverMap, n_samples: int, margin: float = MARGIN,
     excluded, orth_dis, acute_dis = _pair_agreement(
         classify_many(src, *pairs(X, Y, Yp), margin),
         classify_many(tgt, *pairs(TX, images[n : 2 * n], images[2 * n : 3 * n]), margin),
-        band,
+        10.0 * margin,
     )
     disagreeing = np.flatnonzero(orth_dis + acute_dis)
 
-    passed = (
-        len(disagreeing) == 0
-        and max_norm_err <= norm_tol
-        and max_homog_err <= homog_tol
-    )
+    passed = len(disagreeing) == 0 and max_norm_err <= 1e-9 and max_homog_err <= 1e-12
     return VerificationReport(
         samples=n_samples,
         boundary_excluded=excluded,

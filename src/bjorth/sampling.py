@@ -23,12 +23,11 @@ MIN_SAMPLE_NORM = 1e-3
 BLOCK = 64
 
 
-def random_nonzero(space: NormedSpace, rng: np.random.Generator,
-                   min_norm: float = MIN_SAMPLE_NORM) -> np.ndarray:
-    """Standard-normal coordinates, rejecting vectors of tiny norm."""
+def random_nonzero(space: NormedSpace, rng: np.random.Generator) -> np.ndarray:
+    """Standard-normal coordinates, rejecting norms below MIN_SAMPLE_NORM."""
     while True:
         v = rng.standard_normal(space.dim)
-        if space._norm(v) >= min_norm:
+        if space._norm(v) >= MIN_SAMPLE_NORM:
             return v
 
 

@@ -140,10 +140,10 @@ def _pbounds(X: np.ndarray, Y: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
     return b, b
 
 
-def _shrunk(X: np.ndarray) -> np.ndarray:
-    """X (a vector or rows) scaled by the exact powers of two that put the
-    largest coordinate of each row in [1/2, 1)."""
-    return np.ldexp(X, -np.frexp(np.abs(X).max(axis=-1, keepdims=True))[1])
+def top_exponents(V: np.ndarray):
+    """The exponents e that put the largest coordinate of V * 2**-e (of a
+    vector, or of each row) in [1/2, 1)."""
+    return np.frexp(np.abs(V).max(axis=-1))[1]
 
 
 class NormedSpace(ABC):
@@ -385,6 +385,9 @@ class InfSum(NormedSpace):
         for part in parts:
             offsets.append(offsets[-1] + part.dim)
         object.__setattr__(self, "_offsets", tuple(offsets))
+        # split's index of each part's columns, for a vector or rows alike.
+        object.__setattr__(self, "_columns", tuple(
+            (..., slice(a, b)) for a, b in zip(offsets, offsets[1:])))
 
     @property
     def dim(self) -> int:
@@ -393,8 +396,7 @@ class InfSum(NormedSpace):
     def split(self, arr: np.ndarray) -> list[np.ndarray]:
         """Views of the part restrictions of a checked vector (or of the
         rows of an (n, dim) array)."""
-        off = self._offsets
-        return [arr[..., off[k] : off[k + 1]] for k in range(len(self.parts))]
+        return [arr[c] for c in self._columns]
 
     def _norm(self, arr):
         off = self._offsets
@@ -410,7 +412,7 @@ class InfSum(NormedSpace):
         if total == math.inf:
             # Finite parts whose norm overflows.  Functionals do not change
             # with the scale of x: take them at x scaled by a power of two.
-            return self._support(_shrunk(arr))
+            return self._support(np.ldexp(arr, -top_exponents(arr)))
         out = []
         for k, part in enumerate(self.parts):
             if norms[k] >= (1.0 - TAU_TIE) * total:
@@ -432,7 +434,7 @@ class InfSum(NormedSpace):
         big = total == math.inf
         if big.any():  # as in _support
             X = X.copy()
-            X[big] = _shrunk(X[big])
+            X[big] = np.ldexp(X[big], -top_exponents(X[big])[:, None])
             return self._bounds(X, Y)
         mn, mx = np.full(len(X), np.inf), np.full(len(X), -np.inf)
         for part, x, y, nk in zip(self.parts, xs, ys, norms):
@@ -446,22 +448,21 @@ class InfSum(NormedSpace):
 def validate_space(descriptor) -> NormedSpace:
     """Build a checked space from a raw JSON-style description.
 
-    Accepts an already-built NormedSpace unchanged.  Descriptions are
-    dicts: {"type": "lp", "dim": 2, "p": 3.0}, {"type": "linf", "dim": 4},
-    {"type": "day_james", "p": 3.0, "q": 1.5}, or
-    {"type": "inf_sum", "parts": [...]} recursively.
+    Descriptions are dicts: {"type": "lp", "dim": 2, "p": 3.0},
+    {"type": "linf", "dim": 4}, {"type": "day_james", "p": 3.0, "q": 1.5},
+    or {"type": "inf_sum", "parts": [...]} recursively.
     """
-    if isinstance(descriptor, NormedSpace):
-        return descriptor
     if not isinstance(descriptor, dict):
         raise ParseError(f"space description must be a dict, got {type(descriptor).__name__}")
     kind = descriptor.get("type")
     if kind == "lp":
-        return Lp(dim=_as_int(descriptor, "dim"), p=_as_float(descriptor, "p"))
+        return Lp(dim=_field(descriptor, "dim", _parse_int),
+                  p=_field(descriptor, "p", _parse_float))
     if kind == "linf":
-        return LInf(dim=_as_int(descriptor, "dim"))
+        return LInf(dim=_field(descriptor, "dim", _parse_int))
     if kind == "day_james":
-        return DayJames(p=_as_float(descriptor, "p"), q=_as_float(descriptor, "q"))
+        return DayJames(p=_field(descriptor, "p", _parse_float),
+                        q=_field(descriptor, "q", _parse_float))
     if kind == "inf_sum":
         parts = descriptor.get("parts")
         if not isinstance(parts, (list, tuple)):
@@ -470,22 +471,11 @@ def validate_space(descriptor) -> NormedSpace:
     raise ParseError(f"unknown space type: {kind!r}")
 
 
-def _as_int(d: dict, key: str) -> int:
+def _field(d: dict, key: str, parse):
+    """Field key of a JSON description, read by _parse_int or _parse_float."""
     if key not in d:
         raise ParseError(f"missing field {key!r}")
-    v = d[key]
-    if isinstance(v, bool) or (isinstance(v, float) and int(v) != v):
-        raise BadDimension(f"field {key!r} must be an integer, got {v!r}")
-    return int(v)
-
-
-def _as_float(d: dict, key: str) -> float:
-    if key not in d:
-        raise ParseError(f"missing field {key!r}")
-    try:
-        return float(d[key])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"field {key!r} must be a number, got {d[key]!r}") from exc
+    return parse(d[key], f"field {key}")
 
 
 def space_to_dict(space: NormedSpace) -> dict:
@@ -560,30 +550,40 @@ def parse_space(text: str) -> NormedSpace:
     raise ParseError(f"cannot parse space descriptor {text!r}")
 
 
-def _parse_int(token: str, context: str) -> int:
+# The number readers of both grammars: a token of the compact form or a value
+# of the JSON form; context names where it stands in error messages.
+def _parse_int(token, context: str) -> int:
+    if isinstance(token, bool) or (isinstance(token, float) and not token.is_integer()):
+        raise BadDimension(f"expected an integer, got {token!r} in {context!r}")
     try:
         return int(token)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"expected an integer, got {token!r} in {context!r}") from exc
 
 
-def _parse_float(token: str, context: str) -> float:
+def _parse_float(token, context: str) -> float:
     try:
         return float(token)
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"expected a number, got {token!r} in {context!r}") from exc
 
 
 def load_space_file(path) -> NormedSpace:
     """Read a JSON space description from a file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return validate_space(json.load(fh))
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # malformed, not UTF-8, too deep
+            raise ParseError(f"cannot read {path} as JSON: {exc}") from exc
+    return validate_space(data)
 
 
 def unit_vector_at_angle(plane: NormedSpace, theta: float) -> np.ndarray:
     """(cos t, sin t) rescaled to norm one in a two-dimensional space."""
     if plane.dim != 2:
         raise NotAPlane(f"expected a plane, got dimension {plane.dim}")
+    if not math.isfinite(theta):
+        raise NonFiniteInput(f"angle must be finite, got {theta}")
     c, s = math.cos(theta), math.sin(theta)
     n = plane._norm(np.array([c, s]))
     return np.array([c / n, s / n])

@@ -65,12 +65,12 @@ def test_criterion_2_eta_construction():
 def test_criterion_3_preserver_correctness():
     t0 = time.perf_counter()
     pmap = bj.build_preserver(DJ, 1024)
-    report = bj.verify_preserver(pmap, 10000, margin=1e-9, seed=0, boundary_band=1e-8)
+    report = bj.verify_preserver(pmap, 10000, margin=1e-9, seed=0)
 
     fault = bj.build_preserver(DJ, 1024)
     values = fault.eta.values
     values[300], values[700] = values[700], values[300]
-    fault_report = bj.verify_preserver(fault, 10000, margin=1e-9, seed=7, boundary_band=1e-8)
+    fault_report = bj.verify_preserver(fault, 10000, margin=1e-9, seed=7)
     dt = time.perf_counter() - t0
 
     ok = (
@@ -99,7 +99,7 @@ def test_criterion_4_sum_lifting():
     ok = True
     for n in (1, 2, 8):
         sm = bj.compose_inf_sum([plane_map, bj.IdentityMap(bj.LInf(n))])
-        report = bj.verify_preserver(sm, 10000, margin=1e-9, seed=0, boundary_band=1e-8)
+        report = bj.verify_preserver(sm, 10000, margin=1e-9, seed=0)
         ok = (
             ok
             and report.passed

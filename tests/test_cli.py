@@ -371,6 +371,48 @@ def test_sections_of_a_line_exit_two(capsys):
     assert err.startswith("error: ") and "no 2-D sections" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["preserver-verify", "--target", "dayjames:3:1.5", "--grid", "64", "--samples", "2"],
+    ["sum-acute", "--x-space", "lp:2:2", "--y-space", "linf:1", "--samples", "2"],
+    ["sections", "--space", "sum(lp:2:2,linf:1)", "--candidates", "4"],
+    ["smooth", "--space", "lp:2:2", "--samples", "2"],
+    ["certify", "--fast"],
+], ids=["preserver-verify", "sum-acute", "sections", "smooth", "certify"])
+def test_negative_seeds_exit_two(capsys, argv, tmp_path, monkeypatch):
+    # numpy's generators used to raise a ValueError, which exited 1, the
+    # code of a failed verification.
+    monkeypatch.setenv("BJORTH_OUTDIR", str(tmp_path))
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert "seed must be >= 0" in err and "Traceback" not in err
+    assert out == "" and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("angles", ["0.1,x", "0.1,inf", "nan"])
+def test_orthograph_bad_angles_exit_two(capsys, angles):
+    code, out, err = run(capsys, "orthograph", "--space", "dayjames:3:1.5",
+                         f"--angles={angles}")
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "edges" not in out
+
+
+@pytest.mark.parametrize("text", [
+    '{"type": "linf", "dim": "x"}',
+    '{"type": "linf", "dim": null}',
+    '{"type": "linf", "dim": 1e400}',
+    '{"type": "inf_sum", "parts": [{"type": "linf", "dim": 2}, {"type": "lp", "dim": 2',
+    '{"type": "inf_sum", "parts": [' * 5000,
+], ids=["dim-text", "dim-null", "dim-overflow", "truncated", "too-deep"])
+def test_malformed_space_files_exit_two(capsys, tmp_path, text):
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "check", "--space", str(path), "--x", "1,0", "--y", "0,1")
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
 def test_file_errors_exit_two(capsys, tmp_path):
     existing = tmp_path / "taken"
     existing.write_text("not a directory\n")

@@ -371,6 +371,10 @@ MARGIN_ENTRY_POINTS = {
     "radon_defect": lambda m: bj.radon_defect(DJ, grid=16, margin=m),
     "sum_acute_equivalence_check": lambda m: bj.sum_acute_equivalence_check(
         L2, bj.LInf(1), n_samples=4, margin=m),
+    "sum_acute_equivalence_check-boundary_band": lambda m: bj.sum_acute_equivalence_check(
+        L2, bj.LInf(1), n_samples=4, boundary_band=m),
+    "sum_acute_equivalence_check-tie_band": lambda m: bj.sum_acute_equivalence_check(
+        L2, bj.LInf(1), n_samples=4, tie_band=m),
     "sample_orthograph": lambda m: bj.sample_orthograph(L2, [0.0, 1.0], margin=m),
     "euclidean_section_search": lambda m: bj.euclidean_section_search(
         L2, [bj.SectionCandidate([1.0, 0.0], [0.0, 1.0])], pair_samples=4, tol=m),
@@ -696,7 +700,7 @@ def test_packed_lockstep_is_the_reference_lockstep(space, monkeypatch):
     got = _min_on_lines(space, X, Y, 0.0)
     evals = {}
 
-    def packed(phi, lo, hi, data, tol):
+    def packed(phi, lo, hi, data, tol=1e-10):
         evals["packed"] = []
 
         def phi_counted(*args):
@@ -705,7 +709,7 @@ def test_packed_lockstep_is_the_reference_lockstep(space, monkeypatch):
 
         return _golden_section_rows(phi_counted, lo, hi, data, tol=tol)
 
-    def reference(phi, lo, hi, data, tol):
+    def reference(phi, lo, hi, data, tol=1e-10):
         row_phi, evals["reference"] = counted(lambda rows, t: phi(*(v[rows] for v in data), t))
         return reference_golden_section_rows(row_phi, lo, hi, tol=tol)
 

@@ -235,6 +235,13 @@ def test_unit_vector_requires_plane():
         bj.unit_vector_at_angle(bj.Lp(3, 2.0), 0.1)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_unit_vector_rejects_a_non_finite_angle(theta):
+    # A NaN angle used to come back as the vector [nan, nan].
+    with pytest.raises(bj.NonFiniteInput):
+        bj.unit_vector_at_angle(bj.DayJames(3.0, 1.5), theta)
+
+
 # ---------------------------------------------------------------------------
 # Dual pairing.
 
@@ -372,7 +379,7 @@ def numpy_support(space, arr):
         norms = [numpy_norm(part, piece) for part, piece in zip(space.parts, pieces)]
         total = max(norms)
         if total == math.inf:
-            return numpy_support(space, spaces._shrunk(arr))
+            return numpy_support(space, np.ldexp(arr, -spaces.top_exponents(arr)))
         off, out = space._offsets, []
         for k, part in enumerate(space.parts):
             if norms[k] >= (1.0 - bj.TAU_TIE) * total:
@@ -523,3 +530,12 @@ def test_no_module_imports_a_private_name_of_another():
                 private += [(path.name, a.name) for a in node.names
                             if a.name.startswith("_") and a.name != "__version__"]
     assert private == []
+
+
+def test_only_spaces_reads_the_max_sum_layout():
+    # Other modules reach the parts of a max-sum vector through InfSum.split.
+    package = Path(bj.__file__).parent
+    readers = sorted({path.name for path in package.glob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(node, ast.Attribute) and node.attr == "_offsets"})
+    assert readers == ["spaces.py"]
