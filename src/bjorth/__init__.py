@@ -50,7 +50,6 @@ from .spaces import (
 from .orthogonality import (
     MARGIN,
     AngleRelation,
-    AngleRelations,
     AngleTag,
     classify_angle,
     classify_many,

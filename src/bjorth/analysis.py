@@ -25,15 +25,15 @@ from .orthogonality import (
     oracle_exclusion_band,
     oracle_min_over_line,
 )
-from .sampling import as_uniform, draw_rows, nonzero_rows, random_unit
+from .sampling import as_uniform, draw_rows, nonzero_rows
 from .spaces import (InfSum, LInf, NormedSpace, format_space, pairing_angle,
                      unit_vector_at_angle)
 
 # Rows judged per block of array passes: orthograph pairs (all of them up to
-# 362 directions), sum-acute samples, and section-search coefficient draws
-# (whole candidates: PAIR_BLOCK // pair_samples of them, at least one).
-# Bounds the memory of a block for any count: about 12 MB for orthograph
-# pairs, 20 MB for section draws and 55 MB for sum-acute samples.
+# 362 directions), sum-acute and smoothness samples, and section-search
+# coefficient draws (whole candidates: PAIR_BLOCK // pair_samples of them, at
+# least one).  Bounds the memory of a block for any count: about 12 MB for
+# orthograph pairs, 20 MB for section draws and 55 MB for sum-acute samples.
 PAIR_BLOCK = 1 << 16
 
 
@@ -121,46 +121,38 @@ def smoothness_probe(space: NormedSpace, samples: int = 200, seed: int = 0) -> S
     support set at every probe including the axes.  Axis neighborhoods
     enter only through the singleton test: one-sided quotients converge
     like step^(min(p,q)-1) there, too slowly to compare against the gap
-    bound, so random probes keep their smallest coordinate away from zero.
+    bound, so every coordinate of a random probe below 1e-2 of its largest
+    is raised to that floor, keeping its sign.
+
+    Sample i reads row i of the seeded draw table (sampling.draw_rows),
+    4 * dim columns: x, a reserve for x (sampling.nonzero_rows), and two
+    directions of Euclidean length one.  The tie probe is probed along its
+    own kink directions and along row 0's two directions.  The samples are
+    judged in blocks of PAIR_BLOCK, with three space._norms passes each.
     """
-    rng = np.random.default_rng(seed)
+    if samples < 1:
+        raise InvalidCount(f"samples must be >= 1, got {samples}")
+    dim, step = space.dim, 1e-6
+    tie, kinks = _tie_probe(space)
     worst_gap = 0.0
-    singletons = True
-    step = 1e-6
-
-    def gap_at(x: np.ndarray, d: np.ndarray) -> float:
-        n0 = space._norm(x)
-        right = (space._norm(x + step * d) - n0) / step
-        left = (n0 - space._norm(x - step * d)) / step
-        return right - left
-
-    def random_dir() -> np.ndarray:
-        d = rng.standard_normal(space.dim)
-        return d / np.linalg.norm(d)
-
-    for i in range(space.dim):
-        e = np.zeros(space.dim)
-        e[i] = 1.0
-        for x in (e, -e):
-            singletons = singletons and len(space._support(x)) == 1
-
-    x, dirs = _tie_probe(space)
-    singletons = singletons and len(space._support(x)) == 1
-    for d in dirs:
-        worst_gap = max(worst_gap, gap_at(x, d))
-    for _ in range(2):
-        worst_gap = max(worst_gap, gap_at(x, random_dir()))
-
-    for _ in range(samples):
-        x = random_unit(space, rng)
-        while np.min(np.abs(x)) < 1e-2 * np.max(np.abs(x)):
-            x = random_unit(space, rng)
-        for _ in range(2):
-            worst_gap = max(worst_gap, gap_at(x, random_dir()))
-        singletons = singletons and len(space._support(x)) == 1
-
-    return SmoothnessProbe(smooth=bool(worst_gap <= 1e-4 and singletons),
-                           worst_gap=float(worst_gap))
+    singletons = all(len(space._support(x)) == 1 for x in [*np.eye(dim), *-np.eye(dim), tie])
+    for start in range(0, samples, PAIR_BLOCK):
+        W = draw_rows(seed, start, min(start + PAIR_BLOCK, samples), 4 * dim)
+        X = nonzero_rows(space, W[:, :dim], W[:, dim : 2 * dim])
+        A = np.abs(X)
+        floor = 1e-2 * A.max(axis=1, keepdims=True)
+        X = np.where(A < floor, np.copysign(floor, X), X)
+        X /= space._norms(X)[:, None]
+        P, Q = np.repeat(X, 2, axis=0), W[:, 2 * dim :].reshape(-1, dim)
+        Q /= np.linalg.norm(Q, axis=1, keepdims=True)
+        if not start:
+            P = np.concatenate([np.tile(tie, (len(kinks) + 2, 1)), P])
+            Q = np.concatenate([np.reshape(kinks, (-1, dim)), Q[:2], Q])
+        n0 = space._norms(P)
+        gaps = (space._norms(P + step * Q) - n0) / step - (n0 - space._norms(P - step * Q)) / step
+        worst_gap = max(worst_gap, float(gaps.max()))
+        singletons = singletons and all(len(space._support(x)) == 1 for x in X)
+    return SmoothnessProbe(smooth=worst_gap <= 1e-4 and singletons, worst_gap=worst_gap)
 
 
 def parallelogram_defect(space: NormedSpace, u, v) -> float:
@@ -196,7 +188,10 @@ class SectionCandidate:
 
 
 def section_candidates(space: NormedSpace, count: int, seed: int = 0) -> list[SectionCandidate]:
-    """All coordinate-aligned 2-D sections plus seeded random ones, up to count."""
+    """The first count of: all coordinate-aligned 2-D sections, then seeded
+    random ones."""
+    if count < 1:
+        raise InvalidCount(f"count must be >= 1, got {count}")
     dim = space.dim
     if dim < 2:
         raise DegenerateSection(f"a space of dimension {dim} has no 2-D sections")
@@ -213,7 +208,7 @@ def section_candidates(space: NormedSpace, count: int, seed: int = 0) -> list[Se
             out.append(SectionCandidate(rng.standard_normal(dim), rng.standard_normal(dim)))
         except DegenerateSection:
             continue
-    return out
+    return out[:count]
 
 
 def euclidean_section_search(space: NormedSpace, candidates, pair_samples: int = 64,

@@ -62,8 +62,8 @@ class AngleRelation:
         """(min_bound, max_bound, scale) in the units the tag was decided in."""
         return self._scaled or (self.min_bound, self.max_bound, self.scale)
 
-    # The predicates use == and |, so they hold elementwise for the array
-    # fields of AngleRelations too.
+    # The predicates and distances use numpy's elementwise operations, so
+    # they hold row by row for the array fields classify_many returns.
     @property
     def is_orthogonal(self) -> bool:
         return self.tag == AngleTag.ORTHOGONAL
@@ -82,6 +82,12 @@ class AngleRelation:
         """x Birkhoff-James orthogonal to y: orthogonal, or x = 0."""
         return self.is_orthogonal | (self.tag == AngleTag.DEGENERATE_LEFT)
 
+    def _per_scale(self, values, scale):
+        """values / scale, and inf where the scale is zero or x is zero."""
+        defined = (scale != 0.0) & (self.tag != AngleTag.DEGENERATE_LEFT)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(defined, values / scale, math.inf)[()]
+
     def orthogonality_distance(self) -> float:
         """Normalized distance of the witness bounds from straddling zero.
 
@@ -89,37 +95,11 @@ class AngleRelation:
         samples too close to the decision boundary to adjudicate.
         """
         mn, mx, scale = self._decided()
-        if scale == 0.0 or self.tag is AngleTag.DEGENERATE_LEFT:
-            return math.inf
-        if mn <= 0.0 <= mx:
-            return 0.0
-        return min(abs(mn), abs(mx)) / scale
-
-    def acute_distance(self) -> float:
-        """Normalized distance from the acute/non-acute boundary."""
-        _, mx, scale = self._decided()
-        if scale == 0.0 or self.tag is AngleTag.DEGENERATE_LEFT:
-            return math.inf
-        return abs(mx) / scale
-
-
-class AngleRelations(AngleRelation):
-    """An AngleRelation whose fields are arrays, row i holding the relation
-    of the pair (X[i], Y[i]); ``tag`` is an object array of AngleTag
-    members, and the predicates and distances are elementwise."""
-
-    def _per_scale(self, values: np.ndarray, scale: np.ndarray) -> np.ndarray:
-        # inf where AngleRelation's distances are: zero scale or zero x.
-        out = np.full(len(values), math.inf)
-        defined = (scale != 0.0) & (self.tag != AngleTag.DEGENERATE_LEFT)
-        return np.divide(values, scale, out=out, where=defined)
-
-    def orthogonality_distance(self) -> np.ndarray:
-        mn, mx, scale = self._decided()
         straddle = (mn <= 0.0) & (0.0 <= mx)
         return self._per_scale(np.where(straddle, 0.0, np.minimum(np.abs(mn), np.abs(mx))), scale)
 
-    def acute_distance(self) -> np.ndarray:
+    def acute_distance(self) -> float:
+        """Normalized distance from the acute/non-acute boundary."""
         _, mx, scale = self._decided()
         return self._per_scale(np.abs(mx), scale)
 
@@ -183,8 +163,11 @@ def _checked_rows(space: NormedSpace, X, Y, margin: float) -> tuple[np.ndarray, 
     return X, Y
 
 
-def classify_many(space: NormedSpace, X, Y, margin: float = MARGIN) -> AngleRelations:
+def classify_many(space: NormedSpace, X, Y, margin: float = MARGIN) -> AngleRelation:
     """classify_angle on every row pair (X[i], Y[i]) in a few array passes.
+
+    Returns an AngleRelation whose fields are arrays, row i holding the
+    relation of (X[i], Y[i]); tag is an object array of AngleTag members.
 
     The zero rule, margin test and witness bounds are classify_angle's,
     which stays the reference; the bounds agree with it to rounding.
@@ -208,9 +191,9 @@ def classify_many(space: NormedSpace, X, Y, margin: float = MARGIN) -> AngleRela
     tag[mn > thr] = AngleTag.STRICTLY_ACUTE
     tag[~live] = AngleTag.DEGENERATE_LEFT
     if not big.any():
-        return AngleRelations(tag, mn, mx, scale)
-    return AngleRelations(tag, *(_unscaled(v, k) for v in (mn, mx, scale)),
-                          _scaled=(mn, mx, scale))
+        return AngleRelation(tag, mn, mx, scale)
+    return AngleRelation(tag, *(_unscaled(v, k) for v in (mn, mx, scale)),
+                         _scaled=(mn, mx, scale))
 
 
 def is_bj_orthogonal(space: NormedSpace, x, y, margin: float = MARGIN) -> bool:

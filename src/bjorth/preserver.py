@@ -38,7 +38,7 @@ from .errors import (
     NotRadonPlane,
     NotSmooth,
 )
-from .orthogonality import (MARGIN, AngleRelations, check_margin, classify_many,
+from .orthogonality import (MARGIN, AngleRelation, check_margin, classify_many,
                             orthogonal_rows)
 from .sampling import as_uniform, draw_rows, nonzero_rows
 from .serialize import write_csv
@@ -398,7 +398,7 @@ class VerificationReport:
         }
 
 
-def _pair_agreement(rel_s: AngleRelations, rel_t: AngleRelations,
+def _pair_agreement(rel_s: AngleRelation, rel_t: AngleRelation,
                     band: float) -> tuple[int, np.ndarray, np.ndarray]:
     """Compare source and image classifications, pair by pair.
 

@@ -16,25 +16,11 @@ import numpy as np
 
 from .spaces import NormedSpace
 
-# Vectors below this norm are rejected by the samplers.
+# Drawn rows below this norm are rejected by nonzero_rows.
 MIN_SAMPLE_NORM = 1e-3
 
 # Rows of the draw table per generator.
 BLOCK = 64
-
-
-def random_nonzero(space: NormedSpace, rng: np.random.Generator) -> np.ndarray:
-    """Standard-normal coordinates, rejecting norms below MIN_SAMPLE_NORM."""
-    while True:
-        v = rng.standard_normal(space.dim)
-        if space._norm(v) >= MIN_SAMPLE_NORM:
-            return v
-
-
-def random_unit(space: NormedSpace, rng: np.random.Generator) -> np.ndarray:
-    """A random vector rescaled to norm one in the space."""
-    v = random_nonzero(space, rng)
-    return v / space._norm(v)
 
 
 def draw_rows(seed: int, start: int, stop: int, width: int) -> np.ndarray:
@@ -51,8 +37,8 @@ def draw_rows(seed: int, start: int, stop: int, width: int) -> np.ndarray:
 
 
 def nonzero_rows(space: NormedSpace, X: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """random_nonzero's rejection on drawn rows: a row of X whose norm is
-    below MIN_SAMPLE_NORM is replaced by its reserve row in R, and by the
+    """Rejection on drawn rows: a row of X whose norm is below
+    MIN_SAMPLE_NORM is replaced by its reserve row in R, and by the
     first basis vector where the reserve's is below too.  Every norm here
     is at least the max norm, bit for bit, so only the rows whose largest
     coordinate is below MIN_SAMPLE_NORM are tested, on the scalar norm."""

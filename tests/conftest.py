@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 import bjorth as bj
-from bjorth.sampling import random_nonzero  # noqa: F401  re-exported to the test modules
+from bjorth.sampling import MIN_SAMPLE_NORM
 
 settings.register_profile(
     "ci",
@@ -40,3 +40,11 @@ def draw_vector(data, dim):
     mags = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=dim, max_size=dim))
     signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=dim, max_size=dim))
     return np.array(mags) * np.array(signs)
+
+
+def random_nonzero(space, rng):
+    """Standard-normal coordinates, rejecting norms below MIN_SAMPLE_NORM."""
+    while True:
+        v = rng.standard_normal(space.dim)
+        if space._norm(v) >= MIN_SAMPLE_NORM:
+            return v

@@ -9,6 +9,8 @@ from bjorth.cli import _sections_record
 from bjorth.errors import DegenerateSection, InvalidCount, NotAPlane
 from bjorth.sampling import BLOCK
 
+from conftest import SPACE_ZOO
+
 DJ = bj.DayJames(3.0, 1.5)
 L2 = bj.Lp(2, 2.0)
 
@@ -152,6 +154,15 @@ def test_smoothness_sum_detects_part_tie():
     assert probe.worst_gap > 1.0
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("space", SPACE_ZOO, ids=str)
+def test_smoothness_verdicts_split_the_zoo(space, seed):
+    # p-norms and Day-James planes are smooth; max norms and max-sums kink.
+    probe = bj.smoothness_probe(space, seed=seed)
+    assert probe.smooth is not isinstance(space, (bj.LInf, bj.InfSum))
+    assert probe.worst_gap >= 0.0
+
+
 # ---------------------------------------------------------------------------
 # Parallelogram identity.
 
@@ -252,6 +263,20 @@ def test_section_flags_are_prefix_stable_across_blocks(monkeypatch):
     assert flags(64) == many
     monkeypatch.setattr(bj.analysis, "PAIR_BLOCK", 200)
     assert flags(64) == many and flags(16) == few
+
+
+def test_section_candidates_are_the_first_count():
+    # The coordinate sections come first, then the seeded random ones.
+    space = bj.Lp(4, 2.0)
+    full = bj.section_candidates(space, 10, seed=3)
+    assert [(c.u.argmax(), c.v.argmax()) for c in full[:6]] == [
+        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    for count in (1, 2, 6, 7, 10):
+        cands = bj.section_candidates(space, count, seed=3)
+        assert len(cands) == count
+        for a, b in zip(cands, full):
+            np.testing.assert_array_equal(a.u, b.u)
+            np.testing.assert_array_equal(a.v, b.v)
 
 
 def test_degenerate_section_rejected():
@@ -362,8 +387,10 @@ def test_sum_acute_counts_boundary_exclusions():
     lambda: bj.sample_orthograph(DJ, -2),
     lambda: bj.sample_orthograph(DJ, 0),
     lambda: bj.euclidean_section_search(DJ, []),
+    lambda: bj.smoothness_probe(L2, samples=0),
+    lambda: bj.section_candidates(bj.InfSum((L2, bj.LInf(1))), 0),
 ], ids=["sum_acute", "tie_every", "sections", "verify", "radon", "orthograph", "orthograph-0",
-        "sections-empty"])
+        "sections-empty", "smooth", "section-candidates"])
 def test_counts_below_the_minimum_are_rejected(call):
     with pytest.raises(InvalidCount) as info:
         call()

@@ -330,12 +330,15 @@ def test_certify_failing_report_exits_one_and_writes_everything(capsys, tmp_path
     ["radon", "--space", "dayjames:3:1.5", "--grid", "8"],
     ["orthograph", "--space", "dayjames:3:1.5", "--directions", "-1"],
     ["circle", "--space", "lp:2:3", "--grid", "-1", "--out", "circle.csv"],
-], ids=["sum-acute", "preserver-verify", "sections", "radon", "orthograph", "circle"])
+    ["smooth", "--space", "lp:2:1.5", "--samples", "-3"],
+    ["sections", "--space", "sum(lp:2:2,linf:1)", "--candidates", "0"],
+], ids=["sum-acute", "preserver-verify", "sections", "radon", "orthograph", "circle", "smooth",
+        "section-candidates"])
 def test_counts_below_the_minimum_exit_two(capsys, argv, tmp_path, monkeypatch):
     monkeypatch.setenv("BJORTH_OUTDIR", str(tmp_path))
     code, _, err = run(capsys, *argv)
     assert code == 2
-    assert err.startswith("error: ") and "must be >= " in err
+    assert err.startswith("error: ") and "must be >= " in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

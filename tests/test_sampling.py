@@ -61,6 +61,19 @@ def test_sweeps_build_one_generator_per_block(dj_map, monkeypatch, n):
     counter.calls = 0
     bj.sum_acute_equivalence_check(DJ, bj.LInf(2), n_samples=n, seed=4)
     assert counter.calls == math.ceil(n / BLOCK)
+    counter.calls = 0
+    bj.smoothness_probe(DJ, samples=n, seed=4)
+    assert counter.calls == math.ceil(n / BLOCK)
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, 100])
+@pytest.mark.parametrize("space", SPACE_ZOO, ids=str)
+def test_smoothness_gaps_are_prefix_stable(space, n, monkeypatch):
+    # The probe at 2n reads the rows it reads at n, and more, in any blocks.
+    probe = bj.smoothness_probe(space, 2 * n, seed=2)
+    assert bj.smoothness_probe(space, n, seed=2).worst_gap <= probe.worst_gap
+    monkeypatch.setattr(bj.analysis, "PAIR_BLOCK", 7)
+    assert bj.smoothness_probe(space, 2 * n, seed=2) == probe
 
 
 def test_sum_acute_names_its_first_disagreement(monkeypatch):

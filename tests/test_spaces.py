@@ -539,3 +539,30 @@ def test_only_spaces_reads_the_max_sum_layout():
                       for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                       if isinstance(node, ast.Attribute) and node.attr == "_offsets"})
     assert readers == ["spaces.py"]
+
+
+def _package_modules():
+    package = Path(bj.__file__).parent
+    return [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(package.glob("*.py"))]
+
+
+def test_the_package_has_no_assert_statement():
+    # Runtime invariants must hold under python -O, which strips asserts.
+    found = [(name, node.lineno) for name, tree in _package_modules()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_only_the_draw_table_and_the_section_search_build_generators():
+    # Sweeps read the seeded draw table; the section search keeps one
+    # generator per candidate, which keeps its flags prefix-stable.
+    callers = set()
+    for name, tree in _package_modules():
+        for top in tree.body:
+            for node in ast.walk(top):
+                func = node.func if isinstance(node, ast.Call) else None
+                if getattr(func, "attr", getattr(func, "id", None)) == "default_rng":
+                    callers.add(f"{name}.{getattr(top, 'name', '<module>')}")
+    assert callers == {"sampling.draw_rows", "analysis.section_candidates",
+                       "analysis.euclidean_section_search"}
