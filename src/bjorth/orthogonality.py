@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidMargin, NonFiniteInput, ZeroDirection, ZeroVector
-from .spaces import TAU_TIE, DayJames, InfSum, LInf, Lp, NormedSpace, top_exponents
+from .spaces import TAU_TIE, DayJames, InfSum, LInf, Lp, NormedSpace, perp2, top_exponents
 
 # Default decision margin, relative to the norm of the right argument.
 MARGIN = 1e-9
@@ -57,6 +57,13 @@ class AngleRelation:
     max_bound: float
     scale: float
     _scaled: tuple | None = field(default=None, repr=False, compare=False)
+
+    def __eq__(self, other):
+        # One bool for scalar and array relations alike; _scaled is derived.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, k), getattr(other, k))
+                   for k in ("tag", "min_bound", "max_bound", "scale"))
 
     def _decided(self):
         """(min_bound, max_bound, scale) in the units the tag was decided in."""
@@ -467,11 +474,12 @@ def oracle_exclusion_band(margin: float = MARGIN) -> float:
 def orthogonal_direction(space: NormedSpace, x, rng: np.random.Generator) -> np.ndarray:
     """Construct y with x exactly orthogonal to y (up to rounding).
 
-    Smooth planes: the Euclidean perp of the unique norming functional.
-    Higher-dimensional p-norm spaces: a random vector projected onto the
-    functional's kernel.  Max norms: a random vector with every tied max
-    coordinate zeroed.  Max-sums: the partner inside one norm-attaining
-    part, zero elsewhere, so the choice is immune to part ties.
+    Smooth planes: spaces.perp2, the Euclidean perp of the unique norming
+    functional.  Higher-dimensional p-norm spaces: a random vector
+    projected onto the functional's kernel.  Max norms: a random vector
+    with every tied max coordinate zeroed.  Max-sums: the partner inside
+    one norm-attaining part, zero elsewhere, so the choice is immune to
+    part ties.
     """
     xa = space.check_vector(x)
     if not xa.any():
@@ -494,10 +502,9 @@ def _orthogonal_direction(space: NormedSpace, xa: np.ndarray,
         y = rng.standard_normal(space.dim)
         y[np.abs(xa) >= (1.0 - 10.0 * TAU_TIE) * m] = 0.0
         return y
-    f = space._support(xa)[0]
     if isinstance(space, (Lp, DayJames)) and space.dim == 2:
-        # f0*f1 - f1*f0 vanishes exactly in floating point.
-        return np.array([-f[1], f[0]])
+        return np.array(perp2(space, *xa.tolist()))
+    f = space._support(xa)[0]
     v = rng.standard_normal(space.dim)
     return v - (float(np.dot(f, v)) / float(np.dot(f, xa))) * xa
 
@@ -507,12 +514,12 @@ def orthogonal_rows(space: NormedSpace, X: np.ndarray, V: np.ndarray) -> np.ndar
     vector that row draws.  It checks nothing: X and V are finite (n, dim)
     arrays and every row of X is nonzero, as verify_preserver draws them.
 
-    The rules are orthogonal_direction's, in array passes: planes take the
-    Euclidean perp of the norming functional row by row on Python floats,
-    p-norm spaces project V onto the functional's kernel, max norms zero V
-    at each row's tied coordinates, and max-sums take each row's partner in
-    its first part of largest norm (the row norms decide, so only a part
-    tie within rounding may pick the other side of it).
+    The rules are orthogonal_direction's, in array passes: planes take
+    spaces.perp2 of each row on Python floats, p-norm spaces project V onto
+    the functional's kernel, max norms zero V at each row's tied
+    coordinates, and max-sums take each row's partner in its first part of
+    largest norm (the row norms decide, so only a part tie within rounding
+    may pick the other side of it).
     """
     if isinstance(space, InfSum):
         xs, out = space.split(X), np.zeros_like(X)
@@ -526,11 +533,7 @@ def orthogonal_rows(space: NormedSpace, X: np.ndarray, V: np.ndarray) -> np.ndar
         A = np.abs(X)
         return np.where(A >= (1.0 - 10.0 * TAU_TIE) * A.max(axis=1, keepdims=True), 0.0, V)
     if isinstance(space, (Lp, DayJames)) and space.dim == 2:
-        out = []
-        for a, b in X.tolist():
-            fa, fb = space._grad2(a, b)
-            out += -fb, fa
-        return np.array(out).reshape(-1, 2)
+        return np.array([perp2(space, a, b) for a, b in X.tolist()]).reshape(-1, 2)
     fv, _ = space._bounds(X, V)
     fx, _ = space._bounds(X, X)
     return V - (fv / fx)[:, None] * X

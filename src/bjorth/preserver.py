@@ -42,14 +42,10 @@ from .orthogonality import (MARGIN, AngleRelation, check_margin, classify_many,
                             orthogonal_rows)
 from .sampling import as_uniform, draw_rows, nonzero_rows
 from .serialize import write_csv
-from .spaces import DayJames, InfSum, Lp, NormedSpace, pairing_angle, unit_vector_at_angle
+from .spaces import (DayJames, InfSum, Lp, NormedSpace, pairing_angle, perp2,
+                     unit_vector_at_angle)
 
 HALF_PI = 0.5 * math.pi
-
-# The forward map clamps each pairing to its table cell widened by this pad,
-# so the table stays the map's certified data: a corrupted cell shows up as
-# verification disagreements rather than being silently solved around.
-BRACKET_PAD = 1e-9
 
 EUCLIDEAN_PLANE = Lp(dim=2, p=2.0)
 
@@ -107,7 +103,7 @@ class EtaTable:
     each node.  Strict monotonicity of the values is a consequence of the
     pairing being a continuous bijection with pinned endpoints and is
     enforced here rather than assumed.  The plane must be a supported smooth
-    Radon plane (else NotRadonPlane): the map's inverse relies on symmetry.
+    Radon plane (else NotRadonPlane): the map relies on its symmetry.
     """
 
     grid: np.ndarray
@@ -118,12 +114,11 @@ class EtaTable:
     def __post_init__(self):
         if not _is_radon_target(self.plane):
             raise NotRadonPlane(f"not a supported smooth Radon plane: {self.plane!r}")
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        residuals = np.asarray(self.residuals, dtype=float)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "residuals", residuals)
+        for name in ("grid", "values", "residuals"):
+            column = np.array(getattr(self, name), dtype=float)
+            column.flags.writeable = False  # a frozen table's columns stay put
+            object.__setattr__(self, name, column)
+        grid, values, residuals = self.grid, self.values, self.residuals
         if grid.shape != values.shape or grid.shape != residuals.shape:
             raise ValueError("grid, values and residuals must have equal length")
         if len(grid) < 2:
@@ -226,14 +221,17 @@ class RadonPlaneMap(PreserverMap):
     Unit circle action: angle t maps to y(t) for t in [0, pi/2] and to
     y(eta(t - pi/2)) for t in [pi/2, pi]; the lower half circle is the odd
     reflection, applied by sign canonicalization so that
-    apply(-v) == -apply(v) holds exactly.  A second-quadrant row's pairing
-    is solved in closed form from the norming functional and clamped to the
-    table cell (+- BRACKET_PAD) that holds it: tabulated values bound the
-    result but are never interpolated into it.  The image's offset is
-    measured from the nearer axis, so no bits are lost near either axis.
-    The inverse reads no table: by Radon symmetry, y(s) is orthogonal to
-    y(psi) exactly when y(psi) is orthogonal to y(s), so the functional at
-    y(psi) annuls y(s) and points along the preimage pi/2 + s.
+    apply(-v) == -apply(v) holds exactly.  The map reads no angle and no
+    table, only the plane, through spaces.perp2.  With r = hypot(a, b), a
+    first-quadrant row (a, b) maps to r (a, b) / ||(a, b)|| and a
+    second-quadrant one, at pi/2 + s where (b, -a) lies at s, to r w / ||w||
+    for w = perp2(plane, b, -a).  The inverse maps (a, b) to
+    ||(a, b)|| u / hypot(u), with u = (a, b) on the first quadrant and u the
+    functional at (a, b) on the second: by Radon symmetry, y(s) is
+    orthogonal to y(psi) exactly when y(psi) is orthogonal to y(s), so the
+    functional at y(psi) annuls y(s) and points along the preimage pi/2 + s.
+    The table certifies that the pairing is a monotone bijection with
+    pinned endpoints.
     """
 
     eta: EtaTable
@@ -246,31 +244,11 @@ class RadonPlaneMap(PreserverMap):
     def target(self) -> NormedSpace:
         return self.eta.plane
 
-    def _cell(self, s: float) -> tuple[float, float]:
-        """Bracket [lo, hi] within [pi/2, pi] of the pairing angle of s in
-        [0, pi/2]: the table cell holding s, widened by BRACKET_PAD."""
-        grid, values = self.eta.grid, self.eta.values
-        i = min(max(int(grid.searchsorted(s)), 1), len(grid) - 1)
-        va, vb = float(values[i - 1]), float(values[i])
-        return max(min(va, vb) - BRACKET_PAD, HALF_PI), min(max(va, vb) + BRACKET_PAD, math.pi)
-
     def _upper(self, a: float, b: float) -> tuple[float, float]:
         # b >= 0, not both zero: polar angle lies in [0, pi].
         plane = self.eta.plane
         r = math.hypot(a, b)
-        if a >= 0.0:
-            t = math.atan2(b, a)
-            c, d = math.cos(t), math.sin(t)
-        else:
-            # (a, b) lies at pi/2 + s, s = atan2(-a, b); (b, -a) lies at s.
-            lo, hi = self._cell(math.atan2(-a, b))
-            fa, fb = plane._grad2(b, -a)
-            if fb <= fa:  # the image lies within pi/4 of the y-axis
-                phi = min(max(math.atan2(fb, fa), lo - HALF_PI), hi - HALF_PI)
-                c, d = -math.sin(phi), math.cos(phi)
-            else:  # ... or of the negative x-axis
-                chi = min(max(math.atan2(fa, fb), math.pi - hi), math.pi - lo)
-                c, d = -math.cos(chi), math.sin(chi)
+        c, d = perp2(plane, b, -a) if a < 0.0 else (a, b)
         n = plane._norm2(c, d)
         return r * (c / n), r * (d / n)
 
@@ -280,12 +258,11 @@ class RadonPlaneMap(PreserverMap):
     def _inverse_upper(self, a: float, b: float) -> tuple[float, float]:
         plane = self.eta.plane
         r = plane._norm2(a, b)
-        if a >= 0.0:
-            t = math.atan2(b, a)
-            return r * math.cos(t), r * math.sin(t)
-        fa, fb = plane._grad2(a, b)
-        h = math.hypot(fa, fb)
-        return r * (fa / h), r * (fb / h)
+        if a < 0.0:
+            u, v = perp2(plane, a, b)
+            a, b = v, -u  # the functional at (a, b)
+        h = math.hypot(a, b)
+        return r * (a / h), r * (b / h)
 
     def _backward(self, W: np.ndarray) -> np.ndarray:
         return _odd(self._inverse_upper, W)
@@ -339,7 +316,12 @@ class SumMap(PreserverMap):
 
 
 def build_preserver(plane: NormedSpace, grid_size: int = 1024) -> RadonPlaneMap:
-    """Tabulate the pairing on grid_size+1 uniform nodes and wrap it as a map."""
+    """Tabulate the pairing on grid_size+1 uniform nodes and wrap it as a map.
+
+    The residual at a node is |f(y(e))| for the functional f at y(theta),
+    read off its perp (p0, p1) = spaces.perp2 as p1 cos e - p0 sin e: the
+    floats of fa cos e + fb sin e, bit for bit.
+    """
     if grid_size < 64:
         raise GridTooCoarse(f"grid_size must be >= 64, got {grid_size}")
     grid = np.linspace(0.0, HALF_PI, grid_size + 1)
@@ -348,8 +330,8 @@ def build_preserver(plane: NormedSpace, grid_size: int = 1024) -> RadonPlaneMap:
     for i, theta in enumerate(grid):
         e = solve_eta(plane, float(theta))
         values[i] = e
-        f = plane._grad2(math.cos(theta), math.sin(theta))
-        num = f[0] * math.cos(e) + f[1] * math.sin(e)
+        p0, p1 = perp2(plane, math.cos(theta), math.sin(theta))
+        num = p1 * math.cos(e) - p0 * math.sin(e)
         residuals[i] = abs(num) / plane._norm2(math.cos(e), math.sin(e))
     table = EtaTable(grid=grid, values=values, residuals=residuals, plane=plane)
     return RadonPlaneMap(eta=table)

@@ -589,6 +589,16 @@ def unit_vector_at_angle(plane: NormedSpace, theta: float) -> np.ndarray:
     return np.array([c / n, s / n])
 
 
+def perp2(plane: NormedSpace, a: float, b: float) -> tuple[float, float]:
+    """The Euclidean perp (-f_b, f_a) of the norming functional f of a smooth
+    plane (Lp or DayJames) at (a, b) != 0, on Python floats.  f annuls it
+    exactly, as fa * -fb + fb * fa vanishes in floating point, so (a, b) is
+    Birkhoff-James orthogonal to it; on an axis f is (+-1, 0) or (0, +-1)
+    exactly.  A plane's functional leaves this module only through here."""
+    fa, fb = plane._grad2(a, b)
+    return -fb, fa
+
+
 def pairing_angle(fa: float, fb: float, lo: float, hi: float) -> float:
     """Root in [lo, hi] of the pairing g(t) = fa cos t + fb sin t of a norming
     functional (fa, fb): the angle whose direction the functional annuls.

@@ -48,3 +48,14 @@ def random_nonzero(space, rng):
         v = rng.standard_normal(space.dim)
         if space._norm(v) >= MIN_SAMPLE_NORM:
             return v
+
+
+def non_radon_map(plane, grid_size=256):
+    """The plane map onto a smooth plane that is not Radon: the
+    fault-injection control.  Its pairing of directions is not symmetric
+    there, so images of orthogonal pairs whose first vector lies in the
+    second quadrant are not orthogonal.  build_preserver refuses the plane,
+    so its Radon check is switched off while it builds."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bj.preserver, "_is_radon_target", lambda plane: True)
+        return bj.build_preserver(plane, grid_size)

@@ -221,15 +221,17 @@ CERTIFY_ARTIFACTS = sorted(
 # the Radon scans, the preserver reports and summary.json moved in their
 # last bits when the pairing became closed-form.  The preserver and
 # sum-acute reports moved again when the samples moved to the block draw
-# table and the reports gained first_disagreement.
+# table and the reports gained first_disagreement.  The preserver reports'
+# floats moved in their last bits when the plane map became the table-free
+# perp map; every verdict and count kept its value.
 CERTIFY_SHA256 = {
     "circle_dayjames_3.csv": "ac4ca594efa803796a82b3d42ca128c0f4b5f60afddeb90c70dad02dd294465a",
     "eta_dayjames_3.csv": "3c2e2813f5ed700e675676c73f886a94d06243a0e64831f1fcf1184d240dcec0",
     "orthograph_dayjames_3.txt": "3d98f0352f0624f54b301dee7b634cda8716062f18cdeffeb92eeb07a23f6073",
-    "preserver_dayjames_3.json": "44914dcd95a1364fec8612cc6a415af52f002fbe7149e8adc8fdb6b3fa07b3e4",
-    "preserver_sum_linf1.json": "fb4b45e16cd12f12520836b636fba9ee5bbf8d3285f9a035fd113787767e4d8b",
-    "preserver_sum_linf2.json": "e20fc451834121a79593995431ced4d6be625e19b762b0ed6cb934d995a805f8",
-    "preserver_sum_linf8.json": "28a80db5315a2292a780265f5088684c88ce873077f3374c24fb516ac0bc3ce4",
+    "preserver_dayjames_3.json": "34cfaf7e5495975c04bd3b45a07f815dd6fbb3358a08e9961f8f220b876a4298",
+    "preserver_sum_linf1.json": "a7bcaeca45360ace27623d7a1a1565df485b4cd76d63c2a13d2bc41e34c9b5b5",
+    "preserver_sum_linf2.json": "e20c0567b1bb56943cb930c14f3a4137297b0313b1b2a1bafc091791846cc6bc",
+    "preserver_sum_linf8.json": "01f7fedf9f9ba3a25a2bb3c672e9c1089e0e7e4b01b2ec78477edf5daf326ad5",
     "radon_dayjames_1.5.csv": "391d379b9db500be3c0094b20866eb431819bdf2c80fda0d3439878ae12e4da1",
     "radon_dayjames_2.csv": "98968c2f31257d64f229041464ed1959137b22f769e143f0854c3ff5f3651f56",
     "radon_dayjames_3.csv": "e82c1f8f5d31961fbdb042905f5974fedd7dc1beb859b8b8600c0a5c167b6f20",
@@ -247,13 +249,14 @@ CERTIFY_SHA256 = {
 
 # The same for `certify --fast --seed 7`.  The Radon scans, the pairing
 # table, the unit circle and the orthograph draw no samples, so only the
-# seeded artifacts differ from seed 0.
+# seeded artifacts differ from seed 0.  The preserver digests moved with
+# seed 0's when the plane map became the table-free perp map.
 CERTIFY_SHA256_SEED_7 = {
     **CERTIFY_SHA256,
-    "preserver_dayjames_3.json": "9d1e0f475ba06a8eeea8840376666e91543bd05c51237db5f5d551608bf7235b",
-    "preserver_sum_linf1.json": "db13ecc14fb73e75c84c863e9bd2b1c51144a4c5e911da56857656679f9ca4aa",
-    "preserver_sum_linf2.json": "f4cdedd04a11c7ebe91da46f2d746ce7743a606b7a5627dcfd103b9542d0decc",
-    "preserver_sum_linf8.json": "ec8484e0bf4b79e0b549c18ad32999e0b92d516a5c834403f75c2e156d44d027",
+    "preserver_dayjames_3.json": "44c4af18012e91b8accf083e2ad18451ef84bf012252d3c2cd5483194728abf6",
+    "preserver_sum_linf1.json": "7a91bee115f1116cdb005cda7fb7fd2d65ac9c9a30852e08f269b473d8948ba4",
+    "preserver_sum_linf2.json": "ea38e5d1b8a4d4192f23095c95123b53cb9adc60a4ce4dc9e4a0a4845fd65018",
+    "preserver_sum_linf8.json": "f27df7dc3295a19ea8495a835f4e791272775299496b878a1b240c9d53bf0180",
     "sections_dj3_linf1.json": "ef2336c64932e73a91d9b1c19e3cbd9dc07fe61d01b7c565d3d86beec1c68225",
     "sections_l2_linf1.json": "398f949079ccc2512380ef7a29ac0d6f430816f7649f1cf3ee71617fea2a1efb",
     "sum_acute_dj3_linf2.json": "1067de921b7d05158c274207e3b698524e9c28efc4389704567f7e5c45a80a03",

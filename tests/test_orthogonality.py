@@ -340,6 +340,22 @@ def test_classify_many_shape_checks():
     assert len(empty.tag) == 0
 
 
+def test_relations_compare_to_one_bool():
+    # Array relations compare by their tags and three fields, and give one
+    # bool as scalar relations do; the derived _scaled does not count.
+    l2 = bj.Lp(2, 2.0)
+    X, Y = [[1.0, 0.0], [1.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]
+    many = bj.classify_many(l2, X, Y)
+    assert (many == bj.classify_many(l2, X, Y)) is True
+    assert (many != bj.classify_many(l2, X, Y)) is False
+    assert (many == bj.classify_many(l2, X, Y[::-1])) is False
+    assert (many == bj.classify_many(l2, X[:1], Y[:1])) is False
+    one = bj.classify_angle(l2, X[0], Y[0])
+    assert one == bj.classify_angle(l2, X[0], Y[0]) and one != many
+    assert one == bj.AngleRelation(one.tag, one.min_bound, one.max_bound, one.scale, (0.0,))
+    assert hash(one) == hash(bj.classify_angle(l2, X[0], Y[0]))
+
+
 # ---------------------------------------------------------------------------
 # The input contract: finite coordinates, exact zero, scale invariance.
 

@@ -541,6 +541,30 @@ def test_only_spaces_reads_the_max_sum_layout():
     assert readers == ["spaces.py"]
 
 
+def test_only_spaces_reads_a_plane_functional():
+    # A plane's functional leaves spaces only through the perp kernel perp2,
+    # which the plane map, orthogonal_rows and orthogonal_direction share.
+    package = Path(bj.__file__).parent
+    readers = sorted({path.name for path in package.glob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(node, ast.Attribute) and node.attr == "_grad2"})
+    assert readers == ["spaces.py"]
+
+
+@pytest.mark.parametrize("plane", [bj.DayJames(3.0, 1.5), bj.DayJames(1.5, 3.0),
+                                   bj.Lp(2, 3.0), bj.Lp(2, 2.0)], ids=str)
+def test_perp2_is_the_perp_of_the_support_functional(plane):
+    rng = np.random.default_rng(3)
+    axes = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (-0.0, 2.5), (3.0, -0.0)]
+    for a, b in axes + [tuple(v) for v in rng.standard_normal((50, 2)).tolist()]:
+        u, v = spaces.perp2(plane, a, b)
+        f = plane.support_set([a, b])[0]
+        assert (u, v) == (-f[1], f[0])
+        assert f[0] * u + f[1] * v == 0.0
+    for a, b in axes:
+        assert {abs(c) for c in spaces.perp2(plane, a, b)} == {0.0, 1.0}
+
+
 def _package_modules():
     package = Path(bj.__file__).parent
     return [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
