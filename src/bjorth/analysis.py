@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -26,8 +27,8 @@ from .orthogonality import (
     oracle_min_over_line,
 )
 from .sampling import as_uniform, draw_rows, nonzero_rows
-from .spaces import (InfSum, LInf, NormedSpace, format_space, pairing_angle,
-                     unit_vector_at_angle)
+from .spaces import (DayJames, InfSum, LInf, Lp, NormedSpace, format_space,
+                     pairing_angle, perp2, unit2, unit_vector_at_angle)
 
 # Rows judged per block of array passes: orthograph pairs (all of them up to
 # 362 directions), sum-acute and smoothness samples, and section-search
@@ -53,35 +54,33 @@ def radon_defect(plane: NormedSpace, grid: int = 720,
 
     For each grid direction theta, the forward orthogonal partner
     theta_star is solved in closed form over (theta, theta + pi); the
-    reverse deficit is how far min_t ||y(theta_star) + t y(theta)|| falls
-    below one.  The defect is the maximal reverse deficit; a witness pair
-    (first maximal in grid order) is reported when it exceeds the margin.
+    reverse deficit is how far the line oracle's min_t ||y(theta_star) +
+    t y(theta)|| falls below ||y(theta_star)||.  The defect is the maximal
+    reverse deficit; a witness pair (first maximal in grid order) is reported
+    when it exceeds the margin.  Directions run on Python floats (unit2,
+    perp2); any plane but Lp and Day-James is a max norm: NotSmooth.
     """
     if plane.dim != 2:
         raise NotAPlane(f"expected a plane, got dimension {plane.dim}")
     if grid < 16:
         raise InvalidCount(f"grid must be >= 16, got {grid}")
     check_margin(margin)
+    if not isinstance(plane, (Lp, DayJames)):
+        raise NotSmooth(f"the scan needs a smooth plane, got {format_space(plane)}")
     rows = []
-    best = (-1.0, None)
-    for theta in np.linspace(0.0, math.pi, grid, endpoint=False):
-        theta = float(theta)
-        y = unit_vector_at_angle(plane, theta)
-        fs = plane._support(y)
-        if len(fs) != 1:
-            raise NotSmooth(f"support set at angle {theta} has {len(fs)} extremes")
-        fa, fb = float(fs[0][0]), float(fs[0][1])
+    for theta in np.linspace(0.0, math.pi, grid, endpoint=False).tolist():
+        y = unit2(plane, theta)
+        u, v = perp2(plane, *y)
+        fa, fb = v, -u  # the functional at y(theta)
         # f(y(theta)) = ||y(theta)|| > 0 and f(y(theta + pi)) < 0: always bracketed.
         theta_star = pairing_angle(fa, fb, theta, theta + math.pi)
-        y_star = unit_vector_at_angle(plane, theta_star)
+        y_star = unit2(plane, theta_star)
         forward = abs(fa * y_star[0] + fb * y_star[1])
         _, val = oracle_min_over_line(plane, y_star, y)
-        deficit = max(0.0, plane._norm(y_star) - val)
+        deficit = max(0.0, plane._norm2(*y_star) - val)
         rows.append((theta, theta_star, forward, deficit))
-        if deficit > best[0]:
-            best = (deficit, (theta, theta_star))
-    defect = max(0.0, best[0])
-    witness = best[1] if defect > margin else None
+    theta, theta_star, _, defect = max(rows, key=itemgetter(3))  # the first maximal
+    witness = (theta, theta_star) if defect > margin else None
     return RadonScan(defect=defect, witness=witness, rows=rows)
 
 

@@ -36,14 +36,12 @@ from .errors import (
     NonConvergence,
     NonFiniteInput,
     NotRadonPlane,
-    NotSmooth,
 )
 from .orthogonality import (MARGIN, AngleRelation, check_margin, classify_many,
                             orthogonal_rows)
 from .sampling import as_uniform, draw_rows, nonzero_rows
 from .serialize import write_csv
-from .spaces import (DayJames, InfSum, Lp, NormedSpace, pairing_angle, perp2,
-                     unit_vector_at_angle)
+from .spaces import DayJames, InfSum, Lp, NormedSpace, pairing_angle, perp2, unit2
 
 HALF_PI = 0.5 * math.pi
 
@@ -60,10 +58,11 @@ def solve_eta(plane: NormedSpace, theta: float) -> float:
     """Angle in [pi/2, pi] whose unit vector is orthogonal to y(theta).
 
     Solves g(t) = f(y(t)) = 0 over [pi/2, pi] in closed form, where f is the
-    unique norming functional at y(theta); g starts at least -1e-12 ||f|| and
-    ends at most 1e-12 ||f|| on every first-quadrant direction of a smooth
-    plane (else NoBracket), and a root whose residual |g| exceeds 1e-10 ||f||
-    raises NonConvergence.  The endpoints 0 and pi/2 map to pi/2 and pi exactly.
+    norming functional at y(theta), spaces.perp2 turned back by a negation;
+    g starts at least -1e-12 ||f|| and ends at most 1e-12 ||f|| on every
+    first-quadrant direction of a smooth plane (else NoBracket), and a root
+    whose residual |g| exceeds 1e-10 ||f|| raises NonConvergence.  The
+    endpoints 0 and pi/2 map to pi/2 and pi exactly.
     """
     if not _is_radon_target(plane):
         raise NotRadonPlane(f"not a supported smooth Radon plane: {plane!r}")
@@ -73,10 +72,8 @@ def solve_eta(plane: NormedSpace, theta: float) -> float:
         return HALF_PI
     if theta >= HALF_PI:
         return math.pi
-    fs = plane._support(unit_vector_at_angle(plane, theta))
-    if len(fs) != 1:
-        raise NotSmooth(f"support set at angle {theta} has {len(fs)} extremes")
-    fa, fb = float(fs[0][0]), float(fs[0][1])
+    u, v = perp2(plane, *unit2(plane, theta))
+    fa, fb = v, -u  # the functional at y(theta)
     fnorm = math.hypot(fa, fb)
 
     def g(t: float) -> float:

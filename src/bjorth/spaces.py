@@ -67,32 +67,28 @@ def _sign(t: float) -> float:
 
 
 def _pnorm2(a: float, b: float, r: float) -> float:
-    """Scalar p-norm of a 2-vector, max-scaled for stability.
-
-    Scaling keeps axis vectors exact: ||(c, 0)|| == c for every c > 0.
-    """
+    """Scalar p-norm of a 2-vector in one power, M * (1 + (m/M)**r) ** (1/r),
+    M >= m its absolute coordinates: the max-scaled form, bit for bit, as
+    pow(1, r) == 1.  ||(c, 0)|| == c exactly; an inf coordinate gives inf."""
     aa, bb = abs(a), abs(b)
-    m = aa if aa >= bb else bb
-    if m == 0.0:
+    if aa < bb:
+        aa, bb = bb, aa
+    if aa == 0.0:
         return 0.0
-    return m * (math.pow(aa / m, r) + math.pow(bb / m, r)) ** (1.0 / r)
+    return aa * (1.0 + math.pow(bb / aa, r)) ** (1.0 / r)
 
 
 def _pgrad2(a: float, b: float, r: float) -> tuple[float, float]:
-    """Gradient of the scalar 2-vector p-norm at (a, b) != 0.
-
-    This is the unique norming functional of the p-norm at (a, b): it has
-    dual norm one and pairs with (a, b) to the norm value.
-    """
+    """Gradient of the 2-vector p-norm at (a, b) != 0: its norming functional.
+    With t = m/M and d = ||(1, t)||**(r-1), the larger coordinate takes
+    sign / d and the smaller sign * t**(r-1) / d: four powers, the max-scaled
+    form's six bit for bit, as pow(1, y) == 1."""
     aa, bb = abs(a), abs(b)
-    m = aa if aa >= bb else bb
-    ta, tb = aa / m, bb / m
-    s = (math.pow(ta, r) + math.pow(tb, r)) ** (1.0 / r)
-    d = math.pow(s, r - 1.0)
-    return (
-        _sign(a) * math.pow(ta, r - 1.0) / d,
-        _sign(b) * math.pow(tb, r - 1.0) / d,
-    )
+    t = bb / aa if aa >= bb else aa / bb
+    d = math.pow((1.0 + math.pow(t, r)) ** (1.0 / r), r - 1.0)
+    if aa >= bb:
+        return _sign(a) / d, _sign(b) * math.pow(t, r - 1.0) / d
+    return _sign(a) * math.pow(t, r - 1.0) / d, _sign(b) / d
 
 
 def _line2(xa: np.ndarray, ya: np.ndarray, p: float, q: float):
@@ -120,10 +116,9 @@ def _pscaled(X: np.ndarray, r):
 
 def _pnorms(X: np.ndarray, r) -> np.ndarray:
     """Row-wise p-norms, the array form of _pnorm2; r is a number or, for two
-    columns, a vector of per-row exponents.  Two columns take _pscaled's form
-    as M * (1 + (m/M)**r) ** (1/r), M >= m the absolute coordinates, with one
-    power a row: bit for bit _pscaled's floats on finite rows (an infinite
-    coordinate gives inf here and NaN there)."""
+    columns, a vector of per-row exponents.  Two columns take _pnorm2's
+    one-power form: bit for bit _pscaled's floats on finite rows (an
+    infinite coordinate gives inf here and NaN there)."""
     if X.shape[1] != 2:
         M, _, S = _pscaled(X, r)
         return (M * S)[:, 0]
@@ -589,6 +584,13 @@ def unit_vector_at_angle(plane: NormedSpace, theta: float) -> np.ndarray:
     return np.array([c / n, s / n])
 
 
+def unit2(plane: NormedSpace, theta: float) -> tuple[float, float]:
+    """unit_vector_at_angle's floats for a smooth plane and a finite theta."""
+    c, s = math.cos(theta), math.sin(theta)
+    n = plane._norm2(c, s)
+    return c / n, s / n
+
+
 def perp2(plane: NormedSpace, a: float, b: float) -> tuple[float, float]:
     """The Euclidean perp (-f_b, f_a) of the norming functional f of a smooth
     plane (Lp or DayJames) at (a, b) != 0, on Python floats.  f annuls it
@@ -606,8 +608,10 @@ def pairing_angle(fa: float, fb: float, lo: float, hi: float) -> float:
     g(t) = R cos(t - phi) with phi = atan2(fb, fa) falls through zero at
     phi + pi/2.  That root is moved by a multiple of 2 pi to within pi of the
     bracket's midpoint and clamped to [lo, hi], so a bracket that excludes it
-    gives its nearer end.
+    gives its nearer end.  A NaN or infinite argument raises NonFiniteInput.
     """
+    if not all(map(math.isfinite, (fa, fb, lo, hi))):
+        raise NonFiniteInput(f"pairing arguments must be finite, got {(fa, fb, lo, hi)}")
     root = math.atan2(fb, fa) + 0.5 * math.pi
     root += 2.0 * math.pi * round((0.5 * (lo + hi) - root) / (2.0 * math.pi))
     return min(max(root, lo), hi)

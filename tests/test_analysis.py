@@ -6,7 +6,7 @@ import pytest
 
 import bjorth as bj
 from bjorth.cli import _sections_record
-from bjorth.errors import DegenerateSection, InvalidCount, NotAPlane
+from bjorth.errors import DegenerateSection, InvalidCount, NotAPlane, NotSmooth
 from bjorth.sampling import BLOCK
 
 from conftest import SPACE_ZOO
@@ -48,6 +48,15 @@ def test_radon_defect_lp3_witness():
 def test_radon_defect_requires_plane():
     with pytest.raises(NotAPlane):
         bj.radon_defect(bj.Lp(3, 2.0))
+
+
+@pytest.mark.parametrize("text", ["linf:2", "sum(linf:1,linf:1)", "sum(lp:1:3,linf:1)"])
+@pytest.mark.parametrize("grid", [16, 17])
+def test_radon_defect_rejects_a_non_smooth_plane(text, grid):
+    # Every plane but Lp and Day-James is a max norm.  An odd grid misses
+    # the tie angles, where a scan that met the kink would have stopped.
+    with pytest.raises(NotSmooth):
+        bj.radon_defect(bj.parse_space(text), grid=grid)
 
 
 def test_radon_rows_are_deterministic():
@@ -110,10 +119,10 @@ def test_radon_scan_matches_pinned_values(label):
 
 @pytest.mark.parametrize("text", ["dayjames:3:1.5", "lp:2:3"])
 def test_radon_scan_takes_the_plane_objective(text, monkeypatch):
-    # The array _norm serves the unit vectors, ||x|| and ||y|| of each
-    # oracle call and the deficit: about 5 calls a direction.  The golden-
-    # section search makes about 56 evaluations a direction, which must go
-    # to the plane's scalar objective instead.
+    # The array _norm serves only ||x|| and ||y|| of each oracle call: 2
+    # calls a direction.  The unit vectors and the deficit take the scalar
+    # _norm2, and the golden-section search's 56 or so evaluations a
+    # direction go to the plane's scalar objective.
     plane = bj.parse_space(text)
     calls = []
     norm = type(plane)._norm
@@ -124,7 +133,7 @@ def test_radon_scan_takes_the_plane_objective(text, monkeypatch):
 
     monkeypatch.setattr(type(plane), "_norm", counting)
     bj.radon_defect(plane, grid=16)
-    assert 16 <= len(calls) <= 8 * 16
+    assert len(calls) == 2 * 16
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,13 @@ def test_radon_dayjames_exits_zero(capsys):
     assert "defect:" in out
 
 
+def test_radon_non_smooth_plane_exits_two(capsys):
+    code, out, err = run(capsys, "radon", "--space", "linf:2", "--grid", "16")
+    assert code == 2
+    assert "error:" in err and "smooth" in err
+    assert "defect:" not in out
+
+
 def test_smooth_verb(capsys):
     code, _, _ = run(capsys, "smooth", "--space", "lp:2:2", "--samples", "50")
     assert code == 0

@@ -10,6 +10,7 @@ from bjorth.errors import (
     EmptySum,
     GridTooCoarse,
     MonotonicityViolation,
+    NonFiniteInput,
     NotRadonPlane,
 )
 
@@ -444,6 +445,15 @@ def test_pairing_outside_the_bracket_gives_the_nearer_end():
                         (-3.0, -2.5, -3.0)):
         assert (math.cos(end) + math.sin(end) < 0.0) == (end == lo)
         assert bj.pairing_angle(1.0, 1.0, lo, hi) == end
+
+
+@pytest.mark.parametrize("slot", range(4))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pairing_rejects_a_non_finite_argument(slot, bad):
+    args = [1.0, 1.0, 0.0, math.pi]
+    args[slot] = bad
+    with pytest.raises(NonFiniteInput):
+        bj.pairing_angle(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -438,6 +438,58 @@ def test_scalar_norms_and_supports_match_their_numpy_forms(data, space):
         assert f.dtype == g.dtype and f.tobytes() == g.tobytes()
 
 
+# The scalar plane kernels take one power of the smaller-to-larger ratio
+# where the max-scaled form takes one of each scaled coordinate; the larger
+# one scales to 1, and pow(1, y) is exactly 1.  The references below are the
+# max-scaled forms.
+
+
+def two_power_pnorm2(a, b, r):
+    aa, bb = abs(a), abs(b)
+    m = aa if aa >= bb else bb
+    if m == 0.0:
+        return 0.0
+    return m * (math.pow(aa / m, r) + math.pow(bb / m, r)) ** (1.0 / r)
+
+
+def six_power_pgrad2(a, b, r):
+    aa, bb = abs(a), abs(b)
+    m = aa if aa >= bb else bb
+    ta, tb = aa / m, bb / m
+    d = math.pow((math.pow(ta, r) + math.pow(tb, r)) ** (1.0 / r), r - 1.0)
+    return (spaces._sign(a) * math.pow(ta, r - 1.0) / d,
+            spaces._sign(b) * math.pow(tb, r - 1.0) / d)
+
+
+def assert_kernels_match(a, b, r):
+    assert same_bits(spaces._pnorm2(a, b, r), two_power_pnorm2(a, b, r))
+    if a or b:
+        got, want = spaces._pgrad2(a, b, r), six_power_pgrad2(a, b, r)
+        assert all(map(same_bits, got, want))
+
+
+KERNEL_EXPONENTS = st.one_of(
+    st.sampled_from([1.0000001, 1.1, 4.0 / 3.0, 1.5, 2.0, 3.0, 4.0, 6.0]),
+    st.floats(min_value=1.0, max_value=16.0, exclude_min=True))
+KERNEL_MAGNITUDES = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@settings(max_examples=1000)
+@given(a=KERNEL_MAGNITUDES, b=KERNEL_MAGNITUDES, signs=st.sampled_from(
+    [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]), r=KERNEL_EXPONENTS)
+def test_plane_kernels_are_the_max_scaled_forms_bit_for_bit(a, b, signs, r):
+    assert_kernels_match(signs[0] * a, signs[1] * b, r)
+
+
+@pytest.mark.parametrize("r", [1.0000001, 1.1, 4.0 / 3.0, 1.5, 2.0, 3.0, 4.0, 6.0])
+def test_plane_kernels_match_at_ties_axes_zeros_and_subnormals(r):
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-300,
+              1.0, -3.0, 1e300, 1.7976931348623157e308, -1.7976931348623157e308]
+    for a in values:
+        for b in values:
+            assert_kernels_match(a, b, r)  # every tie |a| == |b| and every axis
+
+
 FAMILIES = ([bj.Lp(d, 2.5) for d in range(1, 10)] + [bj.LInf(d) for d in range(1, 10)]
             + [bj.DayJames(3.0, 1.5)]
             + [bj.InfSum((bj.LInf(1), bj.Lp(d - 1, 2.0))) for d in range(2, 10)])
