@@ -11,6 +11,7 @@ with their max-sum liftings, and certify the geometry by seeded sampling.
 __version__ = "0.1.0"
 
 from .errors import (
+    AngleOutOfRange,
     BadDimension,
     BjorthError,
     DegenerateSection,

@@ -132,6 +132,9 @@ def cmd_check(args) -> int:
     print(f"reverse: {rev.tag.value}")
     mutual = rel.is_bj_orthogonal and rev.is_bj_orthogonal
     print(f"mutual: {'yes' if mutual else 'no'}")
+    print(f"bounds: {fmt_float(rel.min_bound)} {fmt_float(rel.max_bound)}")
+    print(f"scale: {fmt_float(rel.scale)}")
+    print(f"margin: {fmt_float(args.margin)}")
     return 0 if rel.is_bj_orthogonal else 1
 
 

@@ -30,6 +30,10 @@ class InvalidCount(BjorthError, ValueError):
     """A sample, pair-sample or grid count is below its minimum."""
 
 
+class AngleOutOfRange(BjorthError, ValueError):
+    """A finite angle lies outside the range a function accepts."""
+
+
 class InvalidMargin(BjorthError, ValueError):
     """A decision margin is negative."""
 

@@ -137,7 +137,7 @@ def classify_angle(space: NormedSpace, x, y, margin: float = MARGIN) -> AngleRel
 def _classify(space: NormedSpace, xa: np.ndarray, ya: np.ndarray,
               margin: float) -> AngleRelation:
     """classify_angle on checked arrays and a checked margin."""
-    if not xa.any():
+    if not np.count_nonzero(xa):
         return AngleRelation(AngleTag.DEGENERATE_LEFT, 0.0, 0.0, 0.0)
     scale = space._norm(ya)  # scalar norms overflow to inf quietly
     k = 0
@@ -322,10 +322,12 @@ def _golden_section_rows(phi, lo: np.ndarray, hi: np.ndarray, data: tuple, tol: 
 # sum-acute checks (above 0.03) lie in between and keep their arithmetic.
 _MIN_BRACKET = 2.0**-10
 
-# Largest ||x|| searched as it is.  The search takes norms up to 3||x||, so
-# a larger x (its norm may even overflow) is first scaled by the exact power
-# of two 2**-s that puts its largest coordinate in [1/2, 1).
-_MAX_NORM = 2.0**1020
+# Largest and smallest ||x|| searched as it is.  The search takes norms up
+# to 3||x||, so a larger x (its norm may even overflow) is first scaled by
+# the exact power of two 2**-s that puts its largest coordinate in [1/2, 1),
+# and so is a smaller nonzero x, whose values would lose the bits that decide
+# the search among the subnormals (_MIN_NORM keeps 53 down to 2**-54 ||x||).
+_MAX_NORM, _MIN_NORM = 2.0**1020, 2.0**-968
 
 
 def _unscaled(t, e):
@@ -339,13 +341,13 @@ def _min_on_line(space: NormedSpace, xa: np.ndarray, ya: np.ndarray,
     """oracle_min_over_line over [lo * L, L] on checked arrays, y != 0.
 
     Returns (argmin, min, ||x||, s): the argmin in units of y, and the min
-    and the norm of x * 2**-s, where s = 0 unless ||x|| exceeds _MAX_NORM.
+    and the norm of x * 2**-s, s = 0 when _MIN_NORM <= ||x|| <= _MAX_NORM.
     The search minimizes space._line(x, y): on Lp and Day-James planes a
     Python-float objective, bit for bit the array form ||x + t*y||.
     """
     nx, ny = space._norm(xa), space._norm(ya)  # scalar norms overflow to inf quietly
     s = 0
-    if nx > _MAX_NORM:
+    if nx > _MAX_NORM or 0.0 < nx < _MIN_NORM:
         s = int(top_exponents(xa))
         xa = np.ldexp(xa, -s)
         nx = space._norm(xa)
@@ -371,12 +373,12 @@ def _min_on_lines(space: NormedSpace, X: np.ndarray, Y: np.ndarray,
         nx = space._norms(X)
         ny = space._norms(Y)
     s = np.zeros(len(X), dtype=int)
-    big = nx > _MAX_NORM
-    if big.any():
-        s[big] = top_exponents(X[big])
+    scaled = (nx > _MAX_NORM) | (nx < _MIN_NORM)
+    if scaled.any():
+        s[scaled] = top_exponents(X[scaled])
         X = X.copy()
-        X[big] = np.ldexp(X[big], -s[big, None])
-        nx[big] = space._norms(X[big])
+        X[scaled] = np.ldexp(X[scaled], -s[scaled, None])
+        nx[scaled] = space._norms(X[scaled])
     with np.errstate(over="ignore"):
         lam = 2.0 * nx / ny
     e = np.zeros(len(X), dtype=int)
@@ -402,15 +404,16 @@ def oracle_min_over_line(space: NormedSpace, x, y) -> tuple[float, float]:
     a power of two: the tolerance then applies in those units, and the
     argmin, returned in units of y, can overflow to +-inf; when ||y|| is
     itself past the float range, the power of two comes from y's largest
-    coordinate.  When ||x|| is beyond 2**1020, x is scaled down by a power
-    of two for the search, and the min, returned in units of x, is inf when
-    it is past the float range.  On Lp and Day-James planes the objective
-    runs on Python floats (spaces._line2), with the same roundings as the
-    array form ||x + t*y||, so the results are the same bit for bit.
+    coordinate.  When ||x|| is beyond 2**1020, or nonzero below 2**-968, x
+    is scaled by a power of two for the search, and the min, returned in
+    units of x, is inf when it is past the float range.  On Lp and
+    Day-James planes the objective runs on Python floats (spaces._line2),
+    with the same roundings as the array form ||x + t*y||, so the results
+    are the same bit for bit.
     """
     xa = space.check_vector(x)
     ya = space.check_vector(y)
-    if not ya.any():
+    if not np.count_nonzero(ya):
         raise ZeroDirection("line minimization needs y != 0")
     t, val, _, s = _min_on_line(space, xa, ya, -1.0)
     return t, (float(_unscaled(val, s)) if s else val)
@@ -421,7 +424,7 @@ def is_bj_orthogonal_oracle(space: NormedSpace, x, y, margin: float = MARGIN) ->
     xa = space.check_vector(x)
     ya = space.check_vector(y)
     check_margin(margin)
-    if not (xa.any() and ya.any()):
+    if not (np.count_nonzero(xa) and np.count_nonzero(ya)):
         return True
     _, val, nx, _ = _min_on_line(space, xa, ya, -1.0)
     return val >= nx * (1.0 - margin)
@@ -432,9 +435,9 @@ def one_sided_acute_oracle(space: NormedSpace, x, y, margin: float = MARGIN) -> 
     xa = space.check_vector(x)
     ya = space.check_vector(y)
     check_margin(margin)
-    if not xa.any():
+    if not np.count_nonzero(xa):
         raise ZeroVector("acute-angle oracle needs x != 0")
-    if not ya.any():
+    if not np.count_nonzero(ya):
         return True
     _, val, nx, _ = _min_on_line(space, xa, ya, 0.0)
     return val >= nx * (1.0 - margin)
@@ -482,7 +485,7 @@ def orthogonal_direction(space: NormedSpace, x, rng: np.random.Generator) -> np.
     part ties.
     """
     xa = space.check_vector(x)
-    if not xa.any():
+    if not np.count_nonzero(xa):
         raise ZeroVector("orthogonal partner needs x != 0")
     return _orthogonal_direction(space, xa, rng)
 
@@ -505,6 +508,7 @@ def _orthogonal_direction(space: NormedSpace, xa: np.ndarray,
     if isinstance(space, (Lp, DayJames)) and space.dim == 2:
         return np.array(perp2(space, *xa.tolist()))
     f = space._support(xa)[0]
+    xa = np.ldexp(xa, -top_exponents(xa))  # f(x) = ||x|| >= 1/2: f(v) / f(x) stays finite
     v = rng.standard_normal(space.dim)
     return v - (float(np.dot(f, v)) / float(np.dot(f, xa))) * xa
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AngleOutOfRange,
     GridTooCoarse,
     InvalidCount,
     MonotonicityViolation,
@@ -62,12 +63,15 @@ def solve_eta(plane: NormedSpace, theta: float) -> float:
     g starts at least -1e-12 ||f|| and ends at most 1e-12 ||f|| on every
     first-quadrant direction of a smooth plane (else NoBracket), and a root
     whose residual |g| exceeds 1e-10 ||f|| raises NonConvergence.  The
-    endpoints 0 and pi/2 map to pi/2 and pi exactly.
+    endpoints 0 and pi/2 map to pi/2 and pi exactly.  A NaN or infinite
+    theta raises NonFiniteInput, and one outside [0, pi/2] AngleOutOfRange.
     """
     if not _is_radon_target(plane):
         raise NotRadonPlane(f"not a supported smooth Radon plane: {plane!r}")
+    if not math.isfinite(theta):
+        raise NonFiniteInput(f"theta must be finite, got {theta}")
     if not -1e-12 <= theta <= HALF_PI + 1e-12:
-        raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
+        raise AngleOutOfRange(f"theta must lie in [0, pi/2], got {theta}")
     if theta <= 0.0:
         return HALF_PI
     if theta >= HALF_PI:

@@ -183,12 +183,12 @@ class NormedSpace(ABC):
         return self._norm(self.check_vector(v))
 
     def is_zero(self, v) -> bool:
-        return not self.check_vector(v).any()
+        return not np.count_nonzero(self.check_vector(v))
 
     def support_set(self, x) -> list[np.ndarray]:
         """Extreme points of nu(x); raises ZeroVector at the origin."""
         arr = self.check_vector(x)
-        if not arr.any():
+        if not np.count_nonzero(arr):
             raise ZeroVector("support set is undefined at the zero vector")
         return self._support(arr)
 
@@ -224,23 +224,22 @@ class Lp(NormedSpace):
         if self.dim == 2:
             a, b = arr.tolist()
             return _pnorm2(a, b, self.p)
-        a = np.abs(arr)
-        m = float(a.max())
+        A = [abs(c) for c in arr.tolist()]
+        m = max(A)
         if m == 0.0:
             return 0.0
-        return m * float(np.sum((a / m) ** self.p)) ** (1.0 / self.p)
+        return m * math.fsum([math.pow(a / m, self.p) for a in A]) ** (1.0 / self.p)
 
     def _support(self, arr):
         # Unique norming functional: sign(x_i) |x_i|^(p-1) / ||x||^(p-1).
         if self.dim == 2:
             a, b = arr.tolist()
             return [np.array(_pgrad2(a, b, self.p))]
-        a = np.abs(arr)
-        m = float(a.max())
-        t = a / m
-        s = float(np.sum(t**self.p)) ** (1.0 / self.p)
-        f = np.sign(arr) * t ** (self.p - 1.0) / s ** (self.p - 1.0)
-        return [f]
+        coords, p = arr.tolist(), self.p
+        m = max(map(abs, coords))
+        T = [abs(c) / m for c in coords]
+        d = math.pow(math.fsum([math.pow(t, p) for t in T]) ** (1.0 / p), p - 1.0)
+        return [np.array([_sign(c) * math.pow(t, p - 1.0) / d for c, t in zip(coords, T)])]
 
     def _norms(self, X):
         return _pnorms(X, self.p)

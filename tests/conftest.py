@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -59,3 +62,24 @@ def non_radon_map(plane, grid_size=256):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bj.preserver, "_is_radon_target", lambda plane: True)
         return bj.build_preserver(plane, grid_size)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the BjorthError it raises."""
+    try:
+        return fn(*args)
+    except bj.BjorthError as exc:
+        return type(exc)
+
+
+def dispatch_envs():
+    """Environments for a bjorth subprocess: numpy's default CPU dispatch,
+    then with the AVX-512 kernels of power, exp, log and arctan2 switched
+    off (names a CPU lacks are ignored)."""
+    src = str(Path(bj.__file__).resolve().parent.parent)
+    for disabled in (None, "X86_V4 AVX512_ICL AVX512_SPR"):
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        env["PYTHONPATH"] = src
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        yield env

@@ -1,9 +1,7 @@
 import hashlib
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -11,6 +9,8 @@ import bjorth as bj
 from bjorth import cli
 from bjorth.cli import load_space, main
 from bjorth.errors import InvalidExponent, ParseError
+
+from conftest import dispatch_envs
 
 
 def run(capsys, *argv):
@@ -63,7 +63,20 @@ def test_check_zero_vector_is_orthogonal_both_ways(capsys):
     code, out, _ = run(capsys, "check", "--space", "dayjames:3:1.5",
                        "--x", "0,0", "--y", "1,0")
     assert code == 0
-    assert out.splitlines()[1:] == ["degenerate", "reverse: orthogonal", "mutual: yes"]
+    assert out.splitlines()[1:] == ["degenerate", "reverse: orthogonal", "mutual: yes",
+                                    "bounds: 0 0", "scale: 0", "margin: 1.0000000000000001e-09"]
+
+
+def test_check_prints_the_forward_witness_in_17_digits(capsys):
+    code, out, _ = run(capsys, "check", "--space", "lp:2:2", "--x", "3,4", "--y", "1,1e-3",
+                       "--margin", "0.25")
+    assert code == 1
+    rel = bj.classify_angle(bj.Lp(2, 2.0), [3, 4], [1, 1e-3], 0.25)
+    assert out.splitlines()[1:] == [
+        "strictly-acute", "reverse: strictly-acute", "mutual: no",
+        f"bounds: {rel.min_bound:.17g} {rel.max_bound:.17g}", f"scale: {rel.scale:.17g}",
+        "margin: 0.25"]
+    assert rel.min_bound == float(out.splitlines()[4].split()[1])  # 17 digits round-trip
 
 
 @pytest.mark.parametrize("argv", [
@@ -298,19 +311,12 @@ def test_certify_artifacts_do_not_depend_on_cpu_dispatch(tmp_path):
     # numpy's AVX-512 kernels for power, exp, log and arctan2 round some
     # inputs differently from the baseline ones.  Their floats must only
     # feed decisions and counts, so the artifacts come out the same with
-    # those kernels switched off (names a CPU lacks are ignored).
-    src = str(Path(bj.__file__).resolve().parent.parent)
-    outs = []
-    for disabled in (None, "X86_V4 AVX512_ICL AVX512_SPR"):
-        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
-        env["PYTHONPATH"] = src
-        if disabled:
-            env["NPY_DISABLE_CPU_FEATURES"] = disabled
-        out = tmp_path / ("baseline" if disabled else "default")
+    # those kernels switched off.
+    outs = [tmp_path / "default", tmp_path / "baseline"]
+    for env, out in zip(dispatch_envs(), outs):
         subprocess.run([sys.executable, "-m", "bjorth", "certify", "--fast", "--seed", "0",
                         "--out", str(out)], env=env, check=True, capture_output=True,
                        timeout=600)
-        outs.append(out)
     for out in outs:
         assert sorted(p.name for p in out.iterdir()) == CERTIFY_ARTIFACTS
     for name in CERTIFY_ARTIFACTS:

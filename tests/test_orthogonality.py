@@ -1,5 +1,8 @@
 import hashlib
+import json
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -20,7 +23,7 @@ from bjorth.orthogonality import (
     golden_section_min,
 )
 
-from conftest import SPACE_ZOO, draw_vector, random_nonzero
+from conftest import SPACE_ZOO, dispatch_envs, draw_vector, outcome, random_nonzero
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +453,70 @@ def test_tiny_nonzero_vector_is_not_zero():
     assert l2.is_zero([0.0, -0.0])
     rels = bj.classify_many(l2, [[1e-13, 0.0], [0.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]])
     assert list(rels.tag) == [AngleTag.STRICTLY_ACUTE, AngleTag.DEGENERATE_LEFT]
+
+
+# Every entry point with a one-vector zero test, called with the vector v
+# and the unit vector e on v's nonzero coordinate, and what each returns (or
+# the error it raises) on a zero v and on v = s * 5e-324 * e, s = 1 and -1;
+# orthogonal_direction gives the tag of v against its partner.
+ZERO_TEST_ENTRY_POINTS = {
+    "classify_angle": (lambda sp, v, e: bj.classify_angle(sp, v, e).tag, AngleTag.DEGENERATE_LEFT,
+                       {1: AngleTag.STRICTLY_ACUTE, -1: AngleTag.STRICTLY_OBTUSE}),
+    "is_bj_orthogonal": (lambda sp, v, e: bj.is_bj_orthogonal(sp, v, e), True,
+                         {1: False, -1: False}),
+    "is_mutually_orthogonal": (lambda sp, v, e: bj.is_mutually_orthogonal(sp, v, e), True,
+                               {1: False, -1: False}),
+    "orthogonal_direction": (lambda sp, v, e: bj.classify_angle(sp, v, bj.orthogonal_direction(
+        sp, v, np.random.default_rng(0))).tag, ZeroVector,
+                             {1: AngleTag.ORTHOGONAL, -1: AngleTag.ORTHOGONAL}),
+    "oracle_min_over_line": (lambda sp, v, e: bj.oracle_min_over_line(sp, e, v)[1] < 0.5,
+                             ZeroDirection, {1: True, -1: True}),
+    "is_bj_orthogonal_oracle-x": (lambda sp, v, e: bj.is_bj_orthogonal_oracle(sp, v, e), True,
+                                  {1: False, -1: False}),
+    "is_bj_orthogonal_oracle-y": (lambda sp, v, e: bj.is_bj_orthogonal_oracle(sp, e, v), True,
+                                  {1: False, -1: False}),
+    "one_sided_acute_oracle-x": (lambda sp, v, e: bj.one_sided_acute_oracle(sp, v, e),
+                                 ZeroVector, {1: True, -1: False}),
+    "one_sided_acute_oracle-y": (lambda sp, v, e: bj.one_sided_acute_oracle(sp, e, v), True,
+                                 {1: True, -1: False}),
+    "support_set": (lambda sp, v, e: [f.tolist() for f in sp.support_set(v)] == [np.sign(v).tolist()],
+                    ZeroVector, {1: True, -1: True}),
+    "is_zero": (lambda sp, v, e: sp.is_zero(v), True, {1: False, -1: False}),
+}
+POINT_QUERY_SPACES = ["lp:2:3", "lp:5:1.5", "linf:4", "dayjames:3:1.5",
+                      "sum(dayjames:3:1.5,linf:2)"]
+
+
+@pytest.mark.parametrize("vector", ["0.0", "-0.0", "5e-324", "-5e-324"])
+@pytest.mark.parametrize("text", POINT_QUERY_SPACES)
+@pytest.mark.parametrize("entry", sorted(ZERO_TEST_ENTRY_POINTS))
+def test_zero_tests_read_only_exact_zeros(entry, text, vector):
+    # -0.0 is zero and the smallest subnormal is not, at every coordinate
+    # that the zero test reads, in every space the point queries use.
+    call, at_zero, at_tiny = ZERO_TEST_ENTRY_POINTS[entry]
+    space, c = bj.parse_space(text), float(vector)
+    for i in (0, space.dim - 1):
+        e = np.eye(space.dim)[i]
+        v = np.full(space.dim, c) if c == 0.0 else c * e
+        want = at_zero if c == 0.0 else at_tiny[int(math.copysign(1.0, c))]
+        assert outcome(call, space, v, e) == want, i
+
+
+@pytest.mark.parametrize("text", POINT_QUERY_SPACES)
+def test_oracles_search_a_subnormal_x_at_full_precision(text):
+    # Along e the value |c + t * y| of a subnormal x = c * e rounds to a
+    # multiple of 5e-324, flat where the search looks; scaled up, the
+    # search finds the zero that makes x neither orthogonal to e nor acute
+    # to a y of the other sign, in the scalar and the lockstep oracles.
+    space = bj.parse_space(text)
+    for i in (0, space.dim - 1):
+        e = np.eye(space.dim)[i]
+        for c in (5e-324, -5e-324, 1e-315):
+            for y in (e, -e):
+                acute = (c > 0.0) == (y[i] > 0.0)
+                assert not bj.is_bj_orthogonal_oracle(space, c * e, y)
+                assert bj.one_sided_acute_oracle(space, c * e, y) == acute
+                assert bj.one_sided_acute_many(space, [c * e], [y]).tolist() == [acute]
 
 
 DJ = bj.DayJames(3.0, 1.5)
@@ -920,3 +987,38 @@ def test_angles_survive_a_y_norm_beyond_the_float_range(text):
             assert acute_many[i] == rel.is_acute, i
     assert [t.value for t in many.tag] == [
         "strictly-acute", "strictly-obtuse", "strictly-obtuse", "orthogonal", "strictly-acute"]
+
+
+# ---------------------------------------------------------------------------
+# Single queries on Python floats.
+
+SINGLE_QUERIES = """
+import json, sys
+import bjorth as bj
+for text, pairs in json.loads(sys.stdin.read()):
+    space = bj.parse_space(text)
+    for x, y in pairs:
+        rel = bj.classify_angle(space, x, y)
+        print(text, *map(float.hex, [space.norm(x), space.norm(y),
+              *[c for f in space.support_set(x) for c in f.tolist()],
+              rel.min_bound, rel.max_bound, rel.scale, bj.oracle_min_over_line(space, x, y)[1]]))
+"""
+
+
+def test_single_queries_do_not_depend_on_cpu_dispatch():
+    # As the certify artifacts: numpy's AVX-512 power rounds some inputs
+    # differently from its baseline kernel, so a single query's floats must
+    # come out the same with those kernels switched off.  The dual pairing
+    # is BLAS's, which numpy does not dispatch.
+    rng = np.random.default_rng(18)
+    queries = []
+    for text in ("lp:5:1.5", "lp:3:1.1", "sum(lp:3:4,linf:2)"):
+        dim = bj.parse_space(text).dim
+        V = rng.standard_normal((40, 2, dim)) * 10.0 ** rng.uniform(-3, 3, (40, 2, 1))
+        queries.append((text, V.tolist()))
+    outs = [subprocess.run([sys.executable, "-c", SINGLE_QUERIES], env=env, check=True,
+                           input=json.dumps(queries), capture_output=True, text=True,
+                           timeout=600).stdout.splitlines() for env in dispatch_envs()]
+    assert len(outs[0]) == 120
+    for default, baseline in zip(*outs):
+        assert default == baseline

@@ -67,6 +67,23 @@ def test_solve_eta_matches_analytic_perp_on_grid():
         )
 
 
+@pytest.mark.parametrize("theta, error", [
+    (math.nan, NonFiniteInput), (math.inf, NonFiniteInput), (-math.inf, NonFiniteInput),
+    (-0.1, bj.AngleOutOfRange), (2.0, bj.AngleOutOfRange),
+], ids=["nan", "inf", "-inf", "-0.1", "2.0"])
+def test_solve_eta_rejects_a_bad_angle(theta, error):
+    with pytest.raises(error) as info:
+        bj.solve_eta(DJ, theta)
+    assert isinstance(info.value, bj.BjorthError)
+    # An angle out of range is also a ValueError, as a bad count is.
+    assert isinstance(info.value, ValueError) == (error is bj.AngleOutOfRange)
+
+
+def test_solve_eta_keeps_the_slack_at_the_ends():
+    assert bj.solve_eta(DJ, -1e-12) == math.pi / 2
+    assert bj.solve_eta(DJ, math.pi / 2 + 1e-12) == math.pi
+
+
 def test_solve_eta_rejects_non_radon_planes():
     with pytest.raises(NotRadonPlane):
         bj.solve_eta(bj.Lp(2, 3.0), 0.3)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bjorth as bj
@@ -20,7 +20,7 @@ from bjorth.errors import (
     ZeroVector,
 )
 
-from conftest import SPACE_ZOO, random_nonzero
+from conftest import SPACE_ZOO, outcome, random_nonzero
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +361,7 @@ def numpy_norm(space, arr):
         return space._norm2(float(arr[0]), float(arr[1]))
     if space.dim == 2:
         return spaces._pnorm2(float(arr[0]), float(arr[1]), space.p)
-    return space._norm(arr)  # Lp above dimension 2 kept its numpy form
+    return space._norm(arr)  # Lp above dimension 2: tested against _pnorms below
 
 
 def numpy_support(space, arr):
@@ -391,18 +391,11 @@ def numpy_support(space, arr):
     if space.dim == 2:
         # Both Day-James gradients are (+-1, 0) or (0, +-1) exactly on the axes.
         return [np.array(space._grad2(float(arr[0]), float(arr[1])))]
-    return space._support(arr)
+    return space._support(arr)  # as _norm above, against _pbounds
 
 
 def same_bits(a, b):
     return np.float64(a).tobytes() == np.float64(b).tobytes()
-
-
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except bj.BjorthError as exc:
-        return type(exc)
 
 
 SCALAR_SPACES = [
@@ -488,6 +481,116 @@ def test_plane_kernels_match_at_ties_axes_zeros_and_subnormals(r):
     for a in values:
         for b in values:
             assert_kernels_match(a, b, r)  # every tie |a| == |b| and every axis
+
+
+# Above dimension 2 the p-norm and its functional take the same max-scaled
+# form on Python floats, one power of each scaled coordinate: the largest
+# scales to 1, pow(1, y) == 1 and pow(0, y) == 0, so a zero-padded plane
+# vector gives the plane kernels' floats.
+
+
+def ndim_kernels(v, r):
+    """(||v||, f) of Lp(len(v), r) at v, on the checked vector; f is None at 0."""
+    space = bj.Lp(len(v), r)
+    arr = space.check_vector(v)
+    (f,) = space._support(arr) if any(v) else (None,)
+    return space._norm(arr), f
+
+
+def assert_padded_is_plane(a, b, r, dim, where):
+    v = [0.0] * dim
+    v[where[0]], v[where[1]] = a, b
+    norm, f = ndim_kernels(v, r)
+    assert same_bits(norm, spaces._pnorm2(a, b, r))
+    if a or b:
+        assert all(map(same_bits, (f[where[0]], f[where[1]]), spaces._pgrad2(a, b, r)))
+        assert not np.delete(f, where).any()
+
+
+NDIM_POSITIONS = st.integers(3, 8).flatmap(
+    lambda dim: st.tuples(st.just(dim), st.permutations(range(dim)).map(lambda p: p[:2])))
+
+
+@settings(max_examples=500)
+@given(a=KERNEL_MAGNITUDES, b=KERNEL_MAGNITUDES, signs=st.sampled_from(
+    [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]), r=KERNEL_EXPONENTS,
+    at=NDIM_POSITIONS)
+def test_ndim_kernels_give_the_plane_kernels_on_padded_vectors(a, b, signs, r, at):
+    assert_padded_is_plane(signs[0] * a, signs[1] * b, r, *at)
+
+
+@pytest.mark.parametrize("r", [1.0000001, 1.1, 4.0 / 3.0, 1.5, 2.0, 3.0, 4.0, 6.0])
+def test_ndim_kernels_give_the_plane_kernels_at_ties_zeros_and_subnormals(r):
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-300,
+              1.0, -3.0, 1e300, 1.7976931348623157e308, -1.7976931348623157e308]
+    for a in values:
+        for b in values:
+            assert_padded_is_plane(a, b, r, 3, (0, 1))
+            assert_padded_is_plane(a, b, r, 8, (6, 2))
+
+
+@st.composite
+def ndim_vectors(draw):
+    """Vectors of dimension 3 to 8, magnitudes 1e-300 to 1e300 with zeros,
+    subnormals and coordinates tied with the largest, random signs."""
+    dim = draw(st.integers(3, 8))
+    v = draw(st.lists(st.one_of(KERNEL_MAGNITUDES, st.sampled_from(
+        [0.0, 5e-324, 1e-310, 2.2250738585072014e-308])), min_size=dim, max_size=dim))
+    for j in draw(st.lists(st.integers(0, dim - 1), max_size=3)):
+        v[j] = max(v)
+    return [draw(st.sampled_from([1.0, -1.0])) * c for c in v]
+
+
+# Rounding bounds in units of 2**-52, with headroom about 2 over the worst
+# of 40 000 standard-normal draws scaled by 1e-300 to 1e300 (the pow of the
+# rounded norm by r - 1 multiplies its error by up to 15).
+ULP = 2.0**-52
+
+
+@settings(max_examples=500)
+@given(v=ndim_vectors(), r=KERNEL_EXPONENTS)
+def test_ndim_kernels_match_the_row_kernels(v, r):
+    norm, f = ndim_kernels(v, r)
+    X = np.array([v])
+    want = spaces._pnorms(X, r)[0]
+    assert abs(norm - want) <= 2 * len(v) * ULP * want
+    if f is not None:
+        # Row i of the functional's bounds against the unit vectors is f_i.
+        g, _ = spaces._pbounds(np.repeat(X, len(v), axis=0), np.eye(len(v)), r)
+        assert np.abs(f - g).max() <= 2 * (len(v) + r) * ULP * np.abs(g).max()
+
+
+@settings(max_examples=500)
+@given(v=ndim_vectors(), r=KERNEL_EXPONENTS)
+def test_ndim_functional_norms_x_and_has_dual_norm_one(v, r):
+    norm, f = ndim_kernels(v, r)
+    assume(f is not None)
+    fx = math.fsum(fi * xi for fi, xi in zip(f.tolist(), v))
+    assert abs(fx - norm) <= 2 * (len(v) + r) * ULP * norm + len(v) * 5e-324
+    q = r / (r - 1.0)
+    dual = bj.Lp(len(v), q).norm(f)
+    assert abs(dual - 1.0) <= 2 * (len(v) + r) * ULP
+
+
+def low_bit(c):
+    """The exponent of the lowest set bit of a nonzero float."""
+    n, d = abs(c).as_integer_ratio()
+    return (n & -n).bit_length() - d.bit_length()
+
+
+@settings(max_examples=500)
+@given(v=ndim_vectors(), r=KERNEL_EXPONENTS, k=st.integers(-900, 900))
+def test_ndim_kernels_scale_exactly_by_powers_of_two(v, r, k):
+    m = max(map(abs, v))
+    assume(m >= 2.2250738585072014e-308)  # a normal largest coordinate
+    top = math.frexp(m)[1]
+    # k as drawn, clamped so that the norm stays normal and finite and the
+    # lowest set bit of every coordinate stays at or above 2**-1074.
+    k = min(max(k, -1021 - top, *(-1074 - low_bit(c) for c in v if c)), 1020 - top)
+    norm, f = ndim_kernels(v, r)
+    scaled_norm, scaled_f = ndim_kernels([math.ldexp(c, k) for c in v], r)
+    assert same_bits(scaled_norm, math.ldexp(norm, k))
+    assert scaled_f.tobytes() == f.tobytes()
 
 
 FAMILIES = ([bj.Lp(d, 2.5) for d in range(1, 10)] + [bj.LInf(d) for d in range(1, 10)]
