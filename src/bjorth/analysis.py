@@ -37,6 +37,10 @@ from .spaces import (DayJames, InfSum, LInf, Lp, NormedSpace, format_space,
 # orthograph pairs, 20 MB for section draws and 55 MB for sum-acute samples.
 PAIR_BLOCK = 1 << 16
 
+# sum_acute_equivalence_check's exact-tie cadence and near-tie band.
+TIE_EVERY = 8
+TIE_BAND = 1e-4
+
 
 @dataclass(frozen=True, eq=False)
 class RadonScan:
@@ -319,18 +323,17 @@ def _exact_tie(sum_space: InfSum, k: int, z1: np.ndarray, draws: np.ndarray) -> 
 
 def sum_acute_equivalence_check(space_x: NormedSpace, space_y: NormedSpace,
                                 n_samples: int = 10000, margin: float = MARGIN,
-                                seed: int = 0, boundary_band: float | None = None,
-                                tie_band: float = 1e-4,
-                                tie_every: int = 8) -> SumAcuteReport:
+                                seed: int = 0) -> SumAcuteReport:
     """Play the part-norm trichotomy against the half-line oracle on the sum.
 
     On X (+) Y with the max norm, (x1, y1) is at an acute angle to
     (x2, y2) exactly when the dominant part is (with both sub-conditions
-    OR-ed at a tie).  Every tie_every-th sample is rebuilt as an exact tie
+    OR-ed at a tie).  Every TIE_EVERY-th sample is rebuilt as an exact tie
     when a max-norm part allows it (Y's if it is one, else X's), since
     random draws never tie.  Pairs whose deciding part relation sits within
-    the oracle exclusion band, or whose part norms differ by less than
-    tie_band without being equal, are excluded rather than adjudicated.
+    the oracle exclusion band, or whose part norms differ by a relative
+    TIE_BAND or less without being equal, are excluded rather than
+    adjudicated.
 
     The check runs in two phases per block of PAIR_BLOCK samples.  The draw
     phase reads the samples' rows of the seeded draw table
@@ -346,12 +349,10 @@ def sum_acute_equivalence_check(space_x: NormedSpace, space_y: NormedSpace,
     so the report does not depend on PAIR_BLOCK, and first_disagreement at
     n samples names the same sample at any larger n.
     """
-    if n_samples < 1 or tie_every < 1:
-        raise InvalidCount(f"n_samples and tie_every must be >= 1, got {n_samples}, {tie_every}")
+    if n_samples < 1:
+        raise InvalidCount(f"n_samples must be >= 1, got {n_samples}")
     check_margin(margin)
-    band = oracle_exclusion_band(margin) if boundary_band is None else boundary_band
-    check_margin(band, "boundary_band")
-    check_margin(tie_band, "tie_band")
+    band = oracle_exclusion_band(margin)
     sum_space = InfSum((space_x, space_y))
     dim, dx = sum_space.dim, space_x.dim
     tie_part = 1 if isinstance(space_y, LInf) else 0 if isinstance(space_x, LInf) else None
@@ -365,13 +366,13 @@ def sum_acute_equivalence_check(space_x: NormedSpace, space_y: NormedSpace,
         Z1 = nonzero_rows(sum_space, W[:, :dim], W[:, dim : 2 * dim])
         kept, needs = [], []
         for r, z1 in enumerate(Z1):
-            if tie_part is not None and (start + r) % tie_every == 0:
+            if tie_part is not None and (start + r) % TIE_EVERY == 0:
                 tied = _exact_tie(sum_space, tie_part, z1, W[r, 3 * dim :])
                 if tied is not None:
                     z1 = Z1[r] = tied
                     tie_samples += 1
             nx, ny = space_x._norm(z1[:dx]), space_y._norm(z1[dx:])
-            if nx != ny and abs(nx - ny) <= tie_band * max(nx, ny):
+            if nx != ny and abs(nx - ny) <= TIE_BAND * max(nx, ny):
                 tie_excluded += 1
                 continue
             kept.append(r)

@@ -30,7 +30,7 @@ from .analysis import (
 )
 from .errors import BjorthError, InvalidCount
 from .orthogonality import MARGIN, classify_angle
-from .preserver import IdentityMap, build_preserver, compose_inf_sum, verify_preserver
+from .preserver import EtaTable, IdentityMap, build_preserver, compose_inf_sum, verify_preserver
 from .serialize import fmt_float, write_csv, write_json
 from .spaces import (
     DayJames,
@@ -162,8 +162,7 @@ def cmd_smooth(args) -> int:
 def cmd_preserver_build(args) -> int:
     plane = load_space(args.target)
     _print_header()
-    pmap = build_preserver(plane, grid_size=args.grid)
-    table = pmap.eta
+    table = EtaTable(plane, args.grid)
     print(f"target: {format_space(plane)}")
     print(f"nodes: {len(table.grid)}")
     print(f"endpoints: {fmt_float(float(table.values[0]))} {fmt_float(float(table.values[-1]))}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,42 +97,39 @@ def solve_eta(plane: NormedSpace, theta: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class EtaTable:
-    """Tabulated orthogonal-direction pairing of a smooth Radon plane.
+    """The orthogonal-direction pairing of a smooth Radon plane, tabulated.
 
-    grid holds increasing angles spanning [0, pi/2]; values holds the
-    paired angles in [pi/2, pi]; residuals holds |f_{y(grid)}(y(value))| at
-    each node.  Strict monotonicity of the values is a consequence of the
-    pairing being a continuous bijection with pinned endpoints and is
-    enforced here rather than assumed.  The plane must be a supported smooth
-    Radon plane (else NotRadonPlane): the map relies on its symmetry.
+    grid holds grid_size + 1 uniform angles on [0, pi/2] (GridTooCoarse
+    below 64), values solve_eta at each, and residuals |f(y(value))| for the
+    functional f at y(grid), read off its perp (p0, p1) = spaces.perp2 as
+    p1 cos e - p0 sin e: the floats of fa cos e + fb sin e, bit for bit.
+    The columns are read-only.  The values must increase strictly (else
+    MonotonicityViolation): the pairing is an increasing bijection, and a
+    plane whose floats tie is refused rather than certified.
     """
 
-    grid: np.ndarray
-    values: np.ndarray
-    residuals: np.ndarray
     plane: NormedSpace
+    grid_size: int = 1024
+    grid: np.ndarray = field(init=False)
+    values: np.ndarray = field(init=False)
+    residuals: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not _is_radon_target(self.plane):
-            raise NotRadonPlane(f"not a supported smooth Radon plane: {self.plane!r}")
-        for name in ("grid", "values", "residuals"):
-            column = np.array(getattr(self, name), dtype=float)
+        if self.grid_size < 64:
+            raise GridTooCoarse(f"grid_size must be >= 64, got {self.grid_size}")
+        plane, grid = self.plane, np.linspace(0.0, HALF_PI, self.grid_size + 1)
+        values, residuals = [], []
+        for theta in grid.tolist():
+            e = solve_eta(plane, theta)
+            p0, p1 = perp2(plane, math.cos(theta), math.sin(theta))
+            values.append(e)
+            residuals.append(abs(p1 * math.cos(e) - p0 * math.sin(e))
+                             / plane._norm2(math.cos(e), math.sin(e)))
+        for name, column in zip(("grid", "values", "residuals"), (grid, values, residuals)):
+            column = np.array(column)
             column.flags.writeable = False  # a frozen table's columns stay put
             object.__setattr__(self, name, column)
-        grid, values, residuals = self.grid, self.values, self.residuals
-        if grid.shape != values.shape or grid.shape != residuals.shape:
-            raise ValueError("grid, values and residuals must have equal length")
-        if len(grid) < 2:
-            raise ValueError("table needs at least two nodes")
-        if not np.isfinite([grid, values, residuals]).all():
-            raise NonFiniteInput("table angles and residuals must be finite")
-        if abs(grid[0]) > 1e-10 or abs(grid[-1] - HALF_PI) > 1e-10:
-            raise ValueError("grid must span [0, pi/2]")
-        if abs(values[0] - HALF_PI) > 1e-10 or abs(values[-1] - math.pi) > 1e-10:
-            raise ValueError("pairing endpoints must be pi/2 and pi")
-        if np.any(np.diff(grid) <= 0.0):
-            raise MonotonicityViolation("grid angles are not strictly increasing")
-        if np.any(np.diff(values) <= 0.0):
+        if np.any(np.diff(self.values) <= 0.0):
             raise MonotonicityViolation("paired angles are not strictly increasing")
 
     def to_csv(self, path) -> None:
@@ -141,6 +138,8 @@ class EtaTable:
 
     @classmethod
     def from_csv(cls, path, plane: NormedSpace) -> "EtaTable":
+        """The plane's table at the file's grid size, if every row equals it
+        as floats; else ValueError names the first line that differs."""
         rows = []
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -151,8 +150,16 @@ class EtaTable:
                 if len(row) < 3:
                     raise ValueError(f"line {reader.line_num}: expected 3 fields, got {row!r}")
                 rows.append((float(row[0]), float(row[1]), float(row[2])))
-        arr = np.array(rows).reshape(-1, 3)
-        return cls(grid=arr[:, 0], values=arr[:, 1], residuals=arr[:, 2], plane=plane)
+        if not rows:
+            raise ValueError("the table has no rows")
+        if not np.isfinite(rows).all():
+            raise NonFiniteInput("table angles and residuals must be finite")
+        table = cls(plane, len(rows) - 1)
+        expected = zip(table.grid, table.values, table.residuals)
+        for line, (row, want) in enumerate(zip(rows, expected), start=2):
+            if row != want:
+                raise ValueError(f"line {line}: {row} is not a row of the table of {plane!r}")
+        return table
 
 
 class PreserverMap(ABC):
@@ -231,8 +238,8 @@ class RadonPlaneMap(PreserverMap):
     functional at (a, b) on the second: by Radon symmetry, y(s) is
     orthogonal to y(psi) exactly when y(psi) is orthogonal to y(s), so the
     functional at y(psi) annuls y(s) and points along the preimage pi/2 + s.
-    The table certifies that the pairing is a monotone bijection with
-    pinned endpoints.
+    Its table, computed from the plane, certifies that the plane's pairing
+    is a strictly increasing bijection with pinned endpoints.
     """
 
     eta: EtaTable
@@ -317,25 +324,8 @@ class SumMap(PreserverMap):
 
 
 def build_preserver(plane: NormedSpace, grid_size: int = 1024) -> RadonPlaneMap:
-    """Tabulate the pairing on grid_size+1 uniform nodes and wrap it as a map.
-
-    The residual at a node is |f(y(e))| for the functional f at y(theta),
-    read off its perp (p0, p1) = spaces.perp2 as p1 cos e - p0 sin e: the
-    floats of fa cos e + fb sin e, bit for bit.
-    """
-    if grid_size < 64:
-        raise GridTooCoarse(f"grid_size must be >= 64, got {grid_size}")
-    grid = np.linspace(0.0, HALF_PI, grid_size + 1)
-    values = np.empty_like(grid)
-    residuals = np.empty_like(grid)
-    for i, theta in enumerate(grid):
-        e = solve_eta(plane, float(theta))
-        values[i] = e
-        p0, p1 = perp2(plane, math.cos(theta), math.sin(theta))
-        num = p1 * math.cos(e) - p0 * math.sin(e)
-        residuals[i] = abs(num) / plane._norm2(math.cos(e), math.sin(e))
-    table = EtaTable(grid=grid, values=values, residuals=residuals, plane=plane)
-    return RadonPlaneMap(eta=table)
+    """The plane map onto plane, certified by its EtaTable at grid_size."""
+    return RadonPlaneMap(eta=EtaTable(plane, grid_size))
 
 
 def compose_inf_sum(parts) -> SumMap:

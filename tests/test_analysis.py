@@ -368,27 +368,34 @@ def test_sum_acute_report_matches_pinned_values(label, seed, n):
 
 
 def test_sum_acute_report_does_not_depend_on_blocks(monkeypatch):
-    full = bj.sum_acute_equivalence_check(DJ, bj.LInf(2), n_samples=300, seed=3, tie_band=0.05)
+    # A wider near-tie band, so that some samples are excluded as ties.
+    monkeypatch.setattr(bj.analysis, "TIE_BAND", 0.05)
+    full = bj.sum_acute_equivalence_check(DJ, bj.LInf(2), n_samples=300, seed=3)
     assert full.tie_excluded > 0 and full.boundary_excluded == 0
     # Judging blocks of 7 samples, and blocks that cut through the draw
     # table's blocks of BLOCK samples at other offsets.
     for pair_block in (7, BLOCK - 1, BLOCK + 1, 100):
         monkeypatch.setattr(bj.analysis, "PAIR_BLOCK", pair_block)
-        assert bj.sum_acute_equivalence_check(DJ, bj.LInf(2), n_samples=300, seed=3,
-                                              tie_band=0.05) == full
+        assert bj.sum_acute_equivalence_check(DJ, bj.LInf(2), n_samples=300, seed=3) == full
 
 
 def test_sum_acute_counts_boundary_exclusions():
-    rep = bj.sum_acute_equivalence_check(L2, bj.LInf(1), n_samples=200, seed=1,
-                                         boundary_band=0.2)
+    rep = bj.sum_acute_equivalence_check(L2, bj.LInf(1), n_samples=200, seed=1)
     assert rep.boundary_excluded > 0
     assert rep.evaluated + rep.boundary_excluded + rep.tie_excluded == 200
     assert rep.disagreements == 0
 
 
+@pytest.mark.parametrize("knob, value", [("boundary_band", 0.2), ("tie_band", 0.05),
+                                         ("tie_every", 4)])
+def test_sum_acute_knobs_are_retired(knob, value):
+    # The exclusion bands and the tie cadence are module constants.
+    with pytest.raises(TypeError):
+        bj.sum_acute_equivalence_check(L2, bj.LInf(1), n_samples=4, **{knob: value})
+
+
 @pytest.mark.parametrize("call", [
     lambda: bj.sum_acute_equivalence_check(L2, bj.LInf(1), n_samples=0),
-    lambda: bj.sum_acute_equivalence_check(L2, bj.LInf(1), n_samples=5, tie_every=0),
     lambda: bj.euclidean_section_search(DJ, [bj.SectionCandidate([1, 0], [0, 1])],
                                         pair_samples=0),
     lambda: bj.verify_preserver(bj.IdentityMap(L2), 0),
@@ -398,7 +405,7 @@ def test_sum_acute_counts_boundary_exclusions():
     lambda: bj.euclidean_section_search(DJ, []),
     lambda: bj.smoothness_probe(L2, samples=0),
     lambda: bj.section_candidates(bj.InfSum((L2, bj.LInf(1))), 0),
-], ids=["sum_acute", "tie_every", "sections", "verify", "radon", "orthograph", "orthograph-0",
+], ids=["sum_acute", "sections", "verify", "radon", "orthograph", "orthograph-0",
         "sections-empty", "smooth", "section-candidates"])
 def test_counts_below_the_minimum_are_rejected(call):
     with pytest.raises(InvalidCount) as info:

@@ -390,10 +390,6 @@ MARGIN_ENTRY_POINTS = {
     "radon_defect": lambda m: bj.radon_defect(DJ, grid=16, margin=m),
     "sum_acute_equivalence_check": lambda m: bj.sum_acute_equivalence_check(
         L2, bj.LInf(1), n_samples=4, margin=m),
-    "sum_acute_equivalence_check-boundary_band": lambda m: bj.sum_acute_equivalence_check(
-        L2, bj.LInf(1), n_samples=4, boundary_band=m),
-    "sum_acute_equivalence_check-tie_band": lambda m: bj.sum_acute_equivalence_check(
-        L2, bj.LInf(1), n_samples=4, tie_band=m),
     "sample_orthograph": lambda m: bj.sample_orthograph(L2, [0.0, 1.0], margin=m),
     "euclidean_section_search": lambda m: bj.euclidean_section_search(
         L2, [bj.SectionCandidate([1.0, 0.0], [0.0, 1.0])], pair_samples=4, tol=m),

@@ -13,6 +13,7 @@ from bjorth.errors import (
     NonFiniteInput,
     NotRadonPlane,
 )
+from bjorth.serialize import write_csv
 
 from conftest import draw_vector, non_radon_map, random_nonzero
 
@@ -94,12 +95,11 @@ def test_solve_eta_rejects_non_radon_planes():
 def test_table_rejects_non_radon_planes(dj_map, tmp_path):
     # The map's inverse solves the pairing from the target side, which is
     # right only where the pairing is symmetric.
-    columns = {f: getattr(dj_map.eta, f) for f in ("grid", "values", "residuals")}
     path = tmp_path / "eta.csv"
     dj_map.eta.to_csv(path)
     for plane in (bj.Lp(2, 3.0), bj.DayJames(3.0, 2.0)):
         with pytest.raises(NotRadonPlane):
-            bj.EtaTable(plane=plane, **columns)
+            bj.EtaTable(plane)
         with pytest.raises(NotRadonPlane):
             bj.EtaTable.from_csv(path, plane)
 
@@ -111,43 +111,86 @@ def test_table_rejects_non_radon_planes(dj_map, tmp_path):
 def test_build_rejects_coarse_grid():
     with pytest.raises(GridTooCoarse):
         bj.build_preserver(DJ, 16)
+    with pytest.raises(GridTooCoarse):
+        bj.EtaTable(DJ, 63)
 
 
-def test_table_invariants(dj_map):
-    table = dj_map.eta
+DAYJAMES_RADON_PLANES = [DJ, bj.DayJames(1.5, 3.0), bj.DayJames(2.0, 2.0),
+                         bj.DayJames(4.0, 4.0 / 3.0)]
+
+
+@pytest.mark.parametrize("plane", DAYJAMES_RADON_PLANES, ids=str)
+def test_table_invariants(plane):
+    table = bj.EtaTable(plane)
     assert len(table.grid) == 1025
-    assert abs(table.values[0] - math.pi / 2) <= 1e-10
-    assert abs(table.values[-1] - math.pi) <= 1e-10
+    assert table.values[0] == math.pi / 2 and table.values[-1] == math.pi
     assert np.all(np.diff(table.values) > 0)
     assert float(table.residuals.max()) <= 1e-8
     # Node pairs are orthogonal, and mutually so (the Radon cross-check).
     # The coarser mutual margin absorbs the Hoelder amplification of the
     # one-ulp angle quantization near the axes for exponents below two.
     for t, e in zip(table.grid[::64], table.values[::64]):
-        y1 = bj.unit_vector_at_angle(DJ, float(t))
-        y2 = bj.unit_vector_at_angle(DJ, float(e))
-        assert bj.is_bj_orthogonal(DJ, y1, y2, margin=1e-8)
-        assert bj.is_mutually_orthogonal(DJ, y1, y2, margin=1e-5)
+        y1 = bj.unit_vector_at_angle(plane, float(t))
+        y2 = bj.unit_vector_at_angle(plane, float(e))
+        assert bj.is_bj_orthogonal(plane, y1, y2, margin=1e-8)
+        assert bj.is_mutually_orthogonal(plane, y1, y2, margin=1e-5)
 
 
-def test_table_monotonicity_enforced(dj_map):
-    values = dj_map.eta.values.copy()
-    values[100], values[200] = values[200], values[100]
+def _write_table(path, grid, values, residuals):
+    write_csv(path, ["theta", "eta", "residual"], zip(grid, values, residuals))
+
+
+def test_table_monotonicity_enforced(dj_map, monkeypatch, tmp_path):
+    # A pairing whose angles at nodes 100 and 200 are swapped is refused,
+    # and so is a file with those two rows swapped.
+    grid = dj_map.eta.grid.tolist()
+    swap = {grid[100]: grid[200], grid[200]: grid[100]}
+    honest = bj.preserver.solve_eta
+    with monkeypatch.context() as mp:
+        mp.setattr(bj.preserver, "solve_eta",
+                   lambda plane, theta: honest(plane, swap.get(theta, theta)))
+        with pytest.raises(MonotonicityViolation):
+            bj.EtaTable(DJ)
+    order = np.arange(len(grid))
+    order[100], order[200] = 200, 100
+    path = tmp_path / "eta.csv"
+    eta = dj_map.eta
+    _write_table(path, eta.grid[order], eta.values[order], eta.residuals[order])
+    with pytest.raises(ValueError, match="^line 102:"):
+        bj.EtaTable.from_csv(path, DJ)
+
+
+def test_build_refuses_a_plane_whose_pairing_ties():
+    # Near the axis the pairing's floats tie on this plane, and its
+    # table-free map fails verify_preserver; the strict check keeps it out.
     with pytest.raises(MonotonicityViolation):
-        bj.EtaTable(grid=dj_map.eta.grid, values=values,
-                    residuals=dj_map.eta.residuals, plane=DJ)
+        bj.build_preserver(bj.DayJames(11.0, 1.1), 1024)
+
+
+@pytest.mark.parametrize("p", [11.0, 21.0, 101.0])
+def test_tables_refuse_planes_whose_pairing_ties(dj_map, tmp_path, p):
+    # The tie is the plane's own, so no file certifies such a plane either.
+    plane = bj.DayJames(p, p / (p - 1.0))
+    with pytest.raises(MonotonicityViolation):
+        bj.EtaTable(plane)
+    path = tmp_path / "eta.csv"
+    dj_map.eta.to_csv(path)
+    with pytest.raises(MonotonicityViolation):
+        bj.EtaTable.from_csv(path, plane)
 
 
 @pytest.mark.parametrize("field", ["grid", "values", "residuals"])
 @pytest.mark.parametrize("index", [0, 30])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_table_rejects_non_finite_entries(dj_map, field, index, bad):
-    # NaN passes every endpoint and monotonicity comparison, so a table
-    # with one would be accepted and its map would return NaN rows.
+def test_table_rejects_non_finite_entries(dj_map, tmp_path, field, index, bad):
+    # A non-finite entry is refused as such, before the rows are compared
+    # with the plane's table.
     columns = {f: getattr(dj_map.eta, f).copy() for f in ("grid", "values", "residuals")}
     columns[field][index] = bad
+    path = tmp_path / "eta.csv"
+    _write_table(path, columns["grid"], columns["values"], columns["residuals"])
     with pytest.raises(bj.NonFiniteInput):
-        bj.EtaTable(plane=DJ, **columns)
+        bj.EtaTable.from_csv(path, DJ)
 
 
 PI_2_TEXT = repr(math.pi / 2)
@@ -167,15 +210,10 @@ def test_table_csv_rejects_malformed_files(tmp_path, text, error):
 
 
 def test_table_columns_are_read_only(dj_map):
-    # A frozen table keeps its columns: an edit in place raises, and the
-    # arrays it was built from stay the caller's.
+    # A frozen table keeps its columns: an edit in place raises.
     for name in ("grid", "values", "residuals"):
         with pytest.raises(ValueError):
             getattr(dj_map.eta, name)[0] = 0.0
-    columns = {f: getattr(dj_map.eta, f).copy() for f in ("grid", "values", "residuals")}
-    table = bj.EtaTable(plane=DJ, **columns)
-    columns["values"][1] = 0.0
-    assert table.values[1] == dj_map.eta.values[1]
 
 
 def test_table_csv_round_trip(tmp_path, dj_map):
@@ -185,6 +223,46 @@ def test_table_csv_round_trip(tmp_path, dj_map):
     np.testing.assert_array_equal(loaded.grid, dj_map.eta.grid)
     np.testing.assert_array_equal(loaded.values, dj_map.eta.values)
     np.testing.assert_array_equal(loaded.residuals, dj_map.eta.residuals)
+
+
+def test_table_is_computed_from_its_plane(dj_map, tmp_path):
+    # The Euclidean pairing is a monotone table with the right endpoints,
+    # yet wrong for the Day-James plane: no constructor takes its columns,
+    # and a file that holds it is refused at its first wrong row.
+    eta = dj_map.eta
+    with pytest.raises(TypeError):
+        bj.EtaTable(grid=eta.grid, values=eta.grid + math.pi / 2,
+                    residuals=eta.residuals, plane=DJ)
+    path = tmp_path / "eta.csv"
+    _write_table(path, eta.grid, eta.grid + math.pi / 2, eta.residuals)
+    with pytest.raises(ValueError, match="^line 3:"):
+        bj.EtaTable.from_csv(path, DJ)
+
+
+def test_table_csv_rejects_another_table(dj_map, tmp_path):
+    # One residual one ulp off, and the conjugate plane's table.
+    eta, path = dj_map.eta, tmp_path / "eta.csv"
+    residuals = eta.residuals.copy()
+    residuals[500] = np.nextafter(residuals[500], 1.0)
+    _write_table(path, eta.grid, eta.values, residuals)
+    with pytest.raises(ValueError, match="^line 502:"):
+        bj.EtaTable.from_csv(path, DJ)
+    bj.EtaTable(bj.DayJames(1.5, 3.0)).to_csv(path)
+    with pytest.raises(ValueError, match="^line 3:"):
+        bj.EtaTable.from_csv(path, DJ)
+
+
+@pytest.mark.parametrize("field", ["grid", "values", "residuals"])
+@pytest.mark.parametrize("index", [0, 500, 1024])
+def test_table_csv_rejects_one_ulp_in_any_cell(dj_map, tmp_path, field, index):
+    # Rows are compared as floats, bit for bit: one ulp in any cell, the
+    # pinned endpoints included, is named by its line.
+    columns = {f: getattr(dj_map.eta, f).copy() for f in ("grid", "values", "residuals")}
+    columns[field][index] = np.nextafter(columns[field][index], math.inf)
+    path = tmp_path / "eta.csv"
+    _write_table(path, columns["grid"], columns["values"], columns["residuals"])
+    with pytest.raises(ValueError, match=f"^line {index + 2}:"):
+        bj.EtaTable.from_csv(path, DJ)
 
 
 def test_euclid_build_is_identity_on_unit_vectors():
@@ -246,10 +324,6 @@ def test_apply_continuous_across_quadrant_seams(dj_map):
         lo = dj_map.apply([math.cos(seam - 1e-9), math.sin(seam - 1e-9)])
         hi = dj_map.apply([math.cos(seam + 1e-9), math.sin(seam + 1e-9)])
         assert np.max(np.abs(hi - lo)) <= 1e-7
-
-
-DAYJAMES_RADON_PLANES = [DJ, bj.DayJames(1.5, 3.0), bj.DayJames(2.0, 2.0),
-                         bj.DayJames(4.0, 4.0 / 3.0)]
 
 
 def _near_axis_rows():

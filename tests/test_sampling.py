@@ -85,8 +85,7 @@ def test_sum_acute_names_its_first_disagreement(monkeypatch):
                         ^ (Z2[:, 0] > 1.5))
 
     def check(n):
-        return bj.sum_acute_equivalence_check(DJ, bj.LInf(2), n_samples=n, seed=3,
-                                              tie_band=0.05)
+        return bj.sum_acute_equivalence_check(DJ, bj.LInf(2), n_samples=n, seed=3)
 
     i = check(300).first_disagreement
     assert i is not None and i > 0
