@@ -27,8 +27,8 @@ from .orthogonality import (
     oracle_min_over_line,
 )
 from .sampling import as_uniform, draw_rows, nonzero_rows
-from .spaces import (DayJames, InfSum, LInf, Lp, NormedSpace, format_space,
-                     pairing_angle, perp2, unit2, unit_vector_at_angle)
+from .spaces import (DayJames, InfSum, LInf, Lp, NormedSpace, format_space, partner2,
+                     unit_vector_at_angle)
 
 # Rows judged per block of array passes: orthograph pairs (all of them up to
 # 362 directions), sum-acute and smoothness samples, and section-search
@@ -56,13 +56,13 @@ def radon_defect(plane: NormedSpace, grid: int = 720,
                  margin: float = 1e-8) -> RadonScan:
     """Measure how far Birkhoff-James orthogonality is from symmetric.
 
-    For each grid direction theta, the forward orthogonal partner
-    theta_star is solved in closed form over (theta, theta + pi); the
-    reverse deficit is how far the line oracle's min_t ||y(theta_star) +
-    t y(theta)|| falls below ||y(theta_star)||.  The defect is the maximal
-    reverse deficit; a witness pair (first maximal in grid order) is reported
-    when it exceeds the margin.  Directions run on Python floats (unit2,
-    perp2); any plane but Lp and Day-James is a max norm: NotSmooth.
+    Each grid direction theta's row is its pairing row spaces.partner2 (the
+    partner theta_star over (theta, theta + pi), the forward residual; in
+    the first quadrant, EtaTable's rows) and the reverse deficit: how far
+    the line oracle's min_t ||y(theta_star) + t y(theta)|| falls below
+    ||y(theta_star)||.  The defect is the maximal reverse deficit; a witness
+    pair (first maximal in grid order) is reported when it exceeds the
+    margin.  Any plane but Lp and Day-James is a max norm: NotSmooth.
     """
     if plane.dim != 2:
         raise NotAPlane(f"expected a plane, got dimension {plane.dim}")
@@ -73,13 +73,7 @@ def radon_defect(plane: NormedSpace, grid: int = 720,
         raise NotSmooth(f"the scan needs a smooth plane, got {format_space(plane)}")
     rows = []
     for theta in np.linspace(0.0, math.pi, grid, endpoint=False).tolist():
-        y = unit2(plane, theta)
-        u, v = perp2(plane, *y)
-        fa, fb = v, -u  # the functional at y(theta)
-        # f(y(theta)) = ||y(theta)|| > 0 and f(y(theta + pi)) < 0: always bracketed.
-        theta_star = pairing_angle(fa, fb, theta, theta + math.pi)
-        y_star = unit2(plane, theta_star)
-        forward = abs(fa * y_star[0] + fb * y_star[1])
+        y, theta_star, y_star, forward = partner2(plane, theta)
         _, val = oracle_min_over_line(plane, y_star, y)
         deficit = max(0.0, plane._norm2(*y_star) - val)
         rows.append((theta, theta_star, forward, deficit))

@@ -30,6 +30,10 @@ MARGIN = 1e-9
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# The golden-section searches' bracket width and iteration cap.
+GOLDEN_TOL = 1e-10
+GOLDEN_MAX_ITER = 200
+
 
 class AngleTag(enum.Enum):
     STRICTLY_ACUTE = "strictly-acute"
@@ -219,12 +223,11 @@ def is_mutually_orthogonal(space: NormedSpace, x, y, margin: float = MARGIN) -> 
             and _classify(space, ya, xa, margin).is_bj_orthogonal)
 
 
-def golden_section_min(phi, lo: float, hi: float, tol: float = 1e-10,
-                       max_iter: int = 200) -> tuple[float, float]:
+def golden_section_min(phi, lo: float, hi: float) -> tuple[float, float]:
     """Minimize a convex function on [lo, hi] by golden-section search.
 
     Returns the best evaluated point and value; the bracket is shrunk to
-    width tol (one new evaluation per iteration, capped at max_iter).
+    width GOLDEN_TOL, one new evaluation per iteration, GOLDEN_MAX_ITER at most.
     """
     a, b = float(lo), float(hi)
     best_x, best_f = a, phi(a)
@@ -232,7 +235,7 @@ def golden_section_min(phi, lo: float, hi: float, tol: float = 1e-10,
     if fb_end < best_f:
         best_x, best_f = b, fb_end
     h = b - a
-    if h <= tol:
+    if h <= GOLDEN_TOL:
         return best_x, best_f
     c = b - _INV_PHI * h
     d = a + _INV_PHI * h
@@ -240,8 +243,8 @@ def golden_section_min(phi, lo: float, hi: float, tol: float = 1e-10,
     for pt, val in ((c, fc), (d, fd)):
         if val < best_f:
             best_x, best_f = pt, val
-    for _ in range(max_iter):
-        if h <= tol:
+    for _ in range(GOLDEN_MAX_ITER):
+        if h <= GOLDEN_TOL:
             break
         if fc < fd:
             b, d, fd = d, c, fc
@@ -264,22 +267,22 @@ def golden_section_min(phi, lo: float, hi: float, tol: float = 1e-10,
     return best_x, best_f
 
 
-def _golden_section_rows(phi, lo: np.ndarray, hi: np.ndarray, data: tuple, tol: float = 1e-10,
-                         max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
+def _golden_section_rows(phi, lo: np.ndarray, hi: np.ndarray,
+                         data: tuple) -> tuple[np.ndarray, np.ndarray]:
     """golden_section_min on every row at once: phi(*rows, t) evaluates at t
     the objectives of the rows whose slices of data (arrays with a row axis
     first) it is given.  Each row takes exactly the scalar search's bracket
     updates and evaluations.  The rows still shrinking keep their state and
     data packed, advanced with np.where by one phi call a pass; a row leaves
-    when its bracket reaches tol or max_iter runs out, and its midpoint is
-    evaluated after the last pass."""
+    when its bracket reaches GOLDEN_TOL or GOLDEN_MAX_ITER runs out, and its
+    midpoint is evaluated after the last pass."""
     def improve(t, f, bx, bf):
         better = f < bf
         return np.where(better, t, bx), np.where(better, f, bf)
 
     a, b = lo.astype(float), hi.astype(float)
     best_x, best_f = improve(b, phi(*data, b), a, phi(*data, a))
-    rows = np.flatnonzero(b - a > tol)
+    rows = np.flatnonzero(b - a > GOLDEN_TOL)
     if not len(rows):
         return best_x, best_f
     # Packed: row indices, brackets [a, b] (width h, interior points c < d
@@ -290,9 +293,9 @@ def _golden_section_rows(phi, lo: np.ndarray, hi: np.ndarray, data: tuple, tol: 
     c, d = b - _INV_PHI * h, a + _INV_PHI * h
     fc, fd = phi(*packed, c), phi(*packed, d)
     bx, bf = improve(d, fd, *improve(c, fc, best_x[rows], best_f[rows]))
-    for i in range(max_iter + 1):
-        if i == max_iter or h.min() <= tol:
-            done = (h <= tol) | (i == max_iter)
+    for i in range(GOLDEN_MAX_ITER + 1):
+        if i == GOLDEN_MAX_ITER or h.min() <= GOLDEN_TOL:
+            done = (h <= GOLDEN_TOL) | (i == GOLDEN_MAX_ITER)
             mids[idx[done]] = 0.5 * (a[done] + b[done])
             best_x[idx[done]], best_f[idx[done]] = bx[done], bf[done]
             if done.all():

@@ -42,7 +42,7 @@ from .orthogonality import (MARGIN, AngleRelation, check_margin, classify_many,
                             orthogonal_rows)
 from .sampling import as_uniform, draw_rows, nonzero_rows
 from .serialize import write_csv
-from .spaces import DayJames, InfSum, Lp, NormedSpace, pairing_angle, perp2, unit2
+from .spaces import DayJames, InfSum, Lp, NormedSpace, partner2, perp2, unit2
 
 HALF_PI = 0.5 * math.pi
 
@@ -55,44 +55,39 @@ def _is_radon_target(plane: NormedSpace) -> bool:
     return isinstance(plane, Lp) and plane.dim == 2 and plane.p == 2.0
 
 
-def solve_eta(plane: NormedSpace, theta: float) -> float:
-    """Angle in [pi/2, pi] whose unit vector is orthogonal to y(theta).
-
-    Solves g(t) = f(y(t)) = 0 over [pi/2, pi] in closed form, where f is the
-    norming functional at y(theta), spaces.perp2 turned back by a negation;
-    g starts at least -1e-12 ||f|| and ends at most 1e-12 ||f|| on every
-    first-quadrant direction of a smooth plane (else NoBracket), and a root
-    whose residual |g| exceeds 1e-10 ||f|| raises NonConvergence.  The
-    endpoints 0 and pi/2 map to pi/2 and pi exactly.  A NaN or infinite
-    theta raises NonFiniteInput, and one outside [0, pi/2] AngleOutOfRange.
-    """
+def _pairing_rows(plane: NormedSpace, thetas) -> list[tuple[float, float]]:
+    """(eta, |f(y(eta))|) at each theta in [0, pi/2], f the norming functional
+    at y(theta): the axes' own rows at the ends (0 pairs with pi/2, pi/2
+    with pi), spaces.partner2 inside, where a partner outside [pi/2, pi]
+    raises NoBracket and a residual above 1e-10 / |y(theta)| (at most
+    1e-10 |f|, as f(y) = 1) NonConvergence.  NotRadonPlane unless Radon."""
     if not _is_radon_target(plane):
         raise NotRadonPlane(f"not a supported smooth Radon plane: {plane!r}")
+    rows = []
+    for theta in thetas:
+        if 0.0 < theta < HALF_PI:
+            y, root, _, resid = partner2(plane, theta)
+            if not HALF_PI <= root <= math.pi:
+                raise NoBracket(f"the partner {root} of theta={theta} is outside [pi/2, pi]")
+            if resid > 1e-10 / math.hypot(*y):
+                raise NonConvergence(f"orthogonality residual {resid} at theta={theta}")
+        else:  # f = (1, 0) at y(0) reads y(pi/2)'s first float, f = (0, 1) y(pi)'s second
+            root, k = (HALF_PI, 0) if theta <= 0.0 else (math.pi, 1)
+            resid = abs(unit2(plane, root)[k])
+        rows.append((root, resid))
+    return rows
+
+
+def solve_eta(plane: NormedSpace, theta: float) -> float:
+    """Angle in [pi/2, pi] whose unit vector is orthogonal to y(theta): the
+    one-row pairing EtaTable tabulates, with its checks.  A NaN or infinite
+    theta raises NonFiniteInput, and one outside [0, pi/2] (beyond 1e-12)
+    AngleOutOfRange."""
     if not math.isfinite(theta):
         raise NonFiniteInput(f"theta must be finite, got {theta}")
     if not -1e-12 <= theta <= HALF_PI + 1e-12:
         raise AngleOutOfRange(f"theta must lie in [0, pi/2], got {theta}")
-    if theta <= 0.0:
-        return HALF_PI
-    if theta >= HALF_PI:
-        return math.pi
-    u, v = perp2(plane, *unit2(plane, theta))
-    fa, fb = v, -u  # the functional at y(theta)
-    fnorm = math.hypot(fa, fb)
-
-    def g(t: float) -> float:
-        return fa * math.cos(t) + fb * math.sin(t)
-
-    glo, ghi = g(HALF_PI), g(math.pi)
-    if glo < -1e-12 * fnorm or ghi > 1e-12 * fnorm:
-        raise NoBracket(
-            f"f(y(t)) does not change sign on [pi/2, pi] at theta={theta}"
-        )
-    root = pairing_angle(fa, fb, HALF_PI, math.pi)
-    resid = abs(g(root)) / plane._norm2(math.cos(root), math.sin(root))
-    if resid > 1e-10 * fnorm:
-        raise NonConvergence(f"orthogonality residual {resid} at theta={theta}")
-    return root
+    return _pairing_rows(plane, [theta])[0][0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,10 +95,11 @@ class EtaTable:
     """The orthogonal-direction pairing of a smooth Radon plane, tabulated.
 
     grid holds grid_size + 1 uniform angles on [0, pi/2] (GridTooCoarse
-    below 64), values solve_eta at each, and residuals |f(y(value))| for the
-    functional f at y(grid), read off its perp (p0, p1) = spaces.perp2 as
-    p1 cos e - p0 sin e: the floats of fa cos e + fb sin e, bit for bit.
-    The columns are read-only.  The values must increase strictly (else
+    below 64); values and residuals are the pairing rows at each, the
+    partner angle and its forward residual |f(y(value))| for the functional
+    f at y(grid).  The interior rows are the Radon scan's first quadrant,
+    bit for bit, and the end rows the axes' own.  The columns are
+    read-only.  The values must increase strictly (else
     MonotonicityViolation): the pairing is an increasing bijection, and a
     plane whose floats tie is refused rather than certified.
     """
@@ -117,14 +113,8 @@ class EtaTable:
     def __post_init__(self):
         if self.grid_size < 64:
             raise GridTooCoarse(f"grid_size must be >= 64, got {self.grid_size}")
-        plane, grid = self.plane, np.linspace(0.0, HALF_PI, self.grid_size + 1)
-        values, residuals = [], []
-        for theta in grid.tolist():
-            e = solve_eta(plane, theta)
-            p0, p1 = perp2(plane, math.cos(theta), math.sin(theta))
-            values.append(e)
-            residuals.append(abs(p1 * math.cos(e) - p0 * math.sin(e))
-                             / plane._norm2(math.cos(e), math.sin(e)))
+        grid = np.linspace(0.0, HALF_PI, self.grid_size + 1)
+        values, residuals = zip(*_pairing_rows(self.plane, grid.tolist()))
         for name, column in zip(("grid", "values", "residuals"), (grid, values, residuals)):
             column = np.array(column)
             column.flags.writeable = False  # a frozen table's columns stay put

@@ -600,6 +600,18 @@ def perp2(plane: NormedSpace, a: float, b: float) -> tuple[float, float]:
     return -fb, fa
 
 
+def partner2(plane: NormedSpace, theta: float):
+    """The pairing row of a smooth plane at a finite theta: y = unit2(theta),
+    its partner theta* = pairing_angle over [theta, theta + pi] of the
+    norming functional f at y, y* = unit2(theta*) and the forward residual
+    |f(y*)|.  f(y) = 1 > 0 > f(y(theta + pi)), so the bracket holds the root."""
+    y = unit2(plane, theta)
+    fa, fb = plane._grad2(*y)
+    theta_star = pairing_angle(fa, fb, theta, theta + math.pi)
+    y_star = unit2(plane, theta_star)
+    return y, theta_star, y_star, abs(fa * y_star[0] + fb * y_star[1])
+
+
 def pairing_angle(fa: float, fb: float, lo: float, hi: float) -> float:
     """Root in [lo, hi] of the pairing g(t) = fa cos t + fb sin t of a norming
     functional (fa, fb): the angle whose direction the functional annuls.

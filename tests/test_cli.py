@@ -243,10 +243,13 @@ CERTIFY_ARTIFACTS = sorted(
 # sum-acute reports moved again when the samples moved to the block draw
 # table and the reports gained first_disagreement.  The preserver reports'
 # floats moved in their last bits when the plane map became the table-free
-# perp map; every verdict and count kept its value.
+# perp map; every verdict and count kept its value.  The eta table's
+# residual column moved when it became the Radon scan's forward residual,
+# with the axes' own rows at the ends; its theta and eta columns kept
+# their bits.
 CERTIFY_SHA256 = {
     "circle_dayjames_3.csv": "ac4ca594efa803796a82b3d42ca128c0f4b5f60afddeb90c70dad02dd294465a",
-    "eta_dayjames_3.csv": "3c2e2813f5ed700e675676c73f886a94d06243a0e64831f1fcf1184d240dcec0",
+    "eta_dayjames_3.csv": "f46c74b9a8377dd4f2c097fc624be54376d38da6c6fc7c7a079295ddbf253481",
     "orthograph_dayjames_3.txt": "3d98f0352f0624f54b301dee7b634cda8716062f18cdeffeb92eeb07a23f6073",
     "preserver_dayjames_3.json": "34cfaf7e5495975c04bd3b45a07f815dd6fbb3358a08e9961f8f220b876a4298",
     "preserver_sum_linf1.json": "a7bcaeca45360ace27623d7a1a1565df485b4cd76d63c2a13d2bc41e34c9b5b5",

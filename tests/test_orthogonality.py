@@ -714,9 +714,10 @@ def test_lockstep_oracle_matches_scalar_oracle(text):
         assert t[i] == pytest.approx(ref_t, rel=1e-6, abs=1e-6 * abs(val[i]) / space.norm(Y[i]))
 
 
-def reference_golden_section_rows(phi, lo, hi, tol=1e-10, max_iter=200):
+def reference_golden_section_rows(phi, lo, hi):
     """The lockstep search as it was before its state was packed: full-length
     state arrays, scattered through the live row indices on every pass."""
+    tol, max_iter = orthogonality.GOLDEN_TOL, orthogonality.GOLDEN_MAX_ITER
     a, b = lo.astype(float), hi.astype(float)
     every = np.arange(len(a))
     best_x, best_f = a.copy(), phi(every, a)
@@ -766,11 +767,10 @@ def counted(phi):
     return wrapped, seen
 
 
-def packed_search(phi, lo, hi, tol=1e-10, max_iter=200):
+def packed_search(phi, lo, hi):
     """_golden_section_rows with the reference's phi(rows, t): the row
     indices are the one array packed with the state."""
-    return _golden_section_rows(phi, lo, hi, (np.arange(len(lo)),),
-                                tol=tol, max_iter=max_iter)
+    return _golden_section_rows(phi, lo, hi, (np.arange(len(lo)),))
 
 
 @pytest.mark.parametrize("space", SPACE_ZOO, ids=str)
@@ -779,18 +779,18 @@ def test_packed_lockstep_is_the_reference_lockstep(space, monkeypatch):
     got = _min_on_lines(space, X, Y, 0.0)
     evals = {}
 
-    def packed(phi, lo, hi, data, tol=1e-10):
+    def packed(phi, lo, hi, data):
         evals["packed"] = []
 
         def phi_counted(*args):
             evals["packed"].append(len(args[-1]))
             return phi(*args)
 
-        return _golden_section_rows(phi_counted, lo, hi, data, tol=tol)
+        return _golden_section_rows(phi_counted, lo, hi, data)
 
-    def reference(phi, lo, hi, data, tol=1e-10):
+    def reference(phi, lo, hi, data):
         row_phi, evals["reference"] = counted(lambda rows, t: phi(*(v[rows] for v in data), t))
-        return reference_golden_section_rows(row_phi, lo, hi, tol=tol)
+        return reference_golden_section_rows(row_phi, lo, hi)
 
     for search in (packed, reference):
         monkeypatch.setattr(orthogonality, "_golden_section_rows", search)
@@ -812,13 +812,15 @@ def bowl_rows(rows, t):
 
 @pytest.mark.parametrize("tol, max_iter", [(1e-10, 200), (1e-3, 200), (1e-10, 7), (1e-10, 0),
                                            (10.0, 200)])
-def test_lockstep_rows_are_scalar_searches(tol, max_iter):
+def test_lockstep_rows_are_scalar_searches(tol, max_iter, monkeypatch):
     # Brackets at, below and above tol, and caps that stop rows early.
+    monkeypatch.setattr(orthogonality, "GOLDEN_TOL", tol)
+    monkeypatch.setattr(orthogonality, "GOLDEN_MAX_ITER", max_iter)
     lo = np.array([-1.0, -2.0, 0.0, 0.0, -5.0, 1.0, -1e-3, -4.0])
     hi = lo + np.array([2.0, 4.0, 1e-3, 10.0, 10.0, 1e-10, 2e-3, 8.0])
     for search in (packed_search, reference_golden_section_rows):
         phi, seen = counted(bowl_rows)
-        best_x, best_f = search(phi, lo, hi, tol=tol, max_iter=max_iter)
+        best_x, best_f = search(phi, lo, hi)
         for i in range(len(lo)):
             calls = []
 
@@ -826,7 +828,7 @@ def test_lockstep_rows_are_scalar_searches(tol, max_iter):
                 calls.append(t)
                 return float(bowl_rows(np.array([i]), np.array([t]))[0])
 
-            want = golden_section_min(objective, lo[i], hi[i], tol=tol, max_iter=max_iter)
+            want = golden_section_min(objective, lo[i], hi[i])
             assert (float(best_x[i]).hex(), float(best_f[i]).hex()) == tuple(
                 float(v).hex() for v in want), (search.__name__, i)
             assert seen.count(i) == len(calls), (search.__name__, i)

@@ -92,6 +92,37 @@ def test_solve_eta_rejects_non_radon_planes():
         bj.solve_eta(bj.DayJames(3.0, 2.0), 0.3)
 
 
+def _edit_pairing_row(monkeypatch, edit):
+    """Pass every pairing row that solve_eta and EtaTable read through edit."""
+    honest = bj.preserver.partner2
+    monkeypatch.setattr(bj.preserver, "partner2",
+                        lambda plane, theta: edit(*honest(plane, theta)))
+
+
+@pytest.mark.parametrize("root", [np.nextafter(math.pi / 2, 0.0), np.nextafter(math.pi, 4.0),
+                                  0.3, 4.0])
+def test_a_partner_outside_the_second_quadrant_is_no_bracket(monkeypatch, root):
+    _edit_pairing_row(monkeypatch, lambda y, _, y_star, resid: (y, float(root), y_star, resid))
+    with pytest.raises(bj.NoBracket):
+        bj.solve_eta(DJ, 0.3)
+    with pytest.raises(bj.NoBracket):
+        bj.EtaTable(DJ, 64)
+    # The ends are the axes' own rows and read no pairing row.
+    assert (bj.solve_eta(DJ, 0.0), bj.solve_eta(DJ, math.pi / 2)) == (math.pi / 2, math.pi)
+
+
+def test_a_residual_above_the_bound_is_non_convergence(monkeypatch):
+    # The bound is no looser than 1e-10 |f|, f the functional at y(theta).
+    def edit(y, root, y_star, resid):
+        return y, root, y_star, 1.000001e-10 * math.hypot(*bj.spaces.perp2(DJ, *y))
+
+    _edit_pairing_row(monkeypatch, edit)
+    with pytest.raises(bj.NonConvergence):
+        bj.solve_eta(DJ, 0.3)
+    with pytest.raises(bj.NonConvergence):
+        bj.EtaTable(DJ, 64)
+
+
 def test_table_rejects_non_radon_planes(dj_map, tmp_path):
     # The map's inverse solves the pairing from the target side, which is
     # right only where the pairing is symmetric.
@@ -125,7 +156,7 @@ def test_table_invariants(plane):
     assert len(table.grid) == 1025
     assert table.values[0] == math.pi / 2 and table.values[-1] == math.pi
     assert np.all(np.diff(table.values) > 0)
-    assert float(table.residuals.max()) <= 1e-8
+    assert float(table.residuals.max()) <= 1e-15
     # Node pairs are orthogonal, and mutually so (the Radon cross-check).
     # The coarser mutual margin absorbs the Hoelder amplification of the
     # one-ulp angle quantization near the axes for exponents below two.
@@ -141,13 +172,13 @@ def _write_table(path, grid, values, residuals):
 
 
 def test_table_monotonicity_enforced(dj_map, monkeypatch, tmp_path):
-    # A pairing whose angles at nodes 100 and 200 are swapped is refused,
+    # A pairing whose rows at nodes 100 and 200 are swapped is refused,
     # and so is a file with those two rows swapped.
     grid = dj_map.eta.grid.tolist()
     swap = {grid[100]: grid[200], grid[200]: grid[100]}
-    honest = bj.preserver.solve_eta
+    honest = bj.preserver.partner2
     with monkeypatch.context() as mp:
-        mp.setattr(bj.preserver, "solve_eta",
+        mp.setattr(bj.preserver, "partner2",
                    lambda plane, theta: honest(plane, swap.get(theta, theta)))
         with pytest.raises(MonotonicityViolation):
             bj.EtaTable(DJ)
@@ -158,6 +189,28 @@ def test_table_monotonicity_enforced(dj_map, monkeypatch, tmp_path):
     _write_table(path, eta.grid[order], eta.values[order], eta.residuals[order])
     with pytest.raises(ValueError, match="^line 102:"):
         bj.EtaTable.from_csv(path, DJ)
+
+
+@pytest.mark.parametrize("grid_size", [64, 256, 1024])
+@pytest.mark.parametrize("p", [1.01, 1.1, 1.2, 1.3, 1.5])
+def test_table_end_rows_are_the_axes_rows(p, grid_size):
+    # On dayjames:p':p the cusp near float(pi/2) sends that direction's
+    # partner off pi; the end row is the axis's own, so its residual is
+    # at rounding like every other row's.
+    table = bj.EtaTable(bj.DayJames(p, p / (p - 1.0)), grid_size)
+    assert table.values[-1] == math.pi
+    assert float(table.residuals.max()) <= 1e-15
+
+
+@pytest.mark.parametrize("plane", [*DAYJAMES_RADON_PLANES, L2], ids=str)
+def test_table_is_the_scans_first_quadrant(plane):
+    # One pairing row serves both: node k of a 360-node table is row k of
+    # the 720-direction scan over [0, pi), bit for bit.
+    table = bj.EtaTable(plane, 360)
+    rows = bj.radon_defect(plane, 720).rows
+    for k in range(1, 360):
+        got = (table.grid[k], table.values[k], table.residuals[k])
+        assert tuple(map(float.hex, map(float, got))) == tuple(map(float.hex, rows[k][:3])), k
 
 
 def test_build_refuses_a_plane_whose_pairing_ties():

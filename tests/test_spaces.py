@@ -706,6 +706,16 @@ def test_only_spaces_reads_a_plane_functional():
     assert readers == ["spaces.py"]
 
 
+def test_only_spaces_solves_a_pairing():
+    # A direction's partner is solved once, in the pairing row partner2,
+    # which the Radon scan, solve_eta and EtaTable share.
+    package = Path(bj.__file__).parent
+    readers = sorted({path.name for path in package.glob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if "pairing_angle" in (getattr(node, "id", None), getattr(node, "attr", None))})
+    assert readers == ["spaces.py"]
+
+
 @pytest.mark.parametrize("plane", [bj.DayJames(3.0, 1.5), bj.DayJames(1.5, 3.0),
                                    bj.Lp(2, 3.0), bj.Lp(2, 2.0)], ids=str)
 def test_perp2_is_the_perp_of_the_support_functional(plane):
