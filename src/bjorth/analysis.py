@@ -17,7 +17,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DegenerateSection, InvalidCount, NotAPlane, NotSmooth
+from .errors import DegenerateSection, InvalidCount, NotAPlane, NotSmooth, check_count
 from .orthogonality import (
     MARGIN,
     check_margin,
@@ -66,8 +66,7 @@ def radon_defect(plane: NormedSpace, grid: int = 720,
     """
     if plane.dim != 2:
         raise NotAPlane(f"expected a plane, got dimension {plane.dim}")
-    if grid < 16:
-        raise InvalidCount(f"grid must be >= 16, got {grid}")
+    grid = check_count(grid, "grid", 16)
     check_margin(margin)
     if not isinstance(plane, (Lp, DayJames)):
         raise NotSmooth(f"the scan needs a smooth plane, got {format_space(plane)}")
@@ -127,8 +126,7 @@ def smoothness_probe(space: NormedSpace, samples: int = 200, seed: int = 0) -> S
     own kink directions and along row 0's two directions.  The samples are
     judged in blocks of PAIR_BLOCK, with three space._norms passes each.
     """
-    if samples < 1:
-        raise InvalidCount(f"samples must be >= 1, got {samples}")
+    samples, seed = check_count(samples, "samples"), check_count(seed, "seed", 0)
     dim, step = space.dim, 1e-6
     tie, kinks = _tie_probe(space)
     worst_gap = 0.0
@@ -187,8 +185,7 @@ class SectionCandidate:
 def section_candidates(space: NormedSpace, count: int, seed: int = 0) -> list[SectionCandidate]:
     """The first count of: all coordinate-aligned 2-D sections, then seeded
     random ones."""
-    if count < 1:
-        raise InvalidCount(f"count must be >= 1, got {count}")
+    count, seed = check_count(count, "count"), check_count(seed, "seed", 0)
     dim = space.dim
     if dim < 2:
         raise DegenerateSection(f"a space of dimension {dim} has no 2-D sections")
@@ -224,8 +221,7 @@ def euclidean_section_search(space: NormedSpace, candidates, pair_samples: int =
     """
     if not candidates:
         raise InvalidCount("candidate list must be nonempty")
-    if pair_samples < 1:
-        raise InvalidCount(f"pair_samples must be >= 1, got {pair_samples}")
+    pair_samples, seed = check_count(pair_samples, "pair_samples"), check_count(seed, "seed", 0)
     check_margin(tol, "tol")
     bases = [(space.check_vector(cand.u), space.check_vector(cand.v)) for cand in candidates]
     per_block = max(1, PAIR_BLOCK // pair_samples)
@@ -343,8 +339,7 @@ def sum_acute_equivalence_check(space_x: NormedSpace, space_y: NormedSpace,
     so the report does not depend on PAIR_BLOCK, and first_disagreement at
     n samples names the same sample at any larger n.
     """
-    if n_samples < 1:
-        raise InvalidCount(f"n_samples must be >= 1, got {n_samples}")
+    n_samples, seed = check_count(n_samples, "n_samples"), check_count(seed, "seed", 0)
     check_margin(margin)
     band = oracle_exclusion_band(margin)
     sum_space = InfSum((space_x, space_y))
@@ -431,9 +426,7 @@ def sample_orthograph(space: NormedSpace, directions, margin: float = MARGIN) ->
     """
     check_margin(margin)
     if isinstance(directions, (int, np.integer)):
-        if directions < 1:
-            raise InvalidCount(f"directions must be >= 1, got {directions}")
-        directions = np.linspace(0.0, math.pi, int(directions), endpoint=False)
+        directions = np.linspace(0.0, math.pi, check_count(directions, "directions"), endpoint=False)
     items = list(directions)
     if items and np.isscalar(items[0]):
         if space.dim != 2:

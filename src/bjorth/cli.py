@@ -28,7 +28,7 @@ from .analysis import (
     sum_acute_equivalence_check,
     euclidean_section_search,
 )
-from .errors import BjorthError, InvalidCount
+from .errors import BjorthError, check_count
 from .orthogonality import MARGIN, classify_angle
 from .preserver import EtaTable, IdentityMap, build_preserver, compose_inf_sum, verify_preserver
 from .serialize import fmt_float, write_csv, write_json
@@ -95,10 +95,8 @@ def _write_radon(path, scan) -> None:
 
 
 def _write_circle(path, plane: NormedSpace, grid: int) -> None:
-    if grid < 1:
-        raise InvalidCount(f"grid must be >= 1, got {grid}")
     rows = []
-    for t in np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False):
+    for t in np.linspace(0.0, 2.0 * math.pi, check_count(grid, "grid"), endpoint=False):
         u = unit_vector_at_angle(plane, float(t))
         rows.append((float(t), float(u[0]), float(u[1])))
     write_csv(path, ["theta", "x", "y"], rows)

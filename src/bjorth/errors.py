@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check."""
+
+import operator
 
 
 class BjorthError(Exception):
@@ -27,7 +29,7 @@ class NonFiniteInput(BjorthError):
 
 
 class InvalidCount(BjorthError, ValueError):
-    """A sample, pair-sample or grid count is below its minimum."""
+    """A sample, pair-sample or grid count is below its minimum, or a seed below 0."""
 
 
 class AngleOutOfRange(BjorthError, ValueError):
@@ -80,3 +82,10 @@ class DegenerateSection(BjorthError):
 
 class ParseError(BjorthError):
     """Malformed space descriptor."""
+
+
+def check_count(value, name: str, floor: int = 1) -> int:
+    """A count (with floor 0, a seed) as a Python int: an integer, not bool, >= floor."""
+    if isinstance(value, bool) or (count := operator.index(value)) < floor:
+        raise InvalidCount(f"{name} must be >= {floor} (an integer, not a bool), got {value!r}")
+    return count

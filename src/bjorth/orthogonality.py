@@ -47,13 +47,12 @@ class AngleRelation:
     """Classification of the pair (x, y) plus its witness bounds.
 
     min_bound and max_bound are the extremes of f(y) over the norming
-    functionals of x; they equal the left and right derivatives of
-    t -> ||x + t*y|| at t = 0.  scale is ||y||, the unit in which the
-    decision margin is applied.  Where ||y|| is past the float range, the
-    tag is decided on y scaled down by a power of two, and the bounds and
-    scale are reported in the caller's units: scale is inf, and so is a
-    bound past the range.  The distances, ratios that do not depend on the
-    units of y, are then taken on the decided values, kept in _scaled.
+    functionals of x: the left and right derivatives of t -> ||x + t*y|| at
+    t = 0.  scale is ||y||, the unit of the decision margin; all three are
+    0.0 when x = 0.  Where ||y|| overflows, the tag is decided on y scaled
+    down by a power of two and the fields are reported in the caller's
+    units (scale inf, as is a bound past the range); the distances are
+    taken on the decided values, kept in _scaled.
     """
 
     tag: AngleTag
@@ -93,26 +92,39 @@ class AngleRelation:
         """x Birkhoff-James orthogonal to y: orthogonal, or x = 0."""
         return self.is_orthogonal | (self.tag == AngleTag.DEGENERATE_LEFT)
 
-    def _per_scale(self, values, scale):
-        """values / scale, and inf where the scale is zero or x is zero."""
-        defined = (scale != 0.0) & (self.tag != AngleTag.DEGENERATE_LEFT)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(defined, values / scale, math.inf)[()]
-
     def orthogonality_distance(self) -> float:
-        """Normalized distance of the witness bounds from straddling zero.
-
-        Zero when the pair is classified orthogonal; used to exclude
-        samples too close to the decision boundary to adjudicate.
-        """
-        mn, mx, scale = self._decided()
-        straddle = (mn <= 0.0) & (0.0 <= mx)
-        return self._per_scale(np.where(straddle, 0.0, np.minimum(np.abs(mn), np.abs(mx))), scale)
+        """orthogonality_distance of the decided bounds: 0 when orthogonal."""
+        return orthogonality_distance(*self._decided())
 
     def acute_distance(self) -> float:
-        """Normalized distance from the acute/non-acute boundary."""
-        _, mx, scale = self._decided()
-        return self._per_scale(np.abs(mx), scale)
+        """acute_distance of the decided bounds."""
+        return acute_distance(*self._decided()[1:])
+
+
+def angle_masks(mn, mx, scale, live, margin: float):
+    """The margin rule on arrays of witness bounds, row by row: boolean masks
+    in AngleTag's order, (strictly acute, orthogonal, strictly obtuse).
+    mn > margin * scale is strictly acute, else mx < -margin * scale strictly
+    obtuse, else orthogonal; where live is false (x = 0) the pair is in none."""
+    thr = margin * scale
+    acute = live & (mn > thr)
+    obtuse = (live ^ acute) & (mx < -thr)
+    return acute, live ^ acute ^ obtuse, obtuse
+
+
+def orthogonality_distance(mn, mx, scale):
+    """Distance of the witness bounds from straddling zero per unit of scale
+    (0 if mn <= 0 <= mx, inf at scale 0): how far from the boundary."""
+    return _per_scale(np.maximum(np.maximum(mn, -mx), 0.0), scale)
+
+
+def acute_distance(mx, scale):
+    """Distance of mx from zero (the acute boundary) per unit of scale; inf at scale 0."""
+    return _per_scale(np.abs(mx), scale)
+
+
+def _per_scale(values, scale):
+    return np.divide(values, scale, out=np.full(np.shape(values), math.inf), where=scale != 0.0)[()]
 
 
 def check_margin(margin: float, name: str = "margin") -> None:
@@ -152,26 +164,38 @@ def _classify(space: NormedSpace, xa: np.ndarray, ya: np.ndarray,
         scale = space._norm(ya)
     vals = [float(np.dot(f, ya)) for f in space._support(xa)]
     mn, mx = min(vals), max(vals)
-    thr = margin * scale
-    if mn > thr:
-        tag = AngleTag.STRICTLY_ACUTE
-    elif mx < -thr:
-        tag = AngleTag.STRICTLY_OBTUSE
-    else:
-        tag = AngleTag.ORTHOGONAL
+    thr = margin * scale  # angle_masks' rule, inline: a call adds ~0.3 us to a single query
+    tag = (AngleTag.STRICTLY_ACUTE if mn > thr else AngleTag.STRICTLY_OBTUSE if mx < -thr
+           else AngleTag.ORTHOGONAL)
     if not k:
         return AngleRelation(tag, mn, mx, scale)
     return AngleRelation(tag, *(float(_unscaled(v, k)) for v in (mn, mx, scale)),
                          _scaled=(mn, mx, scale))
 
 
-def _checked_rows(space: NormedSpace, X, Y, margin: float) -> tuple[np.ndarray, np.ndarray]:
-    """X and Y as two (n, dim) float arrays of finite rows; a checked margin."""
+def _checked_rows(space: NormedSpace, X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """X and Y as two (n, dim) float arrays of finite rows."""
     X, Y = space.check_rows(X), space.check_rows(Y)
     if Y.shape != X.shape:
         raise DimensionMismatch(f"X and Y have shapes {X.shape} and {Y.shape}")
-    check_margin(margin)
     return X, Y
+
+
+def witness_rows(space: NormedSpace, X, Y) -> tuple:
+    """classify_many's checks and witness bounds of every row pair, one array
+    path: (mn, mx, scale, live, k), live where x != 0 and mn = mx = scale =
+    0.0 elsewhere.  A live row whose ||y|| overflows is decided on y * 2**-k
+    as in classify_angle, in those units; k is None if no row overflows."""
+    X, Y = _checked_rows(space, X, Y)
+    live, k = X.any(axis=1), None
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        scale = space._norms(Y)
+        if (big := live & (scale == math.inf)).any():
+            k = np.where(big, top_exponents(Y), 0)
+            Y = np.ldexp(Y, -k[:, None])
+            scale = space._norms(Y)
+        mn, mx = space._bounds(X, Y)
+    return (*(np.where(live, v, 0.0) for v in (mn, mx, scale)), live, k)
 
 
 def classify_many(space: NormedSpace, X, Y, margin: float = MARGIN) -> AngleRelation:
@@ -183,25 +207,12 @@ def classify_many(space: NormedSpace, X, Y, margin: float = MARGIN) -> AngleRela
     The zero rule, margin test and witness bounds are classify_angle's,
     which stays the reference; the bounds agree with it to rounding.
     """
-    X, Y = _checked_rows(space, X, Y, margin)
-    n = len(X)
-    live = X.any(axis=1)
-    mn, mx, scale = np.zeros(n), np.zeros(n), np.zeros(n)
-    with np.errstate(over="ignore"):
-        scale[live] = space._norms(Y[live])
-    k = np.zeros(n, dtype=int)
-    big = scale == math.inf
-    if big.any():  # as in classify_angle
-        k[big] = top_exponents(Y[big])
-        Y = np.ldexp(Y, -k[:, None])
-        scale[big] = space._norms(Y[big])
-    mn[live], mx[live] = space._bounds(X[live], Y[live])
-    thr = margin * scale
-    tag = np.full(n, AngleTag.ORTHOGONAL, dtype=object)
-    tag[mx < -thr] = AngleTag.STRICTLY_OBTUSE
-    tag[mn > thr] = AngleTag.STRICTLY_ACUTE
-    tag[~live] = AngleTag.DEGENERATE_LEFT
-    if not big.any():
+    mn, mx, scale, live, k = witness_rows(space, X, Y)
+    check_margin(margin)
+    tag = np.full(len(live), AngleTag.DEGENERATE_LEFT, dtype=object)
+    for mask, member in zip(angle_masks(mn, mx, scale, live, margin), AngleTag):
+        tag[mask] = member
+    if k is None:
         return AngleRelation(tag, mn, mx, scale)
     return AngleRelation(tag, *(_unscaled(v, k) for v in (mn, mx, scale)),
                          _scaled=(mn, mx, scale))
@@ -454,7 +465,8 @@ def one_sided_acute_many(space: NormedSpace, X, Y, margin: float = MARGIN) -> np
     are the scalar oracle's, which stays the reference: a zero row of X
     raises ZeroVector and a zero row of Y counts as acute.
     """
-    X, Y = _checked_rows(space, X, Y, margin)
+    X, Y = _checked_rows(space, X, Y)
+    check_margin(margin)
     if not X.any(axis=1).all():
         raise ZeroVector("acute-angle oracle needs x != 0")
     acute = np.ones(len(X), dtype=bool)

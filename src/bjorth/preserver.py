@@ -28,18 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AngleOutOfRange,
-    GridTooCoarse,
-    InvalidCount,
-    MonotonicityViolation,
-    NoBracket,
-    NonConvergence,
-    NonFiniteInput,
-    NotRadonPlane,
-)
-from .orthogonality import (MARGIN, AngleRelation, check_margin, classify_many,
-                            orthogonal_rows)
+from .errors import (AngleOutOfRange, GridTooCoarse, MonotonicityViolation, NoBracket,
+                     NonConvergence, NonFiniteInput, NotRadonPlane, check_count)
+from .orthogonality import (MARGIN, acute_distance, angle_masks, check_margin,
+                            orthogonal_rows, orthogonality_distance, witness_rows)
 from .sampling import as_uniform, draw_rows, nonzero_rows
 from .serialize import write_csv
 from .spaces import DayJames, InfSum, Lp, NormedSpace, partner2, perp2, unit2
@@ -361,10 +353,10 @@ class VerificationReport:
         }
 
 
-def _pair_agreement(rel_s: AngleRelation, rel_t: AngleRelation,
+def _pair_agreement(source: tuple, image: tuple, margin: float,
                     band: float) -> tuple[int, np.ndarray, np.ndarray]:
-    """Compare source and image classifications, pair by pair.
-
+    """Compare the source and image witness_rows pair by pair, judged as
+    classify_many judges them: by angle_masks at margin and the distances.
     Rows alternate a random pair and a constructed orthogonal pair.  Returns
     the number of excluded comparisons and two arrays over the samples: how
     many of its two pairs disagree on orthogonality, and whether its random
@@ -372,16 +364,19 @@ def _pair_agreement(rel_s: AngleRelation, rel_t: AngleRelation,
     comparison when either side is non-orthogonal but within the band of
     the decision boundary; pairs classified orthogonal are always kept (they
     are the informative ones).  A random pair is excluded from the acute
-    comparison when either side's right derivative sits within the band of
-    zero.
+    comparison when either side's right derivative is within band of zero.
     """
-    orth_skip = (
-        (~rel_s.is_orthogonal & (rel_s.orthogonality_distance() <= band))
-        | (~rel_t.is_orthogonal & (rel_t.orthogonality_distance() <= band))
-    )
-    acute_skip = ((rel_s.acute_distance() <= band) | (rel_t.acute_distance() <= band))[::2]
-    orth_dis = ~orth_skip & (rel_s.is_orthogonal != rel_t.is_orthogonal)
-    acute_dis = ~acute_skip & (rel_s.is_acute != rel_t.is_acute)[::2]
+    def judged(mn, mx, scale, live, k):  # orthogonal, acute, and near each boundary
+        acute, orthogonal, _ = angle_masks(mn, mx, scale, live, margin)
+        return (orthogonal, acute | orthogonal, orthogonality_distance(mn, mx, scale) <= band,
+                acute_distance(mx[::2], scale[::2]) <= band)
+
+    orth_s, acute_s, near_s, edge_s = judged(*source)
+    orth_t, acute_t, near_t, edge_t = judged(*image)
+    orth_skip = (~orth_s & near_s) | (~orth_t & near_t)
+    acute_skip = edge_s | edge_t
+    orth_dis = ~orth_skip & (orth_s != orth_t)
+    acute_dis = ~acute_skip & (acute_s != acute_t)[::2]
     return int(orth_skip.sum() + acute_skip.sum()), orth_dis.reshape(-1, 2).sum(axis=1), acute_dis
 
 
@@ -399,27 +394,22 @@ def verify_preserver(pmap: PreserverMap, n_samples: int, margin: float = MARGIN,
     fifth sample and the continuity modulus on every tenth.  A pass allows
     no disagreement, norm errors to 1e-9 and homogeneity errors to 1e-12.
 
-    The sweep runs in three phases.  The draw phase reads sample i's row of
-    the seeded draw table (sampling.draw_rows), 6 * dim + 2 normals wide:
-    x, a reserve for x, y, a reserve for y, the random vector of y_perp and
-    the continuity step's direction d, each dim wide, then the sign and the
-    log-uniform size of the homogeneity scale c.  A reserve replaces a draw
-    whose norm is below sampling.MIN_SAMPLE_NORM, and every sample reads
-    every column, probed or not.  y_perp is orthogonal_rows's partner of
-    x; c and d are scaled on Python floats.  The map phase maps x, y, y_perp,
-    c*x and x + d of every sample in one call of the row method
-    pmap._forward.  The judge phase takes the norm, homogeneity and
-    continuity errors in sample order, then classifies every source and
-    image pair with classify_many and compares them.  Results depend only
-    on (seed, index) per sample, so the sweep can be partitioned across
-    workers without changing them, and first_disagreement at n samples
-    names the same sample at any larger n.
+    Three phases.  Draw: sample i reads row i of the seeded draw table
+    (sampling.draw_rows), 6 * dim + 2 columns: x and its reserve, y and its
+    reserve (sampling.nonzero_rows), the random vector of y_perp
+    (orthogonal_rows), the continuity direction d, then the sign and
+    log-uniform size of the homogeneity scale c; c and d are scaled on
+    Python floats, and every sample reads every column, probed or not.
+    Map: x, y, y_perp, c*x and x + d of every sample in one pmap._forward
+    call.  Judge: the norm, homogeneity and continuity errors in sample
+    order, then _pair_agreement on the witness_rows of every source and
+    image pair, with no tag built.  A sample depends only on (seed, i), so
+    first_disagreement at n samples names the same sample at any larger n.
+    n_samples and seed pass check_count (floors 1 and 0).
     """
-    if n_samples < 1:
-        raise InvalidCount(f"n_samples must be >= 1, got {n_samples}")
+    n, seed = check_count(n_samples, "n_samples"), check_count(seed, "seed", 0)
     check_margin(margin)
-    src, tgt = pmap.source, pmap.target
-    n, m = n_samples, src.dim
+    src, tgt, m = pmap.source, pmap.target, pmap.source.dim
 
     W = draw_rows(seed, 0, n, 6 * m + 2)
     X = nonzero_rows(src, W[:, :m], W[:, m : 2 * m])
@@ -452,20 +442,18 @@ def verify_preserver(pmap: PreserverMap, n_samples: int, margin: float = MARGIN,
         if den > 0.0:
             continuity = max(continuity, num / den)
 
-    # Rows alternate the random pair (x, y) and the constructed pair (x, y_perp).
-    def pairs(P, Q, R):
-        return np.repeat(P, 2, axis=0), np.stack([Q, R], axis=1).reshape(2 * n, -1)
+    def pairs(space, P, Q, R):  # rows alternate the pairs (x, y) and (x, y_perp)
+        return witness_rows(space, np.repeat(P, 2, axis=0),
+                            np.stack([Q, R], axis=1).reshape(2 * n, -1))
 
     excluded, orth_dis, acute_dis = _pair_agreement(
-        classify_many(src, *pairs(X, Y, Yp), margin),
-        classify_many(tgt, *pairs(TX, images[n : 2 * n], images[2 * n : 3 * n]), margin),
-        10.0 * margin,
-    )
+        pairs(src, X, Y, Yp), pairs(tgt, TX, images[n : 2 * n], images[2 * n : 3 * n]),
+        margin, 10.0 * margin)
     disagreeing = np.flatnonzero(orth_dis + acute_dis)
 
     passed = len(disagreeing) == 0 and max_norm_err <= 1e-9 and max_homog_err <= 1e-12
     return VerificationReport(
-        samples=n_samples,
+        samples=n,
         boundary_excluded=excluded,
         orth_disagreements=int(orth_dis.sum()),
         acute_disagreements=int(acute_dis.sum()),

@@ -148,11 +148,11 @@ class NormedSpace(ABC):
     array, and ``_support`` on a checked nonzero array, plus their row-wise
     array forms: ``_norms`` on an (n, dim) array, and ``_bounds``, the
     (min, max) of f(y) over the extreme norming functionals f of x, row by
-    row, for nonzero rows x of X and rows y of Y.  The line oracles minimize
-    ``_line``, which Lp and Day-James planes evaluate on Python floats
-    (``_line2``).  Public entry points pass each caller's vector through
-    ``check_vector`` (a stack of rows through ``check_rows``) once; a vector
-    is zero only when every coordinate is exactly zero.
+    row, for rows x of X (NaN allowed at x = 0) and y of Y.  The line
+    oracles minimize ``_line``, which Lp and Day-James planes evaluate on
+    Python floats (``_line2``).  Public entry points pass each caller's
+    vector through ``check_vector`` (a stack of rows through ``check_rows``)
+    once; a vector is zero only when every coordinate is exactly zero.
     """
 
     dim: int

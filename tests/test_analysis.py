@@ -6,7 +6,7 @@ import pytest
 
 import bjorth as bj
 from bjorth.cli import _sections_record
-from bjorth.errors import DegenerateSection, InvalidCount, NotAPlane, NotSmooth
+from bjorth.errors import DegenerateSection, InvalidCount, NotAPlane, NotSmooth, check_count
 from bjorth.sampling import BLOCK
 
 from conftest import SPACE_ZOO
@@ -411,6 +411,56 @@ def test_counts_below_the_minimum_are_rejected(call):
     with pytest.raises(InvalidCount) as info:
         call()
     assert isinstance(info.value, ValueError) and isinstance(info.value, bj.BjorthError)
+
+
+# Every library call that takes a count and a seed: call(count, seed).
+SEEDED_CALLS = {
+    "verify": lambda n, seed: bj.verify_preserver(bj.IdentityMap(L2), n, seed=seed),
+    "sum_acute": lambda n, seed: bj.sum_acute_equivalence_check(L2, bj.LInf(1), n_samples=n,
+                                                                seed=seed),
+    "smooth": lambda n, seed: bj.smoothness_probe(L2, samples=n, seed=seed),
+    "section-candidates": lambda n, seed: bj.section_candidates(
+        bj.InfSum((L2, bj.LInf(1))), n, seed=seed),
+    "sections": lambda n, seed: bj.euclidean_section_search(
+        DJ, [bj.SectionCandidate([1, 0], [0, 1])], pair_samples=n, seed=seed),
+}
+
+
+@pytest.mark.parametrize("name", ["verify", "sum_acute"])
+def test_numpy_counts_and_seeds_give_reports_that_serialize(name):
+    # An np.int64 count or seed used to reach the report, whose to_dict()
+    # then made to_json_text raise TypeError.
+    report = SEEDED_CALLS[name](np.int64(5), np.int64(3))
+    record = report.to_dict()
+    assert type(record["samples"]) is int and type(record["seed"]) is int
+    assert record == SEEDED_CALLS[name](5, 3).to_dict()
+    assert '"samples": 5' in bj.serialize.to_json_text(record)
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_CALLS))
+@pytest.mark.parametrize("count", [True, False])
+def test_bool_counts_are_refused(name, count):
+    # True used to run one sample and write "samples": true.
+    with pytest.raises(InvalidCount):
+        SEEDED_CALLS[name](count, 0)
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_CALLS))
+def test_negative_seeds_raise_a_bjorth_error(name):
+    # numpy's generators raised a plain ValueError before the library checked.
+    with pytest.raises(InvalidCount, match="seed must be >= 0"):
+        SEEDED_CALLS[name](4, -1)
+    with pytest.raises(InvalidCount):
+        SEEDED_CALLS[name](4, True)
+
+
+def test_check_count_returns_a_python_int():
+    assert [type(check_count(v, "n")) for v in (3, np.int64(3), np.uint8(3))] == [int] * 3
+    assert check_count(np.int32(0), "seed", 0) == 0
+    with pytest.raises(TypeError):
+        check_count(2.0, "n")
+    with pytest.raises(InvalidCount, match="grid must be >= 16 .*, got 15"):
+        check_count(15, "grid", 16)
 
 
 def test_sum_acute_report_round_trip():

@@ -343,6 +343,40 @@ def test_classify_many_shape_checks():
     assert len(empty.tag) == 0
 
 
+@pytest.mark.parametrize("space", SPACE_ZOO, ids=str)
+def test_classify_many_on_mixed_stacks(space):
+    # One array path takes live and zero x rows alike.  Stacks: zero x rows
+    # only, an overflowing y on a zero x row only, and one on a live row
+    # too.  A max norm's ||y|| never overflows, so there no row rescales.
+    rng = np.random.default_rng(29)
+    x, y, zero = random_nonzero(space, rng), random_nonzero(space, rng), np.zeros(space.dim)
+    huge = np.copysign(np.full(space.dim, 1.7e308), y)
+    overflows = space.norm(huge) == math.inf
+    stacks = [([x, zero, x, zero], [y, y, -x, zero], False),
+              ([x, zero, x], [y, huge, x], False),
+              ([zero, x, x, zero], [huge, huge, y, y], overflows)]
+    for X, Y, scaled in stacks:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            many = bj.classify_many(space, X, Y)
+        assert (many._scaled is not None) == scaled
+        orth_dist, acute_dist = many.orthogonality_distance(), many.acute_distance()
+        for i, (xi, yi) in enumerate(zip(X, Y)):
+            rel = bj.classify_angle(space, xi, yi)
+            assert many.tag[i] is rel.tag, i
+            if not xi.any():
+                assert (many.min_bound[i], many.max_bound[i], many.scale[i]) == (0.0, 0.0, 0.0)
+                assert orth_dist[i] == acute_dist[i] == math.inf
+                continue
+            tol = 1e-12 * rel.scale
+            assert math.isclose(many.scale[i], rel.scale, rel_tol=1e-12)
+            assert math.isclose(many.min_bound[i], rel.min_bound, rel_tol=1e-12, abs_tol=tol)
+            assert math.isclose(many.max_bound[i], rel.max_bound, rel_tol=1e-12, abs_tol=tol)
+            assert math.isclose(orth_dist[i], rel.orthogonality_distance(),
+                                rel_tol=1e-12, abs_tol=1e-12)
+            assert math.isclose(acute_dist[i], rel.acute_distance(), rel_tol=1e-12, abs_tol=1e-12)
+
+
 def test_relations_compare_to_one_bool():
     # Array relations compare by their tags and three fields, and give one
     # bool as scalar relations do; the derived _scaled does not count.

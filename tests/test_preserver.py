@@ -13,9 +13,11 @@ from bjorth.errors import (
     NonFiniteInput,
     NotRadonPlane,
 )
+from bjorth.orthogonality import witness_rows
+from bjorth.preserver import _pair_agreement
 from bjorth.serialize import write_csv
 
-from conftest import draw_vector, non_radon_map, random_nonzero
+from conftest import SPACE_ZOO, draw_vector, non_radon_map, random_nonzero
 
 DJ = bj.DayJames(3.0, 1.5)
 L2 = bj.Lp(2, 2.0)
@@ -660,6 +662,9 @@ def test_verify_report_is_deterministic(dj_map):
 # closed form, without angles); no judged field moved.
 # boundary_excluded is 0: constructed pairs are not compared on acuteness,
 # and no other comparison of these runs comes near a decision boundary.
+# A label's suffix /10 marks a run at the benchmark's call size, 10 samples,
+# recorded with every pair judged by classify_many's relations; the others
+# take 300 samples.
 PINNED_REPORTS = {
     ("plane", 0): {
         "samples": 300, "disagreements": 0, "first_disagreement": None, "boundary_excluded": 0,
@@ -681,15 +686,58 @@ PINNED_REPORTS = {
         "max_norm_error": 2.8284637537081453e-16, "max_homog_error": 2.2613236570128364e-16,
         "continuity_modulus": 1.325868895622531, "seed": 7, "pass": True,
         "orthogonality_disagreements": 0, "acute_disagreements": 0},
+    ("plane/10", 0): {
+        "samples": 10, "disagreements": 0, "first_disagreement": None, "boundary_excluded": 0,
+        "max_norm_error": 2.7142094131648703e-16, "max_homog_error": 0.0,
+        "continuity_modulus": 1.3197697253423146, "seed": 0, "pass": True,
+        "orthogonality_disagreements": 0, "acute_disagreements": 0},
+    ("plane/10", 7): {
+        "samples": 10, "disagreements": 0, "first_disagreement": None, "boundary_excluded": 0,
+        "max_norm_error": 2.1199518329188547e-16, "max_homog_error": 8.06577990460785e-19,
+        "continuity_modulus": 0.9027356114720917, "seed": 7, "pass": True,
+        "orthogonality_disagreements": 0, "acute_disagreements": 0},
+    ("sum_linf1/10", 0): {
+        "samples": 10, "disagreements": 0, "first_disagreement": None, "boundary_excluded": 0,
+        "max_norm_error": 2.0443499439244015e-16, "max_homog_error": 1.4035561912795606e-16,
+        "continuity_modulus": 1.5776892172116666, "seed": 0, "pass": True,
+        "orthogonality_disagreements": 0, "acute_disagreements": 0},
+    ("sum_linf1/10", 7): {
+        "samples": 10, "disagreements": 0, "first_disagreement": None, "boundary_excluded": 0,
+        "max_norm_error": 3.7147508972950494e-16, "max_homog_error": 1.6438278390263666e-16,
+        "continuity_modulus": 1.0950084033430265, "seed": 7, "pass": True,
+        "orthogonality_disagreements": 0, "acute_disagreements": 0},
+    ("sum_linf8/10", 0): {
+        "samples": 10, "disagreements": 0, "first_disagreement": None, "boundary_excluded": 0,
+        "max_norm_error": 1.4306582453194357e-16, "max_homog_error": 4.5748065363823963e-17,
+        "continuity_modulus": 1.1211651395797388, "seed": 0, "pass": True,
+        "orthogonality_disagreements": 0, "acute_disagreements": 0},
+    ("sum_linf8/10", 7): {
+        "samples": 10, "disagreements": 0, "first_disagreement": None, "boundary_excluded": 0,
+        "max_norm_error": 0.0, "max_homog_error": 7.125866501276583e-17,
+        "continuity_modulus": 1.0938179955779923, "seed": 7, "pass": True,
+        "orthogonality_disagreements": 0, "acute_disagreements": 0},
+    ("non_radon/10", 0): {
+        "samples": 10, "disagreements": 5, "first_disagreement": 0, "boundary_excluded": 0,
+        "max_norm_error": 2.7142094131648703e-16, "max_homog_error": 1.4285371060747907e-16,
+        "continuity_modulus": 1.729489121024097, "seed": 0, "pass": False,
+        "orthogonality_disagreements": 5, "acute_disagreements": 0},
+    ("non_radon/10", 7): {
+        "samples": 10, "disagreements": 6, "first_disagreement": 1, "boundary_excluded": 0,
+        "max_norm_error": 2.1199518329188547e-16, "max_homog_error": 8.06577990460785e-19,
+        "continuity_modulus": 0.9027356114720917, "seed": 7, "pass": False,
+        "orthogonality_disagreements": 6, "acute_disagreements": 0},
 }
 
 
 @pytest.mark.parametrize("label,seed", sorted(PINNED_REPORTS), ids=str)
 def test_verify_report_matches_pinned_values(dj_map, label, seed):
-    pmap = dj_map if label == "plane" else bj.compose_inf_sum([dj_map, bj.IdentityMap(bj.LInf(8))])
-    report = bj.verify_preserver(pmap, 300, seed=seed).to_dict()
+    maps = {"plane": dj_map, "non_radon": NON_RADON}
+    for k in (1, 8):
+        maps[f"sum_linf{k}"] = bj.compose_inf_sum([dj_map, bj.IdentityMap(bj.LInf(k))])
+    want = PINNED_REPORTS[label, seed]
+    report = bj.verify_preserver(maps[label.split("/")[0]], want["samples"], seed=seed).to_dict()
     del report["tool_version"]
-    assert report == PINNED_REPORTS[label, seed]
+    assert report == want
 
 
 def test_non_radon_control_report_matches_pinned_values():
@@ -700,3 +748,80 @@ def test_non_radon_control_report_matches_pinned_values():
         "max_norm_error": 4.323838900325819e-16, "max_homog_error": 4.3223193667334277e-16,
         "continuity_modulus": 2.0109366949146628, "seed": 0, "pass": False,
         "orthogonality_disagreements": 508, "acute_disagreements": 44}
+
+
+# ---------------------------------------------------------------------------
+# The judge against its reference on classify_many's relations.
+
+
+def reference_pair_agreement(rel_s, rel_t, band):
+    """verify_preserver's judge as written on the AngleRelation arrays that
+    classify_many returns: its tags' predicates and distance methods."""
+    orth_skip = (
+        (~rel_s.is_orthogonal & (rel_s.orthogonality_distance() <= band))
+        | (~rel_t.is_orthogonal & (rel_t.orthogonality_distance() <= band))
+    )
+    acute_skip = ((rel_s.acute_distance() <= band) | (rel_t.acute_distance() <= band))[::2]
+    orth_dis = ~orth_skip & (rel_s.is_orthogonal != rel_t.is_orthogonal)
+    acute_dis = ~acute_skip & (rel_s.is_acute != rel_t.is_acute)[::2]
+    return int(orth_skip.sum() + acute_skip.sum()), orth_dis.reshape(-1, 2).sum(axis=1), acute_dis
+
+
+def judge_stack(space, rng, kinds, margin):
+    """One pair (x, y) per kind (x zero?, y kind, c): x random or exactly
+    zero; y random, "near" the orthogonality and acute boundaries, or
+    "huge".  A near y is y_perp + t x, with f(y_perp) = 0 and f(x) = ||x||
+    for every norming f of x, so f(y) is about c * margin * ||y||.  A huge
+    y has coordinates of 1.5e308 to 1.79e308, where a p-norm part's norm
+    overflows."""
+    X, Y = [], []
+    for zero, kind, c in kinds:
+        x, y = random_nonzero(space, rng), random_nonzero(space, rng)
+        if kind == "near":
+            p = bj.orthogonal_direction(space, x, rng)
+            y = p + (c * margin * space.norm(p) / space.norm(x)) * x
+        elif kind == "huge":
+            y = np.copysign(rng.uniform(1.5e308, 1.79e308, space.dim), y)
+        X.append(0.0 * x if zero else x)
+        Y.append(y)
+    return np.array(X), np.array(Y)
+
+
+def judged_both_ways(space, sides, margin):
+    """(the judge on witness_rows, the reference on classify_many)."""
+    return (_pair_agreement(*(witness_rows(space, X, Y) for X, Y in sides), margin, 10.0 * margin),
+            reference_pair_agreement(*(bj.classify_many(space, X, Y, margin) for X, Y in sides),
+                                     10.0 * margin))
+
+
+KIND = st.tuples(st.integers(0, 4).map(lambda i: i == 0), st.sampled_from(["random", "near", "huge"]),
+                 st.floats(-12.0, 12.0))
+
+
+@given(data=st.data(), space=st.sampled_from(SPACE_ZOO))
+def test_judge_matches_its_relation_reference(data, space):
+    margin = data.draw(st.sampled_from([bj.MARGIN, 1e-6, 1e-3]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kinds = data.draw(st.integers(1, 12).flatmap(lambda m: st.lists(KIND, min_size=2 * m,
+                                                                   max_size=2 * m)))
+    sides = [judge_stack(space, rng, kinds, margin), judge_stack(space, rng, kinds[::-1], margin)]
+    got, want = judged_both_ways(space, sides, margin)
+    assert got[0] == want[0]
+    assert got[1].tolist() == want[1].tolist() and got[2].tolist() == want[2].tolist()
+
+
+@pytest.mark.parametrize("space", SPACE_ZOO, ids=str)
+def test_judge_matches_its_reference_on_every_kind_of_row(space):
+    # Every pinned report excludes nothing; here both judges exclude pairs
+    # near each boundary, and meet zero x rows and (but in max norms)
+    # overflowing y rows, on both sides.
+    rng = np.random.default_rng(23)
+    kinds = [(zero, kind, c) for zero in (False, True) for kind in ("random", "near", "huge")
+             for c in (-11.0, -9.0, -2.0, -0.5, 0.5, 2.0, 9.0, 11.0)]
+    sides = [judge_stack(space, rng, kinds, bj.MARGIN), judge_stack(space, rng, kinds[::-1], bj.MARGIN)]
+    got, want = judged_both_ways(space, sides, bj.MARGIN)
+    assert got[0] == want[0] > 0
+    assert got[1].tolist() == want[1].tolist() and got[2].tolist() == want[2].tolist()
+    _, _, _, live, k = witness_rows(space, *sides[0])
+    assert not live.all()
+    assert (k is None) == isinstance(space, bj.LInf)

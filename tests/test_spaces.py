@@ -687,6 +687,15 @@ def test_no_module_imports_a_private_name_of_another():
     assert private == []
 
 
+def test_only_orthogonality_names_an_angle_tag():
+    # The margin rule is written once, in orthogonality.angle_masks; a module
+    # that named a tag member would be deciding angles on its own.
+    members = set(bj.AngleTag.__members__)
+    namers = sorted({name for name, tree in _package_modules() for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and node.attr in members})
+    assert namers == ["orthogonality"]
+
+
 def test_only_spaces_reads_the_max_sum_layout():
     # Other modules reach the parts of a max-sum vector through InfSum.split.
     package = Path(bj.__file__).parent
