@@ -20,11 +20,13 @@ import numpy as np
 from .errors import DegenerateSection, InvalidCount, NotAPlane, NotSmooth, check_count
 from .orthogonality import (
     MARGIN,
+    acute_distance,
+    angle_masks,
     check_margin,
-    classify_many,
+    golden_section_min,
     one_sided_acute_many,
     oracle_exclusion_band,
-    oracle_min_over_line,
+    witness_rows,
 )
 from .sampling import as_uniform, draw_rows, nonzero_rows
 from .spaces import (DayJames, InfSum, LInf, Lp, NormedSpace, format_space, partner2,
@@ -63,6 +65,11 @@ def radon_defect(plane: NormedSpace, grid: int = 720,
     ||y(theta_star)||.  The defect is the maximal reverse deficit; a witness
     pair (first maximal in grid order) is reported when it exceeds the
     margin.  Any plane but Lp and Day-James is a max norm: NotSmooth.
+
+    The deficit is oracle_min_over_line's arithmetic on partner2's floats,
+    bit for bit: y, y* are unit to within rounding, so L = 2||y*||/||y|| ~ 2
+    is in [_MIN_BRACKET, inf), ||y*|| in [_MIN_NORM, _MAX_NORM], and the
+    oracle's power-of-two rescalings cannot fire.
     """
     if plane.dim != 2:
         raise NotAPlane(f"expected a plane, got dimension {plane.dim}")
@@ -73,9 +80,10 @@ def radon_defect(plane: NormedSpace, grid: int = 720,
     rows = []
     for theta in np.linspace(0.0, math.pi, grid, endpoint=False).tolist():
         y, theta_star, y_star, forward = partner2(plane, theta)
-        _, val = oracle_min_over_line(plane, y_star, y)
-        deficit = max(0.0, plane._norm2(*y_star) - val)
-        rows.append((theta, theta_star, forward, deficit))
+        nx = plane._norm2(*y_star)
+        lam = 2.0 * nx / plane._norm2(*y)
+        _, val = golden_section_min(plane._line(y_star, y), -lam, lam)
+        rows.append((theta, theta_star, forward, max(0.0, nx - val)))
     theta, theta_star, _, defect = max(rows, key=itemgetter(3))  # the first maximal
     witness = (theta, theta_star) if defect > margin else None
     return RadonScan(defect=defect, witness=witness, rows=rows)
@@ -154,12 +162,8 @@ def parallelogram_defect(space: NormedSpace, u, v) -> float:
     """||u+v||^2 + ||u-v||^2 - 2||u||^2 - 2||v||^2; zero in inner-product
     spaces and on their isometric sections."""
     ua, va = space.check_vector(u), space.check_vector(v)
-    return (
-        space._norm(ua + va) ** 2
-        + space._norm(ua - va) ** 2
-        - 2.0 * space._norm(ua) ** 2
-        - 2.0 * space._norm(va) ** 2
-    )
+    s, d, a, b = (space._norm(w) ** 2 for w in (ua + va, ua - va, ua, va))
+    return s + d - 2.0 * a - 2.0 * b
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,13 +193,8 @@ def section_candidates(space: NormedSpace, count: int, seed: int = 0) -> list[Se
     dim = space.dim
     if dim < 2:
         raise DegenerateSection(f"a space of dimension {dim} has no 2-D sections")
-    out = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            u = np.zeros(dim)
-            v = np.zeros(dim)
-            u[i], v[j] = 1.0, 1.0
-            out.append(SectionCandidate(u, v))
+    out = [SectionCandidate(np.eye(dim)[i], np.eye(dim)[j])
+           for i in range(dim) for j in range(i + 1, dim)]
     rng = np.random.default_rng(seed)
     while len(out) < count:
         try:
@@ -242,6 +241,14 @@ def euclidean_section_search(space: NormedSpace, candidates, pair_samples: int =
         survived = ~violated.reshape(len(block), pair_samples).any(axis=1)
         flagged += [candidates[idx] for idx, ok in zip(block, survived) if ok]
     return flagged
+
+
+def _judge_rows(space: NormedSpace, X, Y, margin: float) -> tuple:
+    """classify_many's is_acute, is_bj_orthogonal and acute_distance of each
+    row pair, from witness_rows and angle_masks with no tag built."""
+    mn, mx, scale, live, _ = witness_rows(space, X, Y)
+    acute, orthogonal, _ = angle_masks(mn, mx, scale, live, margin)
+    return acute | orthogonal, orthogonal | ~live, acute_distance(mx, scale)
 
 
 @dataclass(frozen=True)
@@ -333,11 +340,11 @@ def sum_acute_equivalence_check(space_x: NormedSpace, space_y: NormedSpace,
     sampling.MIN_SAMPLE_NORM; ties are rebuilt from the tie columns; the
     tie rule then excludes a sample or assigns its deciding parts on the
     parts' scalar norms, so float-equal ties stay equal.  The judge phase
-    classifies the deciding parts with one classify_many call per part,
-    excludes the samples near the acute boundary, and runs
-    one_sided_acute_many on the rest.  A sample depends only on (seed, i),
-    so the report does not depend on PAIR_BLOCK, and first_disagreement at
-    n samples names the same sample at any larger n.
+    judges the deciding parts with one _judge_rows call per part, excludes
+    the samples near the acute boundary, and runs one_sided_acute_many on
+    the rest.  A sample depends only on (seed, i), so the report does not
+    depend on PAIR_BLOCK, and first_disagreement at n samples names the
+    same sample at any larger n.
     """
     n_samples, seed = check_count(n_samples, "n_samples"), check_count(seed, "seed", 0)
     check_margin(margin)
@@ -370,14 +377,13 @@ def sum_acute_equivalence_check(space_x: NormedSpace, space_y: NormedSpace,
             continue
 
         Z1, Z2, need = Z1[kept], W[kept, 2 * dim : 3 * dim], np.array(needs)
-        near = np.zeros(len(Z1), dtype=bool)
-        predicted = np.zeros(len(Z1), dtype=bool)
+        near, predicted = np.zeros((2, len(Z1)), dtype=bool)
         for k, (part, P1, P2) in enumerate(zip(sum_space.parts, sum_space.split(Z1),
                                                sum_space.split(Z2))):
             rows = need[:, k]
-            rel = classify_many(part, P1[rows], P2[rows], margin)
-            near[rows] |= rel.acute_distance() <= band
-            predicted[rows] |= rel.is_acute
+            acute, _, distance = _judge_rows(part, P1[rows], P2[rows], margin)
+            near[rows] |= distance <= band
+            predicted[rows] |= acute
         judged = ~near
         actual = one_sided_acute_many(sum_space, Z1[judged], Z2[judged], margin)
         wrong = np.flatnonzero(judged)[predicted[judged] != actual]
@@ -387,17 +393,10 @@ def sum_acute_equivalence_check(space_x: NormedSpace, space_y: NormedSpace,
         evaluated += int(judged.sum())
         disagreements += len(wrong)
 
-    return SumAcuteReport(
-        space=format_space(sum_space),
-        samples=n_samples,
-        evaluated=evaluated,
-        disagreements=disagreements,
-        boundary_excluded=boundary_excluded,
-        tie_excluded=tie_excluded,
-        tie_samples=tie_samples,
-        seed=seed,
-        first_disagreement=first,
-    )
+    return SumAcuteReport(space=format_space(sum_space), samples=n_samples, evaluated=evaluated,
+                          disagreements=disagreements, boundary_excluded=boundary_excluded,
+                          tie_excluded=tie_excluded, tie_samples=tie_samples, seed=seed,
+                          first_disagreement=first)
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,7 +421,8 @@ def sample_orthograph(space: NormedSpace, directions, margin: float = MARGIN) ->
 
     directions may be an integer (uniform angles over [0, pi) of a plane),
     a sequence of angles (plane only), or a sequence of vectors (any
-    space).  The matrix is symmetric by construction of mutuality.
+    space).  The matrix is symmetric by construction of mutuality; each
+    block of pairs is judged both ways by _judge_rows.
     """
     check_margin(margin)
     if isinstance(directions, (int, np.integer)):
@@ -440,8 +440,8 @@ def sample_orthograph(space: NormedSpace, directions, margin: float = MARGIN) ->
     mutual = np.empty(len(i), dtype=bool)
     for s in range(0, len(i), PAIR_BLOCK):
         a, b = V[i[s : s + PAIR_BLOCK]], V[j[s : s + PAIR_BLOCK]]
-        mutual[s : s + PAIR_BLOCK] = (classify_many(space, a, b, margin).is_bj_orthogonal
-                                      & classify_many(space, b, a, margin).is_bj_orthogonal)
+        mutual[s : s + PAIR_BLOCK] = (_judge_rows(space, a, b, margin)[1]
+                                      & _judge_rows(space, b, a, margin)[1])
     adj = np.zeros((n, n), dtype=bool)
     adj[i[mutual], j[mutual]] = True
     return Orthograph(vectors=vectors, adjacency=adj | adj.T)

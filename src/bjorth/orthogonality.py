@@ -425,8 +425,7 @@ def oracle_min_over_line(space: NormedSpace, x, y) -> tuple[float, float]:
     with the same roundings as the array form ||x + t*y||, so the results
     are the same bit for bit.
     """
-    xa = space.check_vector(x)
-    ya = space.check_vector(y)
+    xa, ya = space.check_vector(x), space.check_vector(y)
     if not np.count_nonzero(ya):
         raise ZeroDirection("line minimization needs y != 0")
     t, val, _, s = _min_on_line(space, xa, ya, -1.0)
@@ -435,8 +434,7 @@ def oracle_min_over_line(space: NormedSpace, x, y) -> tuple[float, float]:
 
 def is_bj_orthogonal_oracle(space: NormedSpace, x, y, margin: float = MARGIN) -> bool:
     """Independent orthogonality check by direct line minimization."""
-    xa = space.check_vector(x)
-    ya = space.check_vector(y)
+    xa, ya = space.check_vector(x), space.check_vector(y)
     check_margin(margin)
     if not (np.count_nonzero(xa) and np.count_nonzero(ya)):
         return True
@@ -446,8 +444,7 @@ def is_bj_orthogonal_oracle(space: NormedSpace, x, y, margin: float = MARGIN) ->
 
 def one_sided_acute_oracle(space: NormedSpace, x, y, margin: float = MARGIN) -> bool:
     """Independent acute-angle check: minimize over t >= 0 only."""
-    xa = space.check_vector(x)
-    ya = space.check_vector(y)
+    xa, ya = space.check_vector(x), space.check_vector(y)
     check_margin(margin)
     if not np.count_nonzero(xa):
         raise ZeroVector("acute-angle oracle needs x != 0")

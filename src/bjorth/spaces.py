@@ -91,16 +91,26 @@ def _pgrad2(a: float, b: float, r: float) -> tuple[float, float]:
     return _sign(a) * math.pow(t, r - 1.0) / d, _sign(b) / d
 
 
-def _line2(xa: np.ndarray, ya: np.ndarray, p: float, q: float):
-    """NormedSpace._line of a plane on Python floats: _pnorm2 with exponent p
-    where the coordinates share a sign, else q (Lp planes pass q = p).  The
-    values are the array form's bit for bit: x0 + t*y0 rounds twice, as
-    numpy's xa + t*ya does (no FMA)."""
+def _line2(xa, ya, p: float, q: float):
+    """NormedSpace._line of a plane on Python floats (xa, ya: 2-sequences):
+    _pnorm2 inline, 1/p and 1/q taken once, exponent p where the coordinates
+    share a sign, else q (Lp planes pass q = p).  The values are the array
+    form's bit for bit: x0 + t*y0 rounds twice, as numpy's xa + t*ya does."""
     x0, x1, y0, y1 = float(xa[0]), float(xa[1]), float(ya[0]), float(ya[1])
+    ip, iq = 1.0 / p, 1.0 / q
 
     def line(t):
         a, b = x0 + t * y0, x1 + t * y1
-        return _pnorm2(a, b, p if (a < 0.0) == (b < 0.0) else q)
+        if (a < 0.0) == (b < 0.0):
+            r, ir = p, ip
+        else:
+            r, ir = q, iq
+        a, b = abs(a), abs(b)
+        if a < b:
+            a, b = b, a
+        if a == 0.0:
+            return 0.0
+        return a * (1.0 + math.pow(b / a, r)) ** ir
     return line
 
 

@@ -53,6 +53,31 @@ def random_nonzero(space, rng):
             return v
 
 
+def judge_stack(space, rng, kinds, margin):
+    """One pair (x, y) per kind (x zero?, y kind, c): x random or exactly
+    zero; y random, "near" the orthogonality and acute boundaries, or
+    "huge".  A near y is y_perp + t x, with f(y_perp) = 0 and f(x) = ||x||
+    for every norming f of x, so f(y) is about c * margin * ||y||.  A huge
+    y has coordinates of 1.5e308 to 1.79e308, where a p-norm part's norm
+    overflows."""
+    X, Y = [], []
+    for zero, kind, c in kinds:
+        x, y = random_nonzero(space, rng), random_nonzero(space, rng)
+        if kind == "near":
+            p = bj.orthogonal_direction(space, x, rng)
+            y = p + (c * margin * space.norm(p) / space.norm(x)) * x
+        elif kind == "huge":
+            y = np.copysign(rng.uniform(1.5e308, 1.79e308, space.dim), y)
+        X.append(0.0 * x if zero else x)
+        Y.append(y)
+    return np.array(X), np.array(Y)
+
+
+# Hypothesis draw of one judge_stack kind: (x zero?, y kind, c).
+KIND = st.tuples(st.integers(0, 4).map(lambda i: i == 0), st.sampled_from(["random", "near", "huge"]),
+                 st.floats(-12.0, 12.0))
+
+
 def non_radon_map(plane, grid_size=256):
     """The plane map onto a smooth plane that is not Radon: the
     fault-injection control.  Its pairing of directions is not symmetric

@@ -3,13 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import bjorth as bj
+from bjorth.analysis import _judge_rows
 from bjorth.cli import _sections_record
 from bjorth.errors import DegenerateSection, InvalidCount, NotAPlane, NotSmooth, check_count
+from bjorth.orthogonality import witness_rows
 from bjorth.sampling import BLOCK
+from bjorth.spaces import partner2
 
-from conftest import SPACE_ZOO
+from conftest import KIND, SPACE_ZOO, judge_stack
 
 DJ = bj.DayJames(3.0, 1.5)
 L2 = bj.Lp(2, 2.0)
@@ -119,10 +124,9 @@ def test_radon_scan_matches_pinned_values(label):
 
 @pytest.mark.parametrize("text", ["dayjames:3:1.5", "lp:2:3"])
 def test_radon_scan_takes_the_plane_objective(text, monkeypatch):
-    # The array _norm serves only ||x|| and ||y|| of each oracle call: 2
-    # calls a direction.  The unit vectors and the deficit take the scalar
-    # _norm2, and the golden-section search's 56 or so evaluations a
-    # direction go to the plane's scalar objective.
+    # The array _norm serves no row: the unit vectors, ||y||, ||y*|| and the
+    # deficit take the scalar _norm2, and the golden-section search's 56 or
+    # so evaluations a direction go to the plane's scalar objective.
     plane = bj.parse_space(text)
     calls = []
     norm = type(plane)._norm
@@ -133,7 +137,23 @@ def test_radon_scan_takes_the_plane_objective(text, monkeypatch):
 
     monkeypatch.setattr(type(plane), "_norm", counting)
     bj.radon_defect(plane, grid=16)
-    assert len(calls) == 2 * 16
+    assert len(calls) == 0
+
+
+REFERENCE_PLANES = [*CERTIFY_PLANES.values(), *map(bj.parse_space, [
+    "dayjames:1.01:101", "dayjames:3:5", "lp:2:1.1", "lp:2:2"])]
+
+
+@pytest.mark.parametrize("grid", [16, 61, 720])
+@pytest.mark.parametrize("plane", REFERENCE_PLANES, ids=bj.format_space)
+def test_radon_deficits_are_the_public_oracles_bit_for_bit(plane, grid):
+    # The scan takes the oracle's arithmetic on partner2's floats; the
+    # reference is the public oracle on the unit vectors as arrays.
+    for theta, _, _, deficit in bj.radon_defect(plane, grid=grid).rows:
+        y, _, y_star, _ = partner2(plane, theta)
+        _, val = bj.oracle_min_over_line(plane, np.array(y_star), np.array(y))
+        want = max(0.0, plane.norm(np.array(y_star)) - val)
+        assert float(deficit).hex() == float(want).hex(), theta
 
 
 # ---------------------------------------------------------------------------
@@ -535,3 +555,78 @@ def test_orthograph_vector_list_matches_pairwise_test(space, monkeypatch):
     edges = g.edge_list()
     assert edges == [(i, j) for i in range(n) for j in range(i + 1, n) if expected[i, j]]
     assert all(type(e) is tuple and type(e[0]) is int and type(e[1]) is int for e in edges)
+
+
+# ---------------------------------------------------------------------------
+# The sum-acute and orthograph judges read witness_rows and angle_masks; the
+# reference is the same judge on classify_many's AngleRelation arrays.
+
+
+def reference_judge_rows(space, X, Y, margin):
+    rel = bj.classify_many(space, X, Y, margin)
+    return rel.is_acute, rel.is_bj_orthogonal, rel.acute_distance()
+
+
+def assert_judged_alike(space, X, Y, margin):
+    for got, want in zip(_judge_rows(space, X, Y, margin),
+                         reference_judge_rows(space, X, Y, margin)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@given(data=st.data(), space=st.sampled_from(SPACE_ZOO))
+def test_judge_rows_match_their_classify_many_reference(data, space):
+    margin = data.draw(st.sampled_from([bj.MARGIN, 1e-6, 1e-3]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kinds = data.draw(st.lists(KIND, min_size=1, max_size=24))
+    assert_judged_alike(space, *judge_stack(space, rng, kinds, margin), margin)
+
+
+@pytest.mark.parametrize("space", SPACE_ZOO, ids=str)
+def test_judge_rows_match_their_reference_on_zero_and_overflowing_rows(space):
+    rng = np.random.default_rng(29)
+    kinds = [(zero, kind, c) for zero in (False, True) for kind in ("random", "near", "huge")
+             for c in (-11.0, -2.0, -0.5, 0.5, 2.0, 11.0)]
+    X, Y = judge_stack(space, rng, kinds, bj.MARGIN)
+    assert_judged_alike(space, X, Y, bj.MARGIN)
+    _, _, _, live, k = witness_rows(space, X, Y)
+    assert not live.all()
+    assert (k is None) == isinstance(space, bj.LInf)  # a max norm does not overflow
+
+
+def reference_orthograph(space, vectors, margin):
+    """sample_orthograph's adjacency from two classify_many calls on all pairs."""
+    V = np.array(vectors)
+    i, j = np.triu_indices(len(V), 1)
+    mutual = (bj.classify_many(space, V[i], V[j], margin).is_bj_orthogonal
+              & bj.classify_many(space, V[j], V[i], margin).is_bj_orthogonal)
+    adj = np.zeros((len(V), len(V)), dtype=bool)
+    adj[i[mutual], j[mutual]] = True
+    return adj | adj.T
+
+
+@pytest.mark.parametrize("space", SPACE_ZOO, ids=str)
+def test_orthograph_matches_its_classify_many_reference(space, monkeypatch):
+    # Zero vectors, vectors near orthogonal to others, and vectors whose
+    # norms overflow, judged in blocks of 7 pairs.
+    monkeypatch.setattr(bj.analysis, "PAIR_BLOCK", 7)
+    rng = np.random.default_rng(31)
+    kinds = [(zero, kind, c) for zero in (False, True) for kind in ("random", "near", "huge")
+             for c in (-2.0, 0.5)]
+    X, Y = judge_stack(space, rng, kinds, bj.MARGIN)
+    vectors = [*X, *Y]
+    for margin in (bj.MARGIN, 1e-3):
+        adjacency = bj.sample_orthograph(space, vectors, margin).adjacency
+        assert np.array_equal(adjacency, reference_orthograph(space, vectors, margin))
+        assert adjacency.any() and not adjacency.all()
+
+
+@pytest.mark.parametrize("label", sorted(CERTIFY_PAIRS))
+@pytest.mark.parametrize("margin", [bj.MARGIN, 1e-3])
+def test_sum_acute_report_matches_its_classify_many_reference(label, margin, monkeypatch):
+    got = bj.sum_acute_equivalence_check(*CERTIFY_PAIRS[label], n_samples=600, margin=margin,
+                                         seed=5)
+    monkeypatch.setattr(bj.analysis, "_judge_rows", reference_judge_rows)
+    want = bj.sum_acute_equivalence_check(*CERTIFY_PAIRS[label], n_samples=600, margin=margin,
+                                          seed=5)
+    assert got == want
+    assert got.evaluated > 0

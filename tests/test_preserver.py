@@ -17,7 +17,7 @@ from bjorth.orthogonality import witness_rows
 from bjorth.preserver import _pair_agreement
 from bjorth.serialize import write_csv
 
-from conftest import SPACE_ZOO, draw_vector, non_radon_map, random_nonzero
+from conftest import KIND, SPACE_ZOO, draw_vector, judge_stack, non_radon_map, random_nonzero
 
 DJ = bj.DayJames(3.0, 1.5)
 L2 = bj.Lp(2, 2.0)
@@ -767,35 +767,11 @@ def reference_pair_agreement(rel_s, rel_t, band):
     return int(orth_skip.sum() + acute_skip.sum()), orth_dis.reshape(-1, 2).sum(axis=1), acute_dis
 
 
-def judge_stack(space, rng, kinds, margin):
-    """One pair (x, y) per kind (x zero?, y kind, c): x random or exactly
-    zero; y random, "near" the orthogonality and acute boundaries, or
-    "huge".  A near y is y_perp + t x, with f(y_perp) = 0 and f(x) = ||x||
-    for every norming f of x, so f(y) is about c * margin * ||y||.  A huge
-    y has coordinates of 1.5e308 to 1.79e308, where a p-norm part's norm
-    overflows."""
-    X, Y = [], []
-    for zero, kind, c in kinds:
-        x, y = random_nonzero(space, rng), random_nonzero(space, rng)
-        if kind == "near":
-            p = bj.orthogonal_direction(space, x, rng)
-            y = p + (c * margin * space.norm(p) / space.norm(x)) * x
-        elif kind == "huge":
-            y = np.copysign(rng.uniform(1.5e308, 1.79e308, space.dim), y)
-        X.append(0.0 * x if zero else x)
-        Y.append(y)
-    return np.array(X), np.array(Y)
-
-
 def judged_both_ways(space, sides, margin):
     """(the judge on witness_rows, the reference on classify_many)."""
     return (_pair_agreement(*(witness_rows(space, X, Y) for X, Y in sides), margin, 10.0 * margin),
             reference_pair_agreement(*(bj.classify_many(space, X, Y, margin) for X, Y in sides),
                                      10.0 * margin))
-
-
-KIND = st.tuples(st.integers(0, 4).map(lambda i: i == 0), st.sampled_from(["random", "near", "huge"]),
-                 st.floats(-12.0, 12.0))
 
 
 @given(data=st.data(), space=st.sampled_from(SPACE_ZOO))

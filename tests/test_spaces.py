@@ -483,6 +483,38 @@ def test_plane_kernels_match_at_ties_axes_zeros_and_subnormals(r):
             assert_kernels_match(a, b, r)  # every tie |a| == |b| and every axis
 
 
+# The plane line objective is _pnorm2 written inline, with 1/p and 1/q taken
+# once; the exponent is p where x + t*y's coordinates share a sign, else q.
+
+
+def reference_line2(x, y, p, q, t):
+    a, b = x[0] + t * y[0], x[1] + t * y[1]
+    return spaces._pnorm2(a, b, p if (a < 0.0) == (b < 0.0) else q)
+
+
+SIGNED_MAGNITUDES = st.one_of(st.sampled_from([0.0, -0.0]), KERNEL_MAGNITUDES,
+                              KERNEL_MAGNITUDES.map(lambda v: -v))
+PLANE_POINTS = st.tuples(SIGNED_MAGNITUDES, SIGNED_MAGNITUDES)
+
+
+@settings(max_examples=1000)
+@given(x=PLANE_POINTS, y=PLANE_POINTS, t=SIGNED_MAGNITUDES, p=KERNEL_EXPONENTS,
+       q=KERNEL_EXPONENTS)
+def test_line_objective_is_the_scalar_pnorm_bit_for_bit(x, y, t, p, q):
+    assert same_bits(spaces._line2(x, y, p, q)(t), reference_line2(x, y, p, q, t))
+
+
+@pytest.mark.parametrize("p,q", [(3.0, 1.5), (1.5, 3.0), (2.0, 2.0), (1.1, 11.0)])
+def test_line_objective_matches_on_axes_signed_zeros_and_extremes(p, q):
+    values = [0.0, -0.0, 5e-324, 1e-300, -1.0, 3.0, -1e300, 1.7976931348623157e308]
+    for x0 in values:
+        for x1 in values:
+            for y in [(1.0, 0.0), (0.0, -1.0), (-0.0, 2.0), (3.0, -4.0), (1e300, 1e-300)]:
+                line = spaces._line2((x0, x1), y, p, q)
+                for t in [0.0, -0.0, 1.0, -2.5, 1e-300, -1e300]:
+                    assert same_bits(line(t), reference_line2((x0, x1), y, p, q, t))
+
+
 # Above dimension 2 the p-norm and its functional take the same max-scaled
 # form on Python floats, one power of each scaled coordinate: the largest
 # scales to 1, pow(1, y) == 1 and pow(0, y) == 0, so a zero-padded plane
@@ -694,6 +726,15 @@ def test_only_orthogonality_names_an_angle_tag():
     namers = sorted({name for name, tree in _package_modules() for node in ast.walk(tree)
                      if isinstance(node, ast.Attribute) and node.attr in members})
     assert namers == ["orthogonality"]
+
+
+def test_only_orthogonality_calls_classify_many():
+    # The package judges angles on witness_rows and angle_masks; the
+    # AngleTag object arrays of classify_many are for callers outside it.
+    callers = {name for name, tree in _package_modules() for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and "classify_many" in (
+                   getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+    assert callers <= {"orthogonality"}
 
 
 def test_only_spaces_reads_the_max_sum_layout():
