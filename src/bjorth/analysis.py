@@ -12,7 +12,6 @@ trichotomy against a half-line minimization oracle on the sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -29,8 +28,8 @@ from .orthogonality import (
     witness_rows,
 )
 from .sampling import as_uniform, draw_rows, nonzero_rows
-from .spaces import (DayJames, InfSum, LInf, Lp, NormedSpace, format_space, partner2,
-                     unit_vector_at_angle)
+from .spaces import (DayJames, Frozen, FrozenValue, InfSum, LInf, Lp, NormedSpace,
+                     format_space, partner2, unit_vector_at_angle)
 
 # Rows judged per block of array passes: orthograph pairs (all of them up to
 # 362 directions), sum-acute and smoothness samples, and section-search
@@ -44,14 +43,15 @@ TIE_EVERY = 8
 TIE_BAND = 1e-4
 
 
-@dataclass(frozen=True, eq=False)
-class RadonScan:
+class RadonScan(Frozen):
     """Result of a symmetry scan: rows are (theta, theta_star,
     forward_residual, reverse_deficit)."""
 
-    defect: float
-    witness: tuple[float, float] | None
-    rows: list[tuple[float, float, float, float]]
+    _fields = ("defect", "witness", "rows")
+
+    def __init__(self, defect: float, witness: tuple[float, float] | None,
+                 rows: list[tuple[float, float, float, float]]):
+        vars(self).update(defect=defect, witness=witness, rows=rows)
 
 
 def radon_defect(plane: NormedSpace, grid: int = 720,
@@ -89,10 +89,11 @@ def radon_defect(plane: NormedSpace, grid: int = 720,
     return RadonScan(defect=defect, witness=witness, rows=rows)
 
 
-@dataclass(frozen=True)
-class SmoothnessProbe:
-    smooth: bool
-    worst_gap: float
+class SmoothnessProbe(FrozenValue):
+    _fields = ("smooth", "worst_gap")
+
+    def __init__(self, smooth: bool, worst_gap: float):
+        vars(self).update(smooth=smooth, worst_gap=worst_gap)
 
 
 def _tie_probe(space: NormedSpace) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -166,16 +167,14 @@ def parallelogram_defect(space: NormedSpace, u, v) -> float:
     return s + d - 2.0 * a - 2.0 * b
 
 
-@dataclass(frozen=True, eq=False)
-class SectionCandidate:
+class SectionCandidate(Frozen):
     """A 2-D subspace given by two numerically independent basis vectors."""
 
-    u: np.ndarray
-    v: np.ndarray
+    _fields = ("u", "v")
 
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        v = np.asarray(self.v, dtype=float)
+    def __init__(self, u: np.ndarray, v: np.ndarray):
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         uu, vv, uv = float(u @ u), float(v @ v), float(u @ v)
@@ -251,20 +250,20 @@ def _judge_rows(space: NormedSpace, X, Y, margin: float) -> tuple:
     return acute | orthogonal, orthogonal | ~live, acute_distance(mx, scale)
 
 
-@dataclass(frozen=True)
-class SumAcuteReport:
+class SumAcuteReport(FrozenValue):
     """Outcome of the max-sum acute-angle equivalence sweep on the space
-    named by space (its format_space form)."""
+    named by space (its format_space form); first_disagreement is the first
+    sample that disagrees."""
 
-    space: str
-    samples: int
-    evaluated: int
-    disagreements: int
-    boundary_excluded: int
-    tie_excluded: int
-    tie_samples: int
-    seed: int
-    first_disagreement: int | None = None  # the first sample that disagrees
+    _fields = ("space", "samples", "evaluated", "disagreements", "boundary_excluded",
+               "tie_excluded", "tie_samples", "seed", "first_disagreement")
+
+    def __init__(self, space: str, samples: int, evaluated: int, disagreements: int,
+                 boundary_excluded: int, tie_excluded: int, tie_samples: int, seed: int,
+                 first_disagreement: int | None = None):
+        vars(self).update(zip(self._fields, (space, samples, evaluated, disagreements,
+                                             boundary_excluded, tie_excluded, tie_samples,
+                                             seed, first_disagreement)))
 
     @property
     def excluded_fraction(self) -> float:
@@ -399,13 +398,14 @@ def sum_acute_equivalence_check(space_x: NormedSpace, space_y: NormedSpace,
                           first_disagreement=first)
 
 
-@dataclass(frozen=True, eq=False)
-class Orthograph:
+class Orthograph(Frozen):
     """Sampled orthogonality graph: directions modulo sign, edges at mutual
     Birkhoff-James orthogonality."""
 
-    vectors: list[np.ndarray]
-    adjacency: np.ndarray
+    _fields = ("vectors", "adjacency")
+
+    def __init__(self, vectors: list[np.ndarray], adjacency: np.ndarray):
+        vars(self).update(vectors=vectors, adjacency=adjacency)
 
     def edge_list(self) -> list[tuple[int, int]]:
         return [tuple(e) for e in np.argwhere(np.triu(self.adjacency, 1)).tolist()]

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidMargin, NonFiniteInput, ZeroDirection, ZeroVector
-from .spaces import TAU_TIE, DayJames, InfSum, LInf, Lp, NormedSpace, perp2, top_exponents
+from .spaces import (TAU_TIE, DayJames, FrozenValue, InfSum, LInf, Lp, NormedSpace, perp2,
+                     top_exponents)
 
 # Default decision margin, relative to the norm of the right argument.
 MARGIN = 1e-9
@@ -42,8 +42,7 @@ class AngleTag(enum.Enum):
     DEGENERATE_LEFT = "degenerate"
 
 
-@dataclass(frozen=True)
-class AngleRelation:
+class AngleRelation(FrozenValue):
     """Classification of the pair (x, y) plus its witness bounds.
 
     min_bound and max_bound are the extremes of f(y) over the norming
@@ -55,18 +54,20 @@ class AngleRelation:
     taken on the decided values, kept in _scaled.
     """
 
-    tag: AngleTag
-    min_bound: float
-    max_bound: float
-    scale: float
-    _scaled: tuple | None = field(default=None, repr=False, compare=False)
+    _fields = ("tag", "min_bound", "max_bound", "scale")
+
+    def __init__(self, tag: AngleTag, min_bound: float, max_bound: float, scale: float,
+                 _scaled: tuple | None = None):
+        vars(self).update(tag=tag, min_bound=min_bound, max_bound=max_bound, scale=scale,
+                          _scaled=_scaled)
 
     def __eq__(self, other):
         # One bool for scalar and array relations alike; _scaled is derived.
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return all(np.array_equal(getattr(self, k), getattr(other, k))
-                   for k in ("tag", "min_bound", "max_bound", "scale"))
+        return all(np.array_equal(getattr(self, k), getattr(other, k)) for k in self._fields)
+
+    __hash__ = FrozenValue.__hash__
 
     def _decided(self):
         """(min_bound, max_bound, scale) in the units the tag was decided in."""

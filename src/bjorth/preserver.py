@@ -24,7 +24,6 @@ from __future__ import annotations
 import csv
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +33,8 @@ from .orthogonality import (MARGIN, acute_distance, angle_masks, check_margin,
                             orthogonal_rows, orthogonality_distance, witness_rows)
 from .sampling import as_uniform, draw_rows, nonzero_rows
 from .serialize import write_csv
-from .spaces import DayJames, InfSum, Lp, NormedSpace, partner2, perp2, unit2
+from .spaces import (DayJames, Frozen, FrozenValue, InfSum, Lp, NormedSpace, partner2, perp2,
+                     unit2)
 
 HALF_PI = 0.5 * math.pi
 
@@ -82,8 +82,7 @@ def solve_eta(plane: NormedSpace, theta: float) -> float:
     return _pairing_rows(plane, [theta])[0][0]
 
 
-@dataclass(frozen=True, eq=False)
-class EtaTable:
+class EtaTable(Frozen):
     """The orthogonal-direction pairing of a smooth Radon plane, tabulated.
 
     grid holds grid_size + 1 uniform angles on [0, pi/2] (GridTooCoarse
@@ -96,17 +95,16 @@ class EtaTable:
     plane whose floats tie is refused rather than certified.
     """
 
-    plane: NormedSpace
-    grid_size: int = 1024
-    grid: np.ndarray = field(init=False)
-    values: np.ndarray = field(init=False)
-    residuals: np.ndarray = field(init=False)
+    _fields = ("plane", "grid_size", "grid", "values", "residuals")
 
-    def __post_init__(self):
-        if self.grid_size < 64:
-            raise GridTooCoarse(f"grid_size must be >= 64, got {self.grid_size}")
-        grid = np.linspace(0.0, HALF_PI, self.grid_size + 1)
-        values, residuals = zip(*_pairing_rows(self.plane, grid.tolist()))
+    def __init__(self, plane: NormedSpace, grid_size: int = 1024):
+        grid_size = check_count(grid_size, "grid_size", 0)
+        if grid_size < 64:
+            raise GridTooCoarse(f"grid_size must be >= 64, got {grid_size}")
+        object.__setattr__(self, "plane", plane)
+        object.__setattr__(self, "grid_size", grid_size)
+        grid = np.linspace(0.0, HALF_PI, grid_size + 1)
+        values, residuals = zip(*_pairing_rows(plane, grid.tolist()))
         for name, column in zip(("grid", "values", "residuals"), (grid, values, residuals)):
             column = np.array(column)
             column.flags.writeable = False  # a frozen table's columns stay put
@@ -184,11 +182,13 @@ def _checked(rows, space: NormedSpace, v) -> np.ndarray:
     return rows(space.check_vector(arr)[None])[0]
 
 
-@dataclass(frozen=True, eq=False)
-class IdentityMap(PreserverMap):
+class IdentityMap(Frozen, PreserverMap):
     """The identity on a space; the trivial preserver."""
 
-    space: NormedSpace
+    _fields = ("space",)
+
+    def __init__(self, space: NormedSpace):
+        vars(self).update(space=space)
 
     @property
     def source(self) -> NormedSpace:
@@ -204,8 +204,7 @@ class IdentityMap(PreserverMap):
     _backward = _forward
 
 
-@dataclass(frozen=True, eq=False)
-class RadonPlaneMap(PreserverMap):
+class RadonPlaneMap(Frozen, PreserverMap):
     """The plane preserver from the Euclidean plane onto a smooth Radon plane.
 
     Unit circle action: angle t maps to y(t) for t in [0, pi/2] and to
@@ -224,7 +223,10 @@ class RadonPlaneMap(PreserverMap):
     is a strictly increasing bijection with pinned endpoints.
     """
 
-    eta: EtaTable
+    _fields = ("eta",)
+
+    def __init__(self, eta: EtaTable):
+        vars(self).update(eta=eta)
 
     @property
     def source(self) -> NormedSpace:
@@ -276,14 +278,13 @@ def _odd(upper, X: np.ndarray) -> np.ndarray:
     return np.array(out).reshape(-1, 2)
 
 
-@dataclass(frozen=True, eq=False)
-class SumMap(PreserverMap):
+class SumMap(Frozen, PreserverMap):
     """Componentwise combination of preservers between max-sums."""
 
-    parts: tuple[PreserverMap, ...]
+    _fields = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
+    def __init__(self, parts: tuple[PreserverMap, ...]):
+        parts = tuple(parts)
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "_source", InfSum(tuple(p.source for p in parts)))
         object.__setattr__(self, "_target", InfSum(tuple(p.target for p in parts)))
@@ -315,20 +316,22 @@ def compose_inf_sum(parts) -> SumMap:
     return SumMap(parts=tuple(parts))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of a seeded preserver verification sweep."""
+class VerificationReport(FrozenValue):
+    """Outcome of a seeded preserver verification sweep; first_disagreement
+    is the first sample that disagrees."""
 
-    samples: int
-    boundary_excluded: int
-    orth_disagreements: int
-    acute_disagreements: int
-    max_norm_error: float
-    max_homog_error: float
-    continuity_modulus: float
-    seed: int
-    passed: bool
-    first_disagreement: int | None = None  # the first sample that disagrees
+    _fields = ("samples", "boundary_excluded", "orth_disagreements", "acute_disagreements",
+               "max_norm_error", "max_homog_error", "continuity_modulus", "seed", "passed",
+               "first_disagreement")
+
+    def __init__(self, samples: int, boundary_excluded: int, orth_disagreements: int,
+                 acute_disagreements: int, max_norm_error: float, max_homog_error: float,
+                 continuity_modulus: float, seed: int, passed: bool,
+                 first_disagreement: int | None = None):
+        vars(self).update(zip(self._fields, (samples, boundary_excluded, orth_disagreements,
+                                             acute_disagreements, max_norm_error,
+                                             max_homog_error, continuity_modulus, seed, passed,
+                                             first_disagreement)))
 
     @property
     def disagreements(self) -> int:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -53,7 +52,7 @@ def _check_exponent(p: float) -> float:
 
 
 def _check_dim(dim: int) -> int:
-    if int(dim) != dim or int(dim) < 1:
+    if isinstance(dim, bool) or int(dim) != dim or int(dim) < 1:
         raise BadDimension(f"dimension must be a positive integer, got {dim}")
     return int(dim)
 
@@ -151,6 +150,40 @@ def top_exponents(V: np.ndarray):
     return np.frexp(np.abs(V).max(axis=-1))[1]
 
 
+class Frozen:
+    """Base of the package's immutable records: a record names its fields in
+    _fields and sets them in __init__ through object.__setattr__ or
+    vars(self), after which assigning or deleting an attribute raises
+    AttributeError.  repr is Name(field=value, ...); records compare by
+    identity, FrozenValue's by their fields."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenValue(Frozen):
+    """A Frozen record equal to a record of its own class with equal fields,
+    and hashed on the tuple of its fields."""
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, k) for k in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+
 class NormedSpace(ABC):
     """Common interface: a norm and extreme points of the norming set.
 
@@ -219,16 +252,14 @@ class NormedSpace(ABC):
     def _bounds(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
 
 
-@dataclass(frozen=True)
-class Lp(NormedSpace):
+class Lp(FrozenValue, NormedSpace):
     """R^dim with the p-norm, 1 < p < inf (smooth; p = inf is LInf)."""
 
-    dim: int
-    p: float
+    _fields = ("dim", "p")
 
-    def __post_init__(self):
-        object.__setattr__(self, "dim", _check_dim(self.dim))
-        object.__setattr__(self, "p", _check_exponent(self.p))
+    def __init__(self, dim: int, p: float):
+        object.__setattr__(self, "dim", _check_dim(dim))
+        object.__setattr__(self, "p", _check_exponent(p))
 
     def _norm(self, arr):
         if self.dim == 2:
@@ -268,14 +299,13 @@ class Lp(NormedSpace):
         return _pgrad2(a, b, self.p)
 
 
-@dataclass(frozen=True)
-class LInf(NormedSpace):
+class LInf(FrozenValue, NormedSpace):
     """R^dim with the max norm (not smooth at coordinate ties)."""
 
-    dim: int
+    _fields = ("dim",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "dim", _check_dim(self.dim))
+    def __init__(self, dim: int):
+        object.__setattr__(self, "dim", _check_dim(dim))
 
     def _norm(self, arr):
         return max(map(abs, arr.tolist()))
@@ -305,8 +335,7 @@ class LInf(NormedSpace):
                 np.where(tied, vals, -np.inf).max(axis=1))
 
 
-@dataclass(frozen=True)
-class DayJames(NormedSpace):
+class DayJames(FrozenValue, NormedSpace):
     """The Day-James plane: p-norm where a*b >= 0, q-norm where a*b <= 0.
 
     Smooth for p, q > 1 (both quadrant gradients coincide on the axes).
@@ -314,12 +343,11 @@ class DayJames(NormedSpace):
     derived ``radon_candidate`` flag.
     """
 
-    p: float
-    q: float
+    _fields = ("p", "q")
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", _check_exponent(self.p))
-        object.__setattr__(self, "q", _check_exponent(self.q))
+    def __init__(self, p: float, q: float):
+        object.__setattr__(self, "p", _check_exponent(p))
+        object.__setattr__(self, "q", _check_exponent(q))
 
     @property
     def dim(self) -> int:
@@ -371,14 +399,13 @@ class DayJames(NormedSpace):
         return _pgrad2(a, b, self._exponent_at(a, b))
 
 
-@dataclass(frozen=True)
-class InfSum(NormedSpace):
+class InfSum(FrozenValue, NormedSpace):
     """Finite l-infinity direct sum: ||(x_1, ..., x_k)|| = max_i ||x_i||."""
 
-    parts: tuple[NormedSpace, ...]
+    _fields = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
+    def __init__(self, parts: tuple[NormedSpace, ...]):
+        parts = tuple(parts)
         if len(parts) < 2:
             raise EmptySum(f"a max-sum needs at least 2 parts, got {len(parts)}")
         for part in parts:

@@ -9,6 +9,7 @@ import bjorth as bj
 from bjorth.errors import (
     EmptySum,
     GridTooCoarse,
+    InvalidCount,
     MonotonicityViolation,
     NonFiniteInput,
     NotRadonPlane,
@@ -146,6 +147,22 @@ def test_build_rejects_coarse_grid():
         bj.build_preserver(DJ, 16)
     with pytest.raises(GridTooCoarse):
         bj.EtaTable(DJ, 63)
+
+
+def test_grid_size_is_a_checked_count():
+    # grid_size passes check_count like every other count, then the table's
+    # own floor: a bool is no count, and any integer type is read as an int.
+    with pytest.raises(InvalidCount, match="grid_size must be >= 0"):
+        bj.EtaTable(DJ, True)
+    with pytest.raises(InvalidCount):
+        bj.build_preserver(DJ, -64)
+    for bad in (100.0, "100", None):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            bj.build_preserver(DJ, bad)
+    with pytest.raises(GridTooCoarse):
+        bj.EtaTable(DJ, np.int64(0))
+    table = bj.EtaTable(DJ, np.int64(64))
+    assert type(table.grid_size) is int and len(table.grid) == 65
 
 
 DAYJAMES_RADON_PLANES = [DJ, bj.DayJames(1.5, 3.0), bj.DayJames(2.0, 2.0),

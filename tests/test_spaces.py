@@ -85,6 +85,16 @@ def test_bad_dimension_and_empty_sum():
         bj.validate_space({"type": "nope"})
 
 
+@pytest.mark.parametrize("make", [lambda d: bj.Lp(d, 3.0), bj.LInf], ids=["lp", "linf"])
+def test_a_bool_is_not_a_dimension(make):
+    # The constructors refuse what _parse_int and check_count refuse: True
+    # equals 1 as an int, but is no dimension.
+    for flag in (True, False):
+        with pytest.raises(BadDimension, match=f"got {flag}"):
+            make(flag)
+    assert make(np.int64(2)).dim == 2 and type(make(np.int64(2)).dim) is int
+
+
 # ---------------------------------------------------------------------------
 # Norm values.
 
@@ -784,6 +794,16 @@ def _package_modules():
     package = Path(bj.__file__).parent
     return [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
             for path in sorted(package.glob("*.py"))]
+
+
+def test_no_module_imports_dataclasses():
+    # The records are plain frozen classes: dataclasses would generate and
+    # compile their methods on every import of the package.
+    importers = sorted({name for name, tree in _package_modules() for node in ast.walk(tree)
+                        if isinstance(node, ast.Import) and any(
+                            a.name.split(".")[0] == "dataclasses" for a in node.names)
+                        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"})
+    assert importers == []
 
 
 def test_the_package_has_no_assert_statement():
