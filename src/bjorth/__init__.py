@@ -11,13 +11,11 @@ with their max-sum liftings, and certify the geometry by seeded sampling.
 __version__ = "0.1.0"
 
 from .errors import (
-    AngleOutOfRange,
     BadDimension,
     BjorthError,
     DegenerateSection,
     DimensionMismatch,
     EmptySum,
-    GridTooCoarse,
     InvalidCount,
     InvalidExponent,
     InvalidMargin,
@@ -65,7 +63,6 @@ from .orthogonality import (
 )
 from .preserver import (
     EUCLIDEAN_PLANE,
-    EtaTable,
     IdentityMap,
     PreserverMap,
     RadonPlaneMap,
@@ -73,7 +70,7 @@ from .preserver import (
     VerificationReport,
     build_preserver,
     compose_inf_sum,
-    solve_eta,
+    pairing_table,
     verify_preserver,
 )
 from .analysis import (

@@ -60,7 +60,7 @@ def radon_defect(plane: NormedSpace, grid: int = 720,
 
     Each grid direction theta's row is its pairing row spaces.partner2 (the
     partner theta_star over (theta, theta + pi), the forward residual; in
-    the first quadrant, EtaTable's rows) and the reverse deficit: how far
+    the first quadrant, pairing_table's rows) and the reverse deficit: how far
     the line oracle's min_t ||y(theta_star) + t y(theta)|| falls below
     ||y(theta_star)||.  The defect is the maximal reverse deficit; a witness
     pair (first maximal in grid order) is reported when it exceeds the

@@ -30,7 +30,8 @@ from .analysis import (
 )
 from .errors import BjorthError, check_count
 from .orthogonality import MARGIN, classify_angle
-from .preserver import EtaTable, IdentityMap, build_preserver, compose_inf_sum, verify_preserver
+from .preserver import (IdentityMap, RadonPlaneMap, build_preserver, compose_inf_sum,
+                        pairing_table, verify_preserver)
 from .serialize import fmt_float, write_csv, write_json
 from .spaces import (
     DayJames,
@@ -92,6 +93,10 @@ def _print_header(seed=None) -> None:
 
 def _write_radon(path, scan) -> None:
     write_csv(path, ["theta", "theta_star", "forward_residual", "reverse_deficit"], scan.rows)
+
+
+def _write_eta(path, rows) -> None:
+    write_csv(path, ["theta", "eta", "residual"], rows)
 
 
 def _write_circle(path, plane: NormedSpace, grid: int) -> None:
@@ -160,12 +165,12 @@ def cmd_smooth(args) -> int:
 def cmd_preserver_build(args) -> int:
     plane = load_space(args.target)
     _print_header()
-    table = EtaTable(plane, args.grid)
+    rows = pairing_table(plane, args.grid)
     print(f"target: {format_space(plane)}")
-    print(f"nodes: {len(table.grid)}")
-    print(f"endpoints: {fmt_float(float(table.values[0]))} {fmt_float(float(table.values[-1]))}")
-    print(f"max_residual: {fmt_float(float(table.residuals.max()))}")
-    _emit(args.out, table.to_csv)
+    print(f"nodes: {len(rows)}")
+    print(f"endpoints: {fmt_float(rows[0][1])} {fmt_float(rows[-1][1])}")
+    print(f"max_residual: {fmt_float(max(resid for _, _, resid in rows))}")
+    _emit(args.out, lambda path: _write_eta(path, rows))
     return 0
 
 
@@ -255,11 +260,11 @@ def cmd_certify(args) -> int:
         checks[f"radon_{label}"] = scan.defect
         print(f"  radon {label:14s} defect={scan.defect:.3e}")
 
-    # Plane preserver: pairing table, unit circle, then the verification
-    # reports of the plane map and of its max-sum lifts.
+    # Plane preserver: pairing table (build_preserver's gate, run once), unit
+    # circle, then the verification reports of the plane map and its lifts.
     dj = DayJames(3.0, 1.5)
-    pmap = build_preserver(dj, grid)
-    pmap.eta.to_csv(out / "eta_dayjames_3.csv")
+    _write_eta(out / "eta_dayjames_3.csv", pairing_table(dj, grid))
+    pmap = RadonPlaneMap(dj)
     _write_circle(out / "circle_dayjames_3.csv", dj, 720)
     maps = [("dayjames_3", pmap)] + [
         (f"sum_linf{n}", compose_inf_sum([pmap, IdentityMap(LInf(n))])) for n in (1, 2, 8)

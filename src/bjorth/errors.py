@@ -29,11 +29,7 @@ class NonFiniteInput(BjorthError):
 
 
 class InvalidCount(BjorthError, ValueError):
-    """A sample, pair-sample or grid count is below its minimum, or a seed below 0."""
-
-
-class AngleOutOfRange(BjorthError, ValueError):
-    """A finite angle lies outside the range a function accepts."""
+    """A count or seed is not an integer, or is below its minimum (a seed's is 0)."""
 
 
 class InvalidMargin(BjorthError, ValueError):
@@ -64,10 +60,6 @@ class NoBracket(BjorthError):
     """Root bracketing failed; the smooth-Radon-plane premise is violated."""
 
 
-class GridTooCoarse(BjorthError):
-    """Angle grid is below the minimum resolution."""
-
-
 class MonotonicityViolation(BjorthError):
     """Tabulated pairing angles are not strictly increasing."""
 
@@ -85,7 +77,13 @@ class ParseError(BjorthError):
 
 
 def check_count(value, name: str, floor: int = 1) -> int:
-    """A count (with floor 0, a seed) as a Python int: an integer, not bool, >= floor."""
-    if isinstance(value, bool) or (count := operator.index(value)) < floor:
-        raise InvalidCount(f"{name} must be >= {floor} (an integer, not a bool), got {value!r}")
+    """A count (with floor 0, a seed) as a Python int: an integer, not bool, >= floor;
+    else InvalidCount, chained from operator.index's TypeError on a non-integer."""
+    message = f"{name} must be >= {floor} (an integer, not a bool), got {value!r}"
+    try:
+        count = operator.index(value)
+    except TypeError as exc:
+        raise InvalidCount(message) from exc
+    if isinstance(value, bool) or count < floor:
+        raise InvalidCount(message)
     return count

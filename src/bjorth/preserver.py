@@ -11,6 +11,11 @@ homogeneously to the whole plane produces a norm-preserving homogeneous
 bicontinuous bijection that preserves Birkhoff-James orthogonality in both
 directions, even though the spaces need not be isometric.
 
+``pairing_table`` tabulates eta on a uniform grid of [0, pi/2]: its rows are
+both the certificate ``build_preserver`` checks and the eta artifact the
+command line writes.  The map holds only its plane and computes each image
+from the plane's norming functionals, with no table.
+
 Componentwise combination lifts such maps to l-infinity direct sums, which
 yields preserver pairs in every ambient dimension.
 
@@ -21,18 +26,16 @@ images, norm preservation, homogeneity, and an empirical continuity modulus.
 
 from __future__ import annotations
 
-import csv
 import math
 from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .errors import (AngleOutOfRange, GridTooCoarse, MonotonicityViolation, NoBracket,
-                     NonConvergence, NonFiniteInput, NotRadonPlane, check_count)
+from .errors import (MonotonicityViolation, NoBracket, NonConvergence, NotRadonPlane,
+                     check_count)
 from .orthogonality import (MARGIN, acute_distance, angle_masks, check_margin,
                             orthogonal_rows, orthogonality_distance, witness_rows)
 from .sampling import as_uniform, draw_rows, nonzero_rows
-from .serialize import write_csv
 from .spaces import (DayJames, Frozen, FrozenValue, InfSum, Lp, NormedSpace, partner2, perp2,
                      unit2)
 
@@ -47,99 +50,42 @@ def _is_radon_target(plane: NormedSpace) -> bool:
     return isinstance(plane, Lp) and plane.dim == 2 and plane.p == 2.0
 
 
-def _pairing_rows(plane: NormedSpace, thetas) -> list[tuple[float, float]]:
-    """(eta, |f(y(eta))|) at each theta in [0, pi/2], f the norming functional
-    at y(theta): the axes' own rows at the ends (0 pairs with pi/2, pi/2
-    with pi), spaces.partner2 inside, where a partner outside [pi/2, pi]
-    raises NoBracket and a residual above 1e-10 / |y(theta)| (at most
-    1e-10 |f|, as f(y) = 1) NonConvergence.  NotRadonPlane unless Radon."""
+def _require_radon(plane: NormedSpace) -> None:
     if not _is_radon_target(plane):
         raise NotRadonPlane(f"not a supported smooth Radon plane: {plane!r}")
+
+
+def pairing_table(plane: NormedSpace,
+                  grid_size: int = 1024) -> list[tuple[float, float, float]]:
+    """The pairing of a smooth Radon plane, tabulated: build_preserver's
+    certificate and the eta artifact.  One row (theta, eta, residual) per
+    theta of np.linspace(0, pi/2, grid_size + 1): the partner angle eta and
+    its forward residual |f(y(eta))|, f the functional at y(theta).  The end
+    rows are the axes' own (0 pairs with pi/2, pi/2 with pi), the interior
+    ones spaces.partner2's, the Radon scan's first quadrant bit for bit.
+    Checks, in order: NotRadonPlane; check_count(grid_size) with floor 64;
+    NoBracket for a partner outside [pi/2, pi]; NonConvergence for a
+    residual not at most 1e-10 / |y(theta)| (1e-10 |f|, as f(y) = 1); and
+    MonotonicityViolation unless eta increases strictly, so that a plane
+    whose floats tie is refused rather than certified.
+    """
+    _require_radon(plane)
+    grid_size = check_count(grid_size, "grid_size", 64)
     rows = []
-    for theta in thetas:
+    for theta in np.linspace(0.0, HALF_PI, grid_size + 1).tolist():
         if 0.0 < theta < HALF_PI:
             y, root, _, resid = partner2(plane, theta)
             if not HALF_PI <= root <= math.pi:
                 raise NoBracket(f"the partner {root} of theta={theta} is outside [pi/2, pi]")
-            if resid > 1e-10 / math.hypot(*y):
+            if not resid <= 1e-10 / math.hypot(*y):  # a NaN residual too
                 raise NonConvergence(f"orthogonality residual {resid} at theta={theta}")
         else:  # f = (1, 0) at y(0) reads y(pi/2)'s first float, f = (0, 1) y(pi)'s second
             root, k = (HALF_PI, 0) if theta <= 0.0 else (math.pi, 1)
             resid = abs(unit2(plane, root)[k])
-        rows.append((root, resid))
+        rows.append((theta, root, resid))
+    if any(eta1 >= eta2 for (_, eta1, _), (_, eta2, _) in zip(rows, rows[1:])):
+        raise MonotonicityViolation("paired angles are not strictly increasing")
     return rows
-
-
-def solve_eta(plane: NormedSpace, theta: float) -> float:
-    """Angle in [pi/2, pi] whose unit vector is orthogonal to y(theta): the
-    one-row pairing EtaTable tabulates, with its checks.  A NaN or infinite
-    theta raises NonFiniteInput, and one outside [0, pi/2] (beyond 1e-12)
-    AngleOutOfRange."""
-    if not math.isfinite(theta):
-        raise NonFiniteInput(f"theta must be finite, got {theta}")
-    if not -1e-12 <= theta <= HALF_PI + 1e-12:
-        raise AngleOutOfRange(f"theta must lie in [0, pi/2], got {theta}")
-    return _pairing_rows(plane, [theta])[0][0]
-
-
-class EtaTable(Frozen):
-    """The orthogonal-direction pairing of a smooth Radon plane, tabulated.
-
-    grid holds grid_size + 1 uniform angles on [0, pi/2] (GridTooCoarse
-    below 64); values and residuals are the pairing rows at each, the
-    partner angle and its forward residual |f(y(value))| for the functional
-    f at y(grid).  The interior rows are the Radon scan's first quadrant,
-    bit for bit, and the end rows the axes' own.  The columns are
-    read-only.  The values must increase strictly (else
-    MonotonicityViolation): the pairing is an increasing bijection, and a
-    plane whose floats tie is refused rather than certified.
-    """
-
-    _fields = ("plane", "grid_size", "grid", "values", "residuals")
-
-    def __init__(self, plane: NormedSpace, grid_size: int = 1024):
-        grid_size = check_count(grid_size, "grid_size", 0)
-        if grid_size < 64:
-            raise GridTooCoarse(f"grid_size must be >= 64, got {grid_size}")
-        object.__setattr__(self, "plane", plane)
-        object.__setattr__(self, "grid_size", grid_size)
-        grid = np.linspace(0.0, HALF_PI, grid_size + 1)
-        values, residuals = zip(*_pairing_rows(plane, grid.tolist()))
-        for name, column in zip(("grid", "values", "residuals"), (grid, values, residuals)):
-            column = np.array(column)
-            column.flags.writeable = False  # a frozen table's columns stay put
-            object.__setattr__(self, name, column)
-        if np.any(np.diff(self.values) <= 0.0):
-            raise MonotonicityViolation("paired angles are not strictly increasing")
-
-    def to_csv(self, path) -> None:
-        write_csv(path, ["theta", "eta", "residual"],
-                  zip(self.grid, self.values, self.residuals))
-
-    @classmethod
-    def from_csv(cls, path, plane: NormedSpace) -> "EtaTable":
-        """The plane's table at the file's grid size, if every row equals it
-        as floats; else ValueError names the first line that differs."""
-        rows = []
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            if header[:3] != ["theta", "eta", "residual"]:
-                raise ValueError(f"unexpected header {header!r}")
-            for row in reader:
-                if len(row) < 3:
-                    raise ValueError(f"line {reader.line_num}: expected 3 fields, got {row!r}")
-                rows.append((float(row[0]), float(row[1]), float(row[2])))
-        if not rows:
-            raise ValueError("the table has no rows")
-        if not np.isfinite(rows).all():
-            raise NonFiniteInput("table angles and residuals must be finite")
-        table = cls(plane, len(rows) - 1)
-        expected = zip(table.grid, table.values, table.residuals)
-        for line, (row, want) in enumerate(zip(rows, expected), start=2):
-            if row != want:
-                raise ValueError(f"line {line}: {row} is not a row of the table of {plane!r}")
-        return table
 
 
 class PreserverMap(ABC):
@@ -219,14 +165,17 @@ class RadonPlaneMap(Frozen, PreserverMap):
     functional at (a, b) on the second: by Radon symmetry, y(s) is
     orthogonal to y(psi) exactly when y(psi) is orthogonal to y(s), so the
     functional at y(psi) annuls y(s) and points along the preimage pi/2 + s.
-    Its table, computed from the plane, certifies that the plane's pairing
-    is a strictly increasing bijection with pinned endpoints.
+    The map holds only its plane and refuses one that is not a supported
+    smooth Radon plane (NotRadonPlane); build_preserver also certifies, by
+    pairing_table, that the plane's pairing is a strictly increasing
+    bijection with pinned endpoints.
     """
 
-    _fields = ("eta",)
+    _fields = ("plane",)
 
-    def __init__(self, eta: EtaTable):
-        vars(self).update(eta=eta)
+    def __init__(self, plane: NormedSpace):
+        _require_radon(plane)
+        vars(self).update(plane=plane)
 
     @property
     def source(self) -> NormedSpace:
@@ -234,11 +183,11 @@ class RadonPlaneMap(Frozen, PreserverMap):
 
     @property
     def target(self) -> NormedSpace:
-        return self.eta.plane
+        return self.plane
 
     def _upper(self, a: float, b: float) -> tuple[float, float]:
         # b >= 0, not both zero: polar angle lies in [0, pi].
-        plane = self.eta.plane
+        plane = self.plane
         r = math.hypot(a, b)
         c, d = perp2(plane, b, -a) if a < 0.0 else (a, b)
         n = plane._norm2(c, d)
@@ -248,7 +197,7 @@ class RadonPlaneMap(Frozen, PreserverMap):
         return _odd(self._upper, X)
 
     def _inverse_upper(self, a: float, b: float) -> tuple[float, float]:
-        plane = self.eta.plane
+        plane = self.plane
         r = plane._norm2(a, b)
         if a < 0.0:
             u, v = perp2(plane, a, b)
@@ -307,8 +256,9 @@ class SumMap(Frozen, PreserverMap):
 
 
 def build_preserver(plane: NormedSpace, grid_size: int = 1024) -> RadonPlaneMap:
-    """The plane map onto plane, certified by its EtaTable at grid_size."""
-    return RadonPlaneMap(eta=EtaTable(plane, grid_size))
+    """The plane map onto plane, certified by its pairing_table at grid_size."""
+    pairing_table(plane, grid_size)
+    return RadonPlaneMap(plane)
 
 
 def compose_inf_sum(parts) -> SumMap:

@@ -45,20 +45,21 @@ def test_criterion_1_radon_symmetry():
 
 def test_criterion_2_eta_construction():
     t0 = time.perf_counter()
-    table = bj.build_preserver(DJ, 1024).eta
+    rows = bj.pairing_table(DJ, 1024)
     dt = time.perf_counter() - t0
+    _, values, residuals = map(np.array, zip(*rows))
     ok = (
-        len(table.grid) == 1025
-        and abs(table.values[0] - math.pi / 2) <= 1e-10
-        and abs(table.values[-1] - math.pi) <= 1e-10
-        and bool(np.all(np.diff(table.values) > 0))
-        and float(table.residuals.max()) <= 1e-8
+        len(rows) == 1025
+        and abs(values[0] - math.pi / 2) <= 1e-10
+        and abs(values[-1] - math.pi) <= 1e-10
+        and bool(np.all(np.diff(values) > 0))
+        and float(residuals.max()) <= 1e-8
         and dt < 5.0
     )
     _report(
         "2 eta construction",
         ok,
-        f"nodes=1025 max_residual={float(table.residuals.max()):.2e} time={dt:.2f}s",
+        f"nodes=1025 max_residual={float(residuals.max()):.2e} time={dt:.2f}s",
     )
 
 

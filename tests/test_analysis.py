@@ -474,11 +474,28 @@ def test_negative_seeds_raise_a_bjorth_error(name):
         SEEDED_CALLS[name](4, True)
 
 
+@pytest.mark.parametrize("name", sorted(SEEDED_CALLS))
+@pytest.mark.parametrize("bad", [4.0, "4", None], ids=["float", "str", "None"])
+def test_non_integer_counts_and_seeds_raise_a_bjorth_error(name, bad):
+    # Each is an InvalidCount chained from operator.index's TypeError, so a
+    # caller that catches BjorthError sees it.
+    for count, seed in ((bad, 0), (4, bad)):
+        with pytest.raises(InvalidCount) as info:
+            SEEDED_CALLS[name](count, seed)
+        assert isinstance(info.value.__cause__, TypeError)
+
+
 def test_check_count_returns_a_python_int():
     assert [type(check_count(v, "n")) for v in (3, np.int64(3), np.uint8(3))] == [int] * 3
     assert check_count(np.int32(0), "seed", 0) == 0
-    with pytest.raises(TypeError):
-        check_count(2.0, "n")
+    for bad in (2.0, "2", None):
+        with pytest.raises(InvalidCount) as info:
+            check_count(bad, "n")
+        assert isinstance(info.value.__cause__, TypeError)
+    with pytest.raises(InvalidCount):
+        bj.verify_preserver(bj.IdentityMap(L2), 10.0)
+    with pytest.raises(InvalidCount):
+        bj.radon_defect(L2, 720.0)
     with pytest.raises(InvalidCount, match="grid must be >= 16 .*, got 15"):
         check_count(15, "grid", 16)
 

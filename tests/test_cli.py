@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import subprocess
@@ -128,13 +129,34 @@ def test_smooth_verb(capsys):
     assert code == 1
 
 
-def test_preserver_build_writes_table(capsys, tmp_path):
+def test_preserver_build_writes_the_certify_table(capsys, tmp_path):
+    # One path per artifact: the verb's table is the one certify writes.
     path = tmp_path / "eta.csv"
     code, out, _ = run(capsys, "preserver-build", "--target", "dayjames:3:1.5",
-                       "--grid", "64", "--out", str(path))
+                       "--grid", "256", "--out", str(path))
     assert code == 0
-    table = bj.EtaTable.from_csv(path, bj.DayJames(3.0, 1.5))
-    assert len(table.grid) == 65
+    assert "nodes: 257\n" in out and "endpoints: 1.5707963267948966 3.1415926535897931\n" in out
+    assert main(["certify", "--fast", "--seed", "0", "--out", str(tmp_path / "certify")]) == 0
+    capsys.readouterr()
+    assert path.read_bytes() == (tmp_path / "certify" / "eta_dayjames_3.csv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def eta_csv_rows(tmp_path_factory):
+    path = tmp_path_factory.mktemp("eta") / "eta.csv"
+    assert main(["preserver-build", "--target", "dayjames:3:1.5", "--out", str(path)]) == 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+@pytest.mark.parametrize("column", range(3), ids=["theta", "eta", "residual"])
+@pytest.mark.parametrize("index", [0, 500, 1024])
+def test_eta_csv_carries_every_cell_exactly(eta_csv_rows, column, index):
+    # The artifact holds the certificate's floats bit for bit, the pinned
+    # endpoints included, under a header, one row per node.
+    assert eta_csv_rows[0] == ["theta", "eta", "residual"] and len(eta_csv_rows) == 1026
+    expected = bj.pairing_table(bj.DayJames(3.0, 1.5), 1024)[index][column]
+    assert float(eta_csv_rows[index + 1][column]).hex() == expected.hex()
 
 
 def test_preserver_verify_report(capsys, tmp_path):

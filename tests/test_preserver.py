@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 import bjorth as bj
 from bjorth.errors import (
     EmptySum,
-    GridTooCoarse,
     InvalidCount,
     MonotonicityViolation,
     NonFiniteInput,
@@ -16,7 +16,6 @@ from bjorth.errors import (
 )
 from bjorth.orthogonality import witness_rows
 from bjorth.preserver import _pair_agreement
-from bjorth.serialize import write_csv
 
 from conftest import KIND, SPACE_ZOO, draw_vector, judge_stack, non_radon_map, random_nonzero
 
@@ -40,63 +39,74 @@ def analytic_pairing_angle(plane, theta):
 
 
 # ---------------------------------------------------------------------------
-# Pairing solve.
+# Pairing table.
 
 
-def test_solve_eta_endpoints_exact():
-    assert bj.solve_eta(DJ, 0.0) == math.pi / 2
-    assert bj.solve_eta(DJ, math.pi / 2) == math.pi
+def test_pairing_endpoints_exact():
+    rows = bj.pairing_table(DJ, 64)
+    assert (rows[0][0], rows[0][1]) == (0.0, math.pi / 2)
+    assert (rows[-1][0], rows[-1][1]) == (math.pi / 2, math.pi)
 
 
-def test_solve_eta_euclid_quarter_turn():
-    assert bj.solve_eta(L2, math.pi / 4) == pytest.approx(3 * math.pi / 4, abs=1e-10)
+def test_pairing_euclid_quarter_turn():
+    for theta, eta, _ in bj.pairing_table(L2, 64):
+        assert eta == pytest.approx(theta + math.pi / 2, abs=1e-10)
 
 
-def test_solve_eta_dayjames_frozen_values():
+def test_pairing_dayjames_frozen_values():
+    # Nodes 32 and 48 of a 96-interval table sit at pi/6 and pi/4.
+    rows = bj.pairing_table(DJ, 96)
+    t6, e6, _ = rows[32]
+    assert t6 == pytest.approx(math.pi / 6, abs=1e-15)
     # Diagonal symmetry of the Day-James plane pins the diagonal pairing.
-    assert bj.solve_eta(DJ, math.pi / 4) == pytest.approx(3 * math.pi / 4, abs=1e-10)
-    # Bisection value frozen at tolerance 1e-12; cross-checked two ways below.
-    e6 = bj.solve_eta(DJ, math.pi / 6)
+    assert rows[48][0] == pytest.approx(math.pi / 4, abs=1e-15)
+    assert rows[48][1] == pytest.approx(3 * math.pi / 4, abs=1e-10)
+    # Value frozen at tolerance 1e-12; cross-checked two ways below.
     assert e6 == pytest.approx(1.89254688119154, abs=1e-9)
-    assert e6 == pytest.approx(analytic_pairing_angle(DJ, math.pi / 6), abs=1e-10)
-    y1 = bj.unit_vector_at_angle(DJ, math.pi / 6)
+    assert e6 == pytest.approx(analytic_pairing_angle(DJ, t6), abs=1e-10)
+    y1 = bj.unit_vector_at_angle(DJ, t6)
     y2 = bj.unit_vector_at_angle(DJ, e6)
     assert bj.is_bj_orthogonal_oracle(DJ, y1, y2)
 
 
-def test_solve_eta_matches_analytic_perp_on_grid():
-    for theta in np.linspace(0.01, math.pi / 2 - 0.01, 50):
-        assert bj.solve_eta(DJ, float(theta)) == pytest.approx(
-            analytic_pairing_angle(DJ, float(theta)), abs=1e-10
-        )
+def test_pairing_matches_analytic_perp_on_grid():
+    for theta, eta, _ in bj.pairing_table(DJ, 64):
+        assert eta == pytest.approx(analytic_pairing_angle(DJ, theta), abs=1e-10)
 
 
-@pytest.mark.parametrize("theta, error", [
-    (math.nan, NonFiniteInput), (math.inf, NonFiniteInput), (-math.inf, NonFiniteInput),
-    (-0.1, bj.AngleOutOfRange), (2.0, bj.AngleOutOfRange),
-], ids=["nan", "inf", "-inf", "-0.1", "2.0"])
-def test_solve_eta_rejects_a_bad_angle(theta, error):
-    with pytest.raises(error) as info:
-        bj.solve_eta(DJ, theta)
-    assert isinstance(info.value, bj.BjorthError)
-    # An angle out of range is also a ValueError, as a bad count is.
-    assert isinstance(info.value, ValueError) == (error is bj.AngleOutOfRange)
+# Planes that are not smooth Radon planes, or not planes: a Day-James plane
+# off its conjugate pair, l_p planes with p != 2, l_inf and the 3-D l_2.
+NON_RADON_PLANES = [bj.Lp(2, 3.0), bj.Lp(2, 1.5), bj.DayJames(3.0, 2.0), bj.LInf(2),
+                    bj.Lp(3, 2.0)]
 
 
-def test_solve_eta_keeps_the_slack_at_the_ends():
-    assert bj.solve_eta(DJ, -1e-12) == math.pi / 2
-    assert bj.solve_eta(DJ, math.pi / 2 + 1e-12) == math.pi
+@pytest.mark.parametrize("plane", NON_RADON_PLANES, ids=str)
+def test_pairing_table_rejects_non_radon_planes(plane):
+    # The map's inverse solves the pairing from the target side, which is
+    # right only where the pairing is symmetric.
+    for build in (bj.pairing_table, bj.build_preserver):
+        with pytest.raises(NotRadonPlane):
+            build(plane)
 
 
-def test_solve_eta_rejects_non_radon_planes():
+@pytest.mark.parametrize("plane", NON_RADON_PLANES, ids=str)
+def test_plane_map_refuses_a_non_radon_plane(plane):
+    # The map checks its plane itself, so no map onto a non-Radon plane is
+    # made without the fault-injection patch.
     with pytest.raises(NotRadonPlane):
-        bj.solve_eta(bj.Lp(2, 3.0), 0.3)
-    with pytest.raises(NotRadonPlane):
-        bj.solve_eta(bj.DayJames(3.0, 2.0), 0.3)
+        bj.RadonPlaneMap(plane)
+
+
+@pytest.mark.parametrize("plane", NON_RADON_PLANES[:3], ids=str)
+def test_the_fault_injection_patch_builds_a_map_onto_a_smooth_plane(plane):
+    # With the Radon check switched off, a smooth plane's pairing table
+    # passes its other checks and the map is made.
+    fault = non_radon_map(plane)
+    assert type(fault) is bj.RadonPlaneMap and fault.plane == plane
 
 
 def _edit_pairing_row(monkeypatch, edit):
-    """Pass every pairing row that solve_eta and EtaTable read through edit."""
+    """Pass every pairing row that pairing_table reads through edit."""
     honest = bj.preserver.partner2
     monkeypatch.setattr(bj.preserver, "partner2",
                         lambda plane, theta: edit(*honest(plane, theta)))
@@ -107,11 +117,9 @@ def _edit_pairing_row(monkeypatch, edit):
 def test_a_partner_outside_the_second_quadrant_is_no_bracket(monkeypatch, root):
     _edit_pairing_row(monkeypatch, lambda y, _, y_star, resid: (y, float(root), y_star, resid))
     with pytest.raises(bj.NoBracket):
-        bj.solve_eta(DJ, 0.3)
+        bj.pairing_table(DJ, 64)
     with pytest.raises(bj.NoBracket):
-        bj.EtaTable(DJ, 64)
-    # The ends are the axes' own rows and read no pairing row.
-    assert (bj.solve_eta(DJ, 0.0), bj.solve_eta(DJ, math.pi / 2)) == (math.pi / 2, math.pi)
+        bj.build_preserver(DJ, 64)
 
 
 def test_a_residual_above_the_bound_is_non_convergence(monkeypatch):
@@ -121,48 +129,57 @@ def test_a_residual_above_the_bound_is_non_convergence(monkeypatch):
 
     _edit_pairing_row(monkeypatch, edit)
     with pytest.raises(bj.NonConvergence):
-        bj.solve_eta(DJ, 0.3)
+        bj.pairing_table(DJ, 64)
     with pytest.raises(bj.NonConvergence):
-        bj.EtaTable(DJ, 64)
+        bj.build_preserver(DJ, 64)
 
 
-def test_table_rejects_non_radon_planes(dj_map, tmp_path):
-    # The map's inverse solves the pairing from the target side, which is
-    # right only where the pairing is symmetric.
-    path = tmp_path / "eta.csv"
-    dj_map.eta.to_csv(path)
-    for plane in (bj.Lp(2, 3.0), bj.DayJames(3.0, 2.0)):
-        with pytest.raises(NotRadonPlane):
-            bj.EtaTable(plane)
-        with pytest.raises(NotRadonPlane):
-            bj.EtaTable.from_csv(path, plane)
+@pytest.mark.parametrize("field", ["eta", "residual"])
+@pytest.mark.parametrize("index", [1, 30, 63])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_table_rejects_non_finite_entries(monkeypatch, field, index, bad):
+    # A non-finite partner is outside every bracket, and a non-finite
+    # residual is above every bound, NaN included, at any interior node.
+    theta_bad, honest = np.linspace(0.0, math.pi / 2, 65).tolist()[index], bj.preserver.partner2
 
+    def partner(plane, theta):
+        y, root, y_star, resid = honest(plane, theta)
+        if theta == theta_bad:
+            root, resid = (bad, resid) if field == "eta" else (root, bad)
+        return y, root, y_star, resid
 
-# ---------------------------------------------------------------------------
-# Table construction.
+    monkeypatch.setattr(bj.preserver, "partner2", partner)
+    error = bj.NoBracket if field == "eta" else bj.NonConvergence
+    with pytest.raises(error, match=f"{bad} .*theta={re.escape(repr(theta_bad))}"):
+        bj.pairing_table(DJ, 64)
+    with pytest.raises(error):
+        bj.build_preserver(DJ, 64)
 
 
 def test_build_rejects_coarse_grid():
-    with pytest.raises(GridTooCoarse):
+    with pytest.raises(InvalidCount, match="grid_size must be >= 64"):
         bj.build_preserver(DJ, 16)
-    with pytest.raises(GridTooCoarse):
-        bj.EtaTable(DJ, 63)
+    with pytest.raises(InvalidCount, match="grid_size must be >= 64"):
+        bj.pairing_table(DJ, 63)
+    assert len(bj.pairing_table(DJ, 64)) == 65
 
 
 def test_grid_size_is_a_checked_count():
-    # grid_size passes check_count like every other count, then the table's
-    # own floor: a bool is no count, and any integer type is read as an int.
-    with pytest.raises(InvalidCount, match="grid_size must be >= 0"):
-        bj.EtaTable(DJ, True)
+    # grid_size passes check_count like every other count: a bool is no
+    # count, a non-integer is an InvalidCount chained from its TypeError, and
+    # any integer type is read as an int.
+    with pytest.raises(InvalidCount, match="grid_size must be >= 64"):
+        bj.pairing_table(DJ, True)
     with pytest.raises(InvalidCount):
         bj.build_preserver(DJ, -64)
     for bad in (100.0, "100", None):
-        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        with pytest.raises(InvalidCount) as info:
             bj.build_preserver(DJ, bad)
-    with pytest.raises(GridTooCoarse):
-        bj.EtaTable(DJ, np.int64(0))
-    table = bj.EtaTable(DJ, np.int64(64))
-    assert type(table.grid_size) is int and len(table.grid) == 65
+        assert isinstance(info.value.__cause__, TypeError)
+    with pytest.raises(InvalidCount):
+        bj.pairing_table(DJ, np.int64(0))
+    rows = bj.pairing_table(DJ, np.int64(64))
+    assert len(rows) == 65 and all(type(v) is float for row in rows for v in row)
 
 
 DAYJAMES_RADON_PLANES = [DJ, bj.DayJames(1.5, 3.0), bj.DayJames(2.0, 2.0),
@@ -171,65 +188,55 @@ DAYJAMES_RADON_PLANES = [DJ, bj.DayJames(1.5, 3.0), bj.DayJames(2.0, 2.0),
 
 @pytest.mark.parametrize("plane", DAYJAMES_RADON_PLANES, ids=str)
 def test_table_invariants(plane):
-    table = bj.EtaTable(plane)
-    assert len(table.grid) == 1025
-    assert table.values[0] == math.pi / 2 and table.values[-1] == math.pi
-    assert np.all(np.diff(table.values) > 0)
-    assert float(table.residuals.max()) <= 1e-15
+    grid, values, residuals = map(np.array, zip(*bj.pairing_table(plane)))
+    assert len(grid) == 1025
+    assert values[0] == math.pi / 2 and values[-1] == math.pi
+    assert np.all(np.diff(values) > 0)
+    assert float(residuals.max()) <= 1e-15
     # Node pairs are orthogonal, and mutually so (the Radon cross-check).
     # The coarser mutual margin absorbs the Hoelder amplification of the
     # one-ulp angle quantization near the axes for exponents below two.
-    for t, e in zip(table.grid[::64], table.values[::64]):
+    for t, e in zip(grid[::64], values[::64]):
         y1 = bj.unit_vector_at_angle(plane, float(t))
         y2 = bj.unit_vector_at_angle(plane, float(e))
         assert bj.is_bj_orthogonal(plane, y1, y2, margin=1e-8)
         assert bj.is_mutually_orthogonal(plane, y1, y2, margin=1e-5)
 
 
-def _write_table(path, grid, values, residuals):
-    write_csv(path, ["theta", "eta", "residual"], zip(grid, values, residuals))
-
-
-def test_table_monotonicity_enforced(dj_map, monkeypatch, tmp_path):
-    # A pairing whose rows at nodes 100 and 200 are swapped is refused,
-    # and so is a file with those two rows swapped.
-    grid = dj_map.eta.grid.tolist()
+def test_table_monotonicity_enforced(monkeypatch):
+    # A pairing whose rows at nodes 100 and 200 are swapped is refused.
+    grid = np.linspace(0.0, math.pi / 2, 1025).tolist()
     swap = {grid[100]: grid[200], grid[200]: grid[100]}
     honest = bj.preserver.partner2
-    with monkeypatch.context() as mp:
-        mp.setattr(bj.preserver, "partner2",
-                   lambda plane, theta: honest(plane, swap.get(theta, theta)))
-        with pytest.raises(MonotonicityViolation):
-            bj.EtaTable(DJ)
-    order = np.arange(len(grid))
-    order[100], order[200] = 200, 100
-    path = tmp_path / "eta.csv"
-    eta = dj_map.eta
-    _write_table(path, eta.grid[order], eta.values[order], eta.residuals[order])
-    with pytest.raises(ValueError, match="^line 102:"):
-        bj.EtaTable.from_csv(path, DJ)
+    monkeypatch.setattr(bj.preserver, "partner2",
+                        lambda plane, theta: honest(plane, swap.get(theta, theta)))
+    with pytest.raises(MonotonicityViolation):
+        bj.pairing_table(DJ)
 
 
 @pytest.mark.parametrize("grid_size", [64, 256, 1024])
 @pytest.mark.parametrize("p", [1.01, 1.1, 1.2, 1.3, 1.5])
-def test_table_end_rows_are_the_axes_rows(p, grid_size):
+def test_table_end_rows_are_the_axes_rows(monkeypatch, p, grid_size):
     # On dayjames:p':p the cusp near float(pi/2) sends that direction's
-    # partner off pi; the end row is the axis's own, so its residual is
-    # at rounding like every other row's.
-    table = bj.EtaTable(bj.DayJames(p, p / (p - 1.0)), grid_size)
-    assert table.values[-1] == math.pi
-    assert float(table.residuals.max()) <= 1e-15
+    # partner off pi; the end row is the axis's own, read without partner2,
+    # so its residual is at rounding like every other row's.
+    honest, solved = bj.preserver.partner2, []
+    monkeypatch.setattr(bj.preserver, "partner2",
+                        lambda plane, theta: solved.append(theta) or honest(plane, theta))
+    rows = bj.pairing_table(bj.DayJames(p, p / (p - 1.0)), grid_size)
+    assert rows[-1][1] == math.pi
+    assert max(resid for _, _, resid in rows) <= 1e-15
+    assert solved == [theta for theta, _, _ in rows[1:-1]]
 
 
 @pytest.mark.parametrize("plane", [*DAYJAMES_RADON_PLANES, L2], ids=str)
 def test_table_is_the_scans_first_quadrant(plane):
     # One pairing row serves both: node k of a 360-node table is row k of
     # the 720-direction scan over [0, pi), bit for bit.
-    table = bj.EtaTable(plane, 360)
+    table = bj.pairing_table(plane, 360)
     rows = bj.radon_defect(plane, 720).rows
     for k in range(1, 360):
-        got = (table.grid[k], table.values[k], table.residuals[k])
-        assert tuple(map(float.hex, map(float, got))) == tuple(map(float.hex, rows[k][:3])), k
+        assert tuple(map(float.hex, table[k])) == tuple(map(float.hex, rows[k][:3])), k
 
 
 def test_build_refuses_a_plane_whose_pairing_ties():
@@ -239,102 +246,11 @@ def test_build_refuses_a_plane_whose_pairing_ties():
         bj.build_preserver(bj.DayJames(11.0, 1.1), 1024)
 
 
-@pytest.mark.parametrize("p", [11.0, 21.0, 101.0])
-def test_tables_refuse_planes_whose_pairing_ties(dj_map, tmp_path, p):
-    # The tie is the plane's own, so no file certifies such a plane either.
-    plane = bj.DayJames(p, p / (p - 1.0))
+@pytest.mark.parametrize("p", [7.0, 11.0, 21.0, 101.0])
+def test_tables_refuse_planes_whose_pairing_ties(p):
+    # From p = 7 the pairing's floats tie near the axis at 1024 nodes.
     with pytest.raises(MonotonicityViolation):
-        bj.EtaTable(plane)
-    path = tmp_path / "eta.csv"
-    dj_map.eta.to_csv(path)
-    with pytest.raises(MonotonicityViolation):
-        bj.EtaTable.from_csv(path, plane)
-
-
-@pytest.mark.parametrize("field", ["grid", "values", "residuals"])
-@pytest.mark.parametrize("index", [0, 30])
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_table_rejects_non_finite_entries(dj_map, tmp_path, field, index, bad):
-    # A non-finite entry is refused as such, before the rows are compared
-    # with the plane's table.
-    columns = {f: getattr(dj_map.eta, f).copy() for f in ("grid", "values", "residuals")}
-    columns[field][index] = bad
-    path = tmp_path / "eta.csv"
-    _write_table(path, columns["grid"], columns["values"], columns["residuals"])
-    with pytest.raises(bj.NonFiniteInput):
-        bj.EtaTable.from_csv(path, DJ)
-
-
-PI_2_TEXT = repr(math.pi / 2)
-
-
-@pytest.mark.parametrize("text, error", [
-    ("", ValueError),
-    ("theta,eta,residual\n", ValueError),
-    (f"theta,eta,residual\n0.0,{PI_2_TEXT},0.0\n{PI_2_TEXT},3.14159\n", ValueError),
-    (f"theta,eta,residual\n0.0,nan,0.0\n{PI_2_TEXT},3.141592653589793,0.0\n", bj.NonFiniteInput),
-], ids=["empty", "header-only", "short-row", "nan-eta"])
-def test_table_csv_rejects_malformed_files(tmp_path, text, error):
-    path = tmp_path / "eta.csv"
-    path.write_text(text, encoding="utf-8")
-    with pytest.raises(error):
-        bj.EtaTable.from_csv(path, DJ)
-
-
-def test_table_columns_are_read_only(dj_map):
-    # A frozen table keeps its columns: an edit in place raises.
-    for name in ("grid", "values", "residuals"):
-        with pytest.raises(ValueError):
-            getattr(dj_map.eta, name)[0] = 0.0
-
-
-def test_table_csv_round_trip(tmp_path, dj_map):
-    path = tmp_path / "eta.csv"
-    dj_map.eta.to_csv(path)
-    loaded = bj.EtaTable.from_csv(path, DJ)
-    np.testing.assert_array_equal(loaded.grid, dj_map.eta.grid)
-    np.testing.assert_array_equal(loaded.values, dj_map.eta.values)
-    np.testing.assert_array_equal(loaded.residuals, dj_map.eta.residuals)
-
-
-def test_table_is_computed_from_its_plane(dj_map, tmp_path):
-    # The Euclidean pairing is a monotone table with the right endpoints,
-    # yet wrong for the Day-James plane: no constructor takes its columns,
-    # and a file that holds it is refused at its first wrong row.
-    eta = dj_map.eta
-    with pytest.raises(TypeError):
-        bj.EtaTable(grid=eta.grid, values=eta.grid + math.pi / 2,
-                    residuals=eta.residuals, plane=DJ)
-    path = tmp_path / "eta.csv"
-    _write_table(path, eta.grid, eta.grid + math.pi / 2, eta.residuals)
-    with pytest.raises(ValueError, match="^line 3:"):
-        bj.EtaTable.from_csv(path, DJ)
-
-
-def test_table_csv_rejects_another_table(dj_map, tmp_path):
-    # One residual one ulp off, and the conjugate plane's table.
-    eta, path = dj_map.eta, tmp_path / "eta.csv"
-    residuals = eta.residuals.copy()
-    residuals[500] = np.nextafter(residuals[500], 1.0)
-    _write_table(path, eta.grid, eta.values, residuals)
-    with pytest.raises(ValueError, match="^line 502:"):
-        bj.EtaTable.from_csv(path, DJ)
-    bj.EtaTable(bj.DayJames(1.5, 3.0)).to_csv(path)
-    with pytest.raises(ValueError, match="^line 3:"):
-        bj.EtaTable.from_csv(path, DJ)
-
-
-@pytest.mark.parametrize("field", ["grid", "values", "residuals"])
-@pytest.mark.parametrize("index", [0, 500, 1024])
-def test_table_csv_rejects_one_ulp_in_any_cell(dj_map, tmp_path, field, index):
-    # Rows are compared as floats, bit for bit: one ulp in any cell, the
-    # pinned endpoints included, is named by its line.
-    columns = {f: getattr(dj_map.eta, f).copy() for f in ("grid", "values", "residuals")}
-    columns[field][index] = np.nextafter(columns[field][index], math.inf)
-    path = tmp_path / "eta.csv"
-    _write_table(path, columns["grid"], columns["values"], columns["residuals"])
-    with pytest.raises(ValueError, match=f"^line {index + 2}:"):
-        bj.EtaTable.from_csv(path, DJ)
+        bj.pairing_table(bj.DayJames(p, p / (p - 1.0)))
 
 
 def test_euclid_build_is_identity_on_unit_vectors():
@@ -582,15 +498,13 @@ def _pairing_residual(plane, theta, root):
 
 
 def test_pairing_roots_lie_in_their_bracket_and_annul_the_functional():
-    # Every root solve_eta ([pi/2, pi]) and the Radon scan ((theta, theta + pi))
+    # Every root pairing_table ([pi/2, pi]) and the Radon scan ((theta, theta + pi))
     # return lies in its bracket and leaves a residual near rounding.
-    rng = np.random.default_rng(31)
     worst = 0.0
     for plane in (*DAYJAMES_RADON_PLANES, L2):
-        for theta in rng.uniform(0.0, math.pi / 2, 100):
-            root = bj.solve_eta(plane, float(theta))
+        for theta, root, _ in bj.pairing_table(plane, 100)[1:-1]:
             assert math.pi / 2 <= root <= math.pi
-            worst = max(worst, _pairing_residual(plane, float(theta), root))
+            worst = max(worst, _pairing_residual(plane, theta, root))
     for plane in (*DAYJAMES_RADON_PLANES, bj.Lp(2, 1.5), bj.Lp(2, 3.0)):
         for theta, root, _, _ in bj.radon_defect(plane, grid=61).rows:
             assert theta <= root <= theta + math.pi

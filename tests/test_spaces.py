@@ -768,7 +768,7 @@ def test_only_spaces_reads_a_plane_functional():
 
 def test_only_spaces_solves_a_pairing():
     # A direction's partner is solved once, in the pairing row partner2,
-    # which the Radon scan, solve_eta and EtaTable share.
+    # which the Radon scan and pairing_table share.
     package = Path(bj.__file__).parent
     readers = sorted({path.name for path in package.glob("*.py")
                       for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))

@@ -1,5 +1,5 @@
-"""Value semantics of the package's records: the fifteen immutable classes
-that spaces, relations, tables, maps and reports are built from.
+"""Value semantics of the package's records: the fourteen immutable classes
+that spaces, relations, maps and reports are built from.
 
 Each record is frozen, prints as Name(field=value, ...), takes its fields
 positionally or by keyword with the same defaults, and either compares and
@@ -16,10 +16,7 @@ import bjorth as bj
 
 L2 = bj.Lp(2, 2.0)
 DJ = bj.DayJames(3.0, 1.5)
-TABLE = bj.EtaTable(DJ, 64)
 ORTH = bj.AngleTag.ORTHOGONAL
-TABLE_REPR = (f"EtaTable(plane=DayJames(p=3.0, q=1.5), grid_size=64, grid={TABLE.grid!r}, "
-              f"values={TABLE.values!r}, residuals={TABLE.residuals!r})")
 
 
 def _records():
@@ -43,11 +40,10 @@ def _records():
             dict(tag=ORTH, min_bound=-0.5, max_bound=0.5, scale=1.0, _scaled=(-1.0, 1.0, 2.0)),
             "AngleRelation(tag=<AngleTag.ORTHOGONAL: 'orthogonal'>, min_bound=-0.5, "
             "max_bound=0.5, scale=1.0)", True),
-        "EtaTable": (bj.EtaTable, (DJ, 64), dict(plane=DJ, grid_size=64), TABLE_REPR, False),
         "IdentityMap": (bj.IdentityMap, (L2,), dict(space=L2),
                         "IdentityMap(space=Lp(dim=2, p=2.0))", False),
-        "RadonPlaneMap": (bj.RadonPlaneMap, (TABLE,), dict(eta=TABLE),
-                          f"RadonPlaneMap(eta={TABLE_REPR})", False),
+        "RadonPlaneMap": (bj.RadonPlaneMap, (DJ,), dict(plane=DJ),
+                          "RadonPlaneMap(plane=DayJames(p=3.0, q=1.5))", False),
         "SumMap": (bj.SumMap, ((bj.IdentityMap(L2), bj.IdentityMap(bj.LInf(1))),),
                    dict(parts=(bj.IdentityMap(L2), bj.IdentityMap(bj.LInf(1)))),
                    "SumMap(parts=(IdentityMap(space=Lp(dim=2, p=2.0)), "
@@ -81,7 +77,7 @@ RECORDS = _records()
 
 
 def test_the_table_covers_every_public_record():
-    assert len(RECORDS) == 15 and all(getattr(bj, name) is RECORDS[name][0] for name in RECORDS)
+    assert len(RECORDS) == 14 and all(getattr(bj, name) is RECORDS[name][0] for name in RECORDS)
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -145,7 +141,6 @@ def test_relations_hash_their_four_fields_without_the_decided_units():
 
 
 def test_defaults_are_the_same_by_position_and_by_keyword():
-    assert bj.EtaTable(DJ).grid_size == bj.EtaTable(plane=DJ).grid_size == 1024
     assert bj.AngleRelation(ORTH, 0.0, 0.0, 1.0)._scaled is None
     report = bj.VerificationReport(10, 1, 0, 0, 0.0, 0.0, 1.0, 0, True)
     assert report.first_disagreement is None
