@@ -111,13 +111,13 @@ def _sections_record(space: NormedSpace, count: int, pair_samples: int, tol: flo
                      seed: int) -> dict:
     """Search seeded section candidates; the record lists flagged indices."""
     candidates = section_candidates(space, count, seed=seed)
-    flagged = euclidean_section_search(
+    flagged = {id(f) for f in euclidean_section_search(
         space, candidates, pair_samples=pair_samples, tol=tol, seed=seed
-    )
+    )}
     return {
         "space": format_space(space),
         "candidates": len(candidates),
-        "flagged": [i for i, c in enumerate(candidates) if any(c is f for f in flagged)],
+        "flagged": [i for i, c in enumerate(candidates) if id(c) in flagged],
         "pair_samples": pair_samples,
         "tol": tol,
         "seed": seed,

@@ -16,8 +16,9 @@ both the certificate ``build_preserver`` checks and the eta artifact the
 command line writes.  The map holds only its plane and computes each image
 from the plane's norming functionals, with no table.
 
-Componentwise combination lifts such maps to l-infinity direct sums, which
-yields preserver pairs in every ambient dimension.
+A map sets its source and target spaces and maps rows by _forward and
+_backward.  Componentwise combination lifts such maps to l-infinity direct
+sums, which yields preserver pairs in every ambient dimension.
 
 ``verify_preserver`` certifies a constructed map by seeded sampling:
 orthogonality and acute-angle agreement between source pairs and their
@@ -45,6 +46,9 @@ EUCLIDEAN_PLANE = Lp(dim=2, p=2.0)
 
 
 def _is_radon_target(plane: NormedSpace) -> bool:
+    """The smooth Radon planes the map is built for: lp:2:2, and DayJames with
+    conjugate exponents, |1/p + 1/q - 1| <= 1e-12 to absorb rounding (4 and
+    4/3).  Other Lp planes are smooth but not Radon; LInf is not smooth."""
     if isinstance(plane, DayJames):
         return plane.radon_candidate
     return isinstance(plane, Lp) and plane.dim == 2 and plane.p == 2.0
@@ -91,20 +95,16 @@ def pairing_table(plane: NormedSpace,
 class PreserverMap(ABC):
     """A norm-preserving homogeneous bijection with computable inverse.
 
-    A map defines source and target and two row methods on checked stacks:
-    _forward maps the rows of an (n, source.dim) array, _backward those of
-    an (n, target.dim) array.  apply and apply_inverse take a vector or a
-    stack of rows, check it once and map it through them, so a max-sum map
-    checks its argument once rather than once per part.
+    A map sets source and target, as attributes or properties, and defines
+    two row methods on checked stacks: _forward maps the rows of an
+    (n, source.dim) array, _backward those of an (n, target.dim) array.
+    apply and apply_inverse take a vector or a stack of rows, check it once
+    and map it through them, so a max-sum map checks its argument once
+    rather than once per part.
     """
 
-    @property
-    @abstractmethod
-    def source(self) -> NormedSpace: ...
-
-    @property
-    @abstractmethod
-    def target(self) -> NormedSpace: ...
+    source: NormedSpace
+    target: NormedSpace
 
     @abstractmethod
     def _forward(self, X: np.ndarray) -> np.ndarray: ...
@@ -134,15 +134,7 @@ class IdentityMap(Frozen, PreserverMap):
     _fields = ("space",)
 
     def __init__(self, space: NormedSpace):
-        vars(self).update(space=space)
-
-    @property
-    def source(self) -> NormedSpace:
-        return self.space
-
-    @property
-    def target(self) -> NormedSpace:
-        return self.space
+        vars(self).update(space=space, source=space, target=space)
 
     def _forward(self, X: np.ndarray) -> np.ndarray:
         return X.copy()
@@ -175,15 +167,7 @@ class RadonPlaneMap(Frozen, PreserverMap):
 
     def __init__(self, plane: NormedSpace):
         _require_radon(plane)
-        vars(self).update(plane=plane)
-
-    @property
-    def source(self) -> NormedSpace:
-        return EUCLIDEAN_PLANE
-
-    @property
-    def target(self) -> NormedSpace:
-        return self.plane
+        vars(self).update(plane=plane, source=EUCLIDEAN_PLANE, target=plane)
 
     def _upper(self, a: float, b: float) -> tuple[float, float]:
         # b >= 0, not both zero: polar angle lies in [0, pi].
@@ -234,24 +218,15 @@ class SumMap(Frozen, PreserverMap):
 
     def __init__(self, parts: tuple[PreserverMap, ...]):
         parts = tuple(parts)
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "_source", InfSum(tuple(p.source for p in parts)))
-        object.__setattr__(self, "_target", InfSum(tuple(p.target for p in parts)))
-
-    @property
-    def source(self) -> NormedSpace:
-        return self._source
-
-    @property
-    def target(self) -> NormedSpace:
-        return self._target
+        vars(self).update(parts=parts, source=InfSum(tuple(p.source for p in parts)),
+                          target=InfSum(tuple(p.target for p in parts)))
 
     def _forward(self, X: np.ndarray) -> np.ndarray:
-        pieces = self._source.split(X)
+        pieces = self.source.split(X)
         return np.concatenate([p._forward(x) for p, x in zip(self.parts, pieces)], axis=1)
 
     def _backward(self, W: np.ndarray) -> np.ndarray:
-        pieces = self._target.split(W)
+        pieces = self.target.split(W)
         return np.concatenate([p._backward(w) for p, w in zip(self.parts, pieces)], axis=1)
 
 

@@ -348,10 +348,7 @@ class DayJames(FrozenValue, NormedSpace):
     def __init__(self, p: float, q: float):
         object.__setattr__(self, "p", _check_exponent(p))
         object.__setattr__(self, "q", _check_exponent(q))
-
-    @property
-    def dim(self) -> int:
-        return 2
+        object.__setattr__(self, "dim", 2)
 
     @property
     def radon_candidate(self) -> bool:
@@ -416,13 +413,10 @@ class InfSum(FrozenValue, NormedSpace):
         for part in parts:
             offsets.append(offsets[-1] + part.dim)
         object.__setattr__(self, "_offsets", tuple(offsets))
+        object.__setattr__(self, "dim", offsets[-1])
         # split's index of each part's columns, for a vector or rows alike.
         object.__setattr__(self, "_columns", tuple(
             (..., slice(a, b)) for a, b in zip(offsets, offsets[1:])))
-
-    @property
-    def dim(self) -> int:
-        return self._offsets[-1]
 
     def split(self, arr: np.ndarray) -> list[np.ndarray]:
         """Views of the part restrictions of a checked vector (or of the

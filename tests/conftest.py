@@ -89,6 +89,18 @@ def non_radon_map(plane, grid_size=256):
         return bj.build_preserver(plane, grid_size)
 
 
+class _RadialInverse(bj.RadonPlaneMap):
+    def _backward(self, W):
+        return (self.target._norms(W) / np.hypot(W[:, 0], W[:, 1]))[:, None] * W
+
+
+def radial_inverse_map(plane):
+    """The plane map onto plane with a wrong inverse: each nonzero row w maps
+    back to (||w|| / |w|_2) w, which keeps the norm but not the direction.
+    verify_preserver never runs the inverse, so it passes this map."""
+    return _RadialInverse(plane)
+
+
 def outcome(fn, *args):
     """fn(*args), or the type of the BjorthError it raises."""
     try:

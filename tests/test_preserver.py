@@ -17,7 +17,8 @@ from bjorth.errors import (
 from bjorth.orthogonality import witness_rows
 from bjorth.preserver import _pair_agreement
 
-from conftest import KIND, SPACE_ZOO, draw_vector, judge_stack, non_radon_map, random_nonzero
+from conftest import (KIND, SPACE_ZOO, draw_vector, judge_stack, non_radon_map,
+                      radial_inverse_map, random_nonzero)
 
 DJ = bj.DayJames(3.0, 1.5)
 L2 = bj.Lp(2, 2.0)
@@ -558,6 +559,24 @@ def test_verify_detects_a_non_radon_target(plane):
     rep = bj.verify_preserver(non_radon_map(plane), 2000, seed=7)
     assert not rep.passed
     assert rep.orth_disagreements >= 1
+
+
+def _round_trip_error(pmap, rows):
+    back = pmap.apply_inverse(pmap.apply(rows))
+    return np.max(np.linalg.norm(back - rows, axis=1) / np.linalg.norm(rows, axis=1))
+
+
+def test_the_radial_inverse_breaks_the_round_trip(dj_map):
+    # The fault map keeps the norm of every preimage but turns its direction.
+    rows = np.random.default_rng(0).standard_normal((2000, 2))
+    assert _round_trip_error(radial_inverse_map(DJ), rows) > 0.1
+    assert _round_trip_error(dj_map, rows) <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="verify_preserver never runs the inverse")
+@pytest.mark.parametrize("seed", [0, 7])
+def test_verify_detects_a_wrong_inverse(seed):
+    assert not bj.verify_preserver(radial_inverse_map(DJ), 2000, seed=seed).passed
 
 
 def test_verify_names_its_first_disagreement(dj_map):

@@ -796,6 +796,26 @@ def _package_modules():
             for path in sorted(package.glob("*.py"))]
 
 
+def test_no_property_restates_a_stored_value():
+    # What a record holds is an attribute, set when it is built; a property
+    # whose body only returns self.<name>, a module-level name or a
+    # constant would restate it.
+    def stored(fn):
+        body = [s for s in fn.body if not (isinstance(s, ast.Expr)
+                                           and isinstance(s.value, ast.Constant))]
+        value = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+        return (isinstance(value, (ast.Constant, ast.Name))
+                or isinstance(value, ast.Attribute) and getattr(value.value, "id", None) == "self")
+
+    accessors = [f"{name}.{cls.name}.{fn.name}" for name, tree in _package_modules()
+                 for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                 and any(getattr(d, "id", None) == "property" for d in fn.decorator_list)
+                 and stored(fn)]
+    assert accessors == []
+    assert bj.PreserverMap.__abstractmethods__ == {"_forward", "_backward"}
+
+
 def test_no_module_imports_dataclasses():
     # The records are plain frozen classes: dataclasses would generate and
     # compile their methods on every import of the package.

@@ -183,3 +183,49 @@ def test_the_abstract_bases_stay_open():
     space = Scaled(2, 3.0)
     space.c = 2.0
     assert space.norm([3.0, 4.0]) == 10.0
+
+
+def _held_values():
+    """name: (record, {attribute: value}) for what a record holds besides
+    its fields: a map's source and target, a space's dim."""
+    dj_map = bj.RadonPlaneMap(DJ)
+    nested = bj.SumMap((dj_map, bj.SumMap((bj.IdentityMap(L2), bj.IdentityMap(bj.LInf(1))))))
+    return {
+        "IdentityMap": (bj.IdentityMap(L2), dict(source=L2, target=L2)),
+        "RadonPlaneMap": (dj_map, dict(source=bj.EUCLIDEAN_PLANE, target=DJ)),
+        "SumMap": (nested, dict(
+            source=bj.InfSum((bj.EUCLIDEAN_PLANE, bj.InfSum((L2, bj.LInf(1))))),
+            target=bj.InfSum((DJ, bj.InfSum((L2, bj.LInf(1))))))),
+        "DayJames": (DJ, dict(dim=2)),
+        "InfSum": (bj.InfSum((DJ, bj.InfSum((bj.Lp(3, 2.5), bj.LInf(1))))), dict(dim=6)),
+    }
+
+
+HELD = _held_values()
+
+
+def test_maps_hold_their_source_and_target_and_spaces_their_dim():
+    assert bj.RadonPlaneMap(DJ).source is bj.EUCLIDEAN_PLANE
+    assert HELD["SumMap"][0].source.dim == 5 and HELD["SumMap"][0].target.dim == 5
+    for record, held in HELD.values():
+        for attr, value in held.items():
+            assert getattr(record, attr) == value and type(getattr(record, attr)) is type(value)
+
+
+@pytest.mark.parametrize("name", HELD)
+def test_held_values_survive_copy_and_pickle(name):
+    record, held = HELD[name]
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record) and repr(twin) == repr(record)
+        assert {attr: getattr(twin, attr) for attr in held} == held
+
+
+@pytest.mark.parametrize("name", HELD)
+def test_held_values_are_frozen(name):
+    record, held = HELD[name]
+    for attr, value in held.items():
+        with pytest.raises(AttributeError):
+            setattr(record, attr, value)
+        with pytest.raises(AttributeError):
+            delattr(record, attr)
+        assert getattr(record, attr) == value
