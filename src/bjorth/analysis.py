@@ -28,8 +28,8 @@ from .orthogonality import (
     witness_rows,
 )
 from .sampling import as_uniform, draw_rows, nonzero_rows
-from .spaces import (DayJames, Frozen, FrozenValue, InfSum, LInf, Lp, NormedSpace,
-                     format_space, partner2, unit_vector_at_angle)
+from .spaces import (Frozen, FrozenValue, InfSum, NormedSpace, format_space, partner2,
+                     unit_vector_at_angle)
 
 # Rows judged per block of array passes: orthograph pairs (all of them up to
 # 362 directions), sum-acute and smoothness samples, and section-search
@@ -64,7 +64,8 @@ def radon_defect(plane: NormedSpace, grid: int = 720,
     the line oracle's min_t ||y(theta_star) + t y(theta)|| falls below
     ||y(theta_star)||.  The defect is the maximal reverse deficit; a witness
     pair (first maximal in grid order) is reported when it exceeds the
-    margin.  Any plane but Lp and Day-James is a max norm: NotSmooth.
+    margin.  A plane that is not a smooth plane (_smooth_plane) raises
+    NotSmooth.
 
     The deficit is oracle_min_over_line's arithmetic on partner2's floats,
     bit for bit: y, y* are unit to within rounding, so L = 2||y*||/||y|| ~ 2
@@ -75,7 +76,7 @@ def radon_defect(plane: NormedSpace, grid: int = 720,
         raise NotAPlane(f"expected a plane, got dimension {plane.dim}")
     grid = check_count(grid, "grid", 16)
     check_margin(margin)
-    if not isinstance(plane, (Lp, DayJames)):
+    if not plane._smooth_plane:
         raise NotSmooth(f"the scan needs a smooth plane, got {format_space(plane)}")
     rows = []
     for theta in np.linspace(0.0, math.pi, grid, endpoint=False).tolist():
@@ -94,27 +95,6 @@ class SmoothnessProbe(FrozenValue):
 
     def __init__(self, smooth: bool, worst_gap: float):
         vars(self).update(smooth=smooth, worst_gap=worst_gap)
-
-
-def _tie_probe(space: NormedSpace) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A deterministic probe point at a norm-attainment tie, with the
-    difference directions along which a kink would show."""
-    if isinstance(space, LInf):
-        dirs = []
-        if space.dim >= 2:
-            d = np.zeros(space.dim)
-            d[0], d[1] = 1.0, -1.0
-            dirs.append(d / math.sqrt(2.0))
-        return np.ones(space.dim), dirs
-    if isinstance(space, InfSum):
-        units = [np.ones(p.dim) / p._norm(np.ones(p.dim)) for p in space.parts]
-        d = np.zeros(space.dim)
-        first, second = space.split(d)[:2]
-        first[:] = units[0] / math.sqrt(2.0)
-        second[:] = -units[1] / math.sqrt(2.0)
-        return np.concatenate(units), [d]
-    x = np.ones(space.dim)
-    return x / space._norm(x), []
 
 
 def smoothness_probe(space: NormedSpace, samples: int = 200, seed: int = 0) -> SmoothnessProbe:
@@ -137,7 +117,7 @@ def smoothness_probe(space: NormedSpace, samples: int = 200, seed: int = 0) -> S
     """
     samples, seed = check_count(samples, "samples"), check_count(seed, "seed", 0)
     dim, step = space.dim, 1e-6
-    tie, kinks = _tie_probe(space)
+    tie, kinks = space._tie_probe()
     worst_gap = 0.0
     singletons = all(len(space._support(x)) == 1 for x in [*np.eye(dim), *-np.eye(dim), tie])
     for start in range(0, samples, PAIR_BLOCK):
@@ -350,7 +330,7 @@ def sum_acute_equivalence_check(space_x: NormedSpace, space_y: NormedSpace,
     band = oracle_exclusion_band(margin)
     sum_space = InfSum((space_x, space_y))
     dim, dx = sum_space.dim, space_x.dim
-    tie_part = 1 if isinstance(space_y, LInf) else 0 if isinstance(space_x, LInf) else None
+    tie_part = 1 if space_y._exact_ties else 0 if space_x._exact_ties else None
     tie_columns = 0 if tie_part is None else sum_space.parts[tie_part].dim + 2
 
     evaluated = disagreements = boundary_excluded = tie_excluded = tie_samples = 0

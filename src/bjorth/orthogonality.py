@@ -22,8 +22,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidMargin, NonFiniteInput, ZeroDirection, ZeroVector
-from .spaces import (TAU_TIE, DayJames, FrozenValue, InfSum, LInf, Lp, NormedSpace, perp2,
-                     top_exponents)
+from .spaces import FrozenValue, NormedSpace, top_exponents
 
 # Default decision margin, relative to the norm of the right argument.
 MARGIN = 1e-9
@@ -488,69 +487,26 @@ def oracle_exclusion_band(margin: float = MARGIN) -> float:
 
 
 def orthogonal_direction(space: NormedSpace, x, rng: np.random.Generator) -> np.ndarray:
-    """Construct y with x exactly orthogonal to y (up to rounding).
-
-    Smooth planes: spaces.perp2, the Euclidean perp of the unique norming
-    functional.  Higher-dimensional p-norm spaces: a random vector
-    projected onto the functional's kernel.  Max norms: a random vector
-    with every tied max coordinate zeroed.  Max-sums: the partner inside
-    one norm-attaining part, zero elsewhere, so the choice is immune to
-    part ties.
+    """Construct y with x exactly orthogonal to y (up to rounding), by the
+    space's own rule (NormedSpace._orth).  Smooth planes: spaces.perp2, the
+    Euclidean perp of the unique norming functional.  Higher-dimensional
+    p-norm spaces: a random vector projected onto the functional's kernel.
+    Max norms: a random vector with every tied max coordinate zeroed.
+    Max-sums: the partner inside one norm-attaining part, zero elsewhere, so
+    the choice is immune to part ties.
     """
     xa = space.check_vector(x)
     if not np.count_nonzero(xa):
         raise ZeroVector("orthogonal partner needs x != 0")
-    return _orthogonal_direction(space, xa, rng)
-
-
-def _orthogonal_direction(space: NormedSpace, xa: np.ndarray,
-                          rng: np.random.Generator) -> np.ndarray:
-    """orthogonal_direction on a checked nonzero array."""
-    if isinstance(space, InfSum):
-        pieces = space.split(xa)
-        norms = [part._norm(piece) for part, piece in zip(space.parts, pieces)]
-        k = norms.index(max(norms))
-        out = np.zeros(space.dim)
-        space.split(out)[k][:] = _orthogonal_direction(space.parts[k], pieces[k], rng)
-        return out
-    if isinstance(space, LInf):
-        m = max(map(abs, xa.tolist()))
-        y = rng.standard_normal(space.dim)
-        y[np.abs(xa) >= (1.0 - 10.0 * TAU_TIE) * m] = 0.0
-        return y
-    if isinstance(space, (Lp, DayJames)) and space.dim == 2:
-        return np.array(perp2(space, *xa.tolist()))
-    f = space._support(xa)[0]
-    xa = np.ldexp(xa, -top_exponents(xa))  # f(x) = ||x|| >= 1/2: f(v) / f(x) stays finite
-    v = rng.standard_normal(space.dim)
-    return v - (float(np.dot(f, v)) / float(np.dot(f, xa))) * xa
+    return space._orth(xa, rng)
 
 
 def orthogonal_rows(space: NormedSpace, X: np.ndarray, V: np.ndarray) -> np.ndarray:
     """orthogonal_direction on every row of X, with row i of V as the random
     vector that row draws.  It checks nothing: X and V are finite (n, dim)
     arrays and every row of X is nonzero, as verify_preserver draws them.
-
-    The rules are orthogonal_direction's, in array passes: planes take
-    spaces.perp2 of each row on Python floats, p-norm spaces project V onto
-    the functional's kernel, max norms zero V at each row's tied
-    coordinates, and max-sums take each row's partner in its first part of
-    largest norm (the row norms decide, so only a part tie within rounding
-    may pick the other side of it).
+    The rules are orthogonal_direction's in array passes (_orth_rows); a
+    max-sum row's part is decided by the row norms, so only a part tie
+    within rounding may pick the other side of it.
     """
-    if isinstance(space, InfSum):
-        xs, out = space.split(X), np.zeros_like(X)
-        top = np.argmax([part._norms(x) for part, x in zip(space.parts, xs)], axis=0)
-        for k, (part, x, v, o) in enumerate(zip(space.parts, xs, space.split(V),
-                                                space.split(out))):
-            rows = top == k
-            o[rows] = orthogonal_rows(part, x[rows], v[rows])
-        return out
-    if isinstance(space, LInf):
-        A = np.abs(X)
-        return np.where(A >= (1.0 - 10.0 * TAU_TIE) * A.max(axis=1, keepdims=True), 0.0, V)
-    if isinstance(space, (Lp, DayJames)) and space.dim == 2:
-        return np.array([perp2(space, a, b) for a, b in X.tolist()]).reshape(-1, 2)
-    fv, _ = space._bounds(X, V)
-    fx, _ = space._bounds(X, X)
-    return V - (fv / fx)[:, None] * X
+    return space._orth_rows(X, V)

@@ -37,25 +37,15 @@ from .errors import (MonotonicityViolation, NoBracket, NonConvergence, NotRadonP
 from .orthogonality import (MARGIN, acute_distance, angle_masks, check_margin,
                             orthogonal_rows, orthogonality_distance, witness_rows)
 from .sampling import as_uniform, draw_rows, nonzero_rows
-from .spaces import (DayJames, Frozen, FrozenValue, InfSum, Lp, NormedSpace, partner2, perp2,
-                     unit2)
+from .spaces import Frozen, FrozenValue, InfSum, Lp, NormedSpace, partner2, perp2, unit2
 
 HALF_PI = 0.5 * math.pi
 
 EUCLIDEAN_PLANE = Lp(dim=2, p=2.0)
 
 
-def _is_radon_target(plane: NormedSpace) -> bool:
-    """The smooth Radon planes the map is built for: lp:2:2, and DayJames with
-    conjugate exponents, |1/p + 1/q - 1| <= 1e-12 to absorb rounding (4 and
-    4/3).  Other Lp planes are smooth but not Radon; LInf is not smooth."""
-    if isinstance(plane, DayJames):
-        return plane.radon_candidate
-    return isinstance(plane, Lp) and plane.dim == 2 and plane.p == 2.0
-
-
 def _require_radon(plane: NormedSpace) -> None:
-    if not _is_radon_target(plane):
+    if not plane.radon_candidate:
         raise NotRadonPlane(f"not a supported smooth Radon plane: {plane!r}")
 
 
@@ -157,8 +147,8 @@ class RadonPlaneMap(Frozen, PreserverMap):
     functional at (a, b) on the second: by Radon symmetry, y(s) is
     orthogonal to y(psi) exactly when y(psi) is orthogonal to y(s), so the
     functional at y(psi) annuls y(s) and points along the preimage pi/2 + s.
-    The map holds only its plane and refuses one that is not a supported
-    smooth Radon plane (NotRadonPlane); build_preserver also certifies, by
+    The map holds only its plane and refuses one whose radon_candidate is
+    false (NotRadonPlane); build_preserver also certifies, by
     pairing_table, that the plane's pairing is a strictly increasing
     bijection with pinned endpoints.
     """

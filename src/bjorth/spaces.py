@@ -196,9 +196,21 @@ class NormedSpace(ABC):
     Python floats (``_line2``).  Public entry points pass each caller's
     vector through ``check_vector`` (a stack of rows through ``check_rows``)
     once; a vector is zero only when every coordinate is exactly zero.
+
+    Each family states its capabilities, so no other module asks which
+    family a space is.  The defaults fit a smooth space; a family overrides
+    where it differs: ``_smooth_plane`` (a smooth plane, supplying
+    ``_norm2``, ``_grad2`` and a ``_line`` of 2-sequences on Python
+    floats), ``radon_candidate`` (a smooth Radon plane, the plane map's
+    target), ``_exact_ties`` (scaling a vector whose largest coordinate is
+    +-1 scales its norm exactly: the sum-acute ties), ``_orth`` and
+    ``_orth_rows`` (orthogonal_direction's and orthogonal_rows' rules and
+    draws), and ``_tie_probe``.  A leaf of the descriptor grammars
+    (_LEAVES) also names its compact ``_tag`` and its JSON ``_type``.
     """
 
     dim: int
+    _smooth_plane = radon_candidate = _exact_ties = False
 
     def check_vector(self, v) -> np.ndarray:
         arr = np.asarray(v, dtype=float)
@@ -239,6 +251,29 @@ class NormedSpace(ABC):
         """The line oracles' objective t -> ||xa + t*ya||, on checked arrays."""
         return lambda t: self._norm(xa + t * ya)
 
+    def _orth(self, xa: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """orthogonal_direction on a checked nonzero array: perp2 on a smooth
+        plane, else a random vector projected onto the kernel of the first
+        norming functional."""
+        if self._smooth_plane:
+            return np.array(perp2(self, *xa.tolist()))
+        f = self._support(xa)[0]
+        xa = np.ldexp(xa, -top_exponents(xa))  # f(x) = ||x|| >= 1/2: f(v) / f(x) stays finite
+        v = rng.standard_normal(self.dim)
+        return v - (float(np.dot(f, v)) / float(np.dot(f, xa))) * xa
+
+    def _orth_rows(self, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """orthogonal_rows: _orth's rule in array passes, row i of V drawn."""
+        if self._smooth_plane:
+            return np.array([perp2(self, a, b) for a, b in X.tolist()]).reshape(-1, 2)
+        return V - (self._bounds(X, V)[0] / self._bounds(X, X)[0])[:, None] * X
+
+    def _tie_probe(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """A deterministic probe point at a norm-attainment tie, with the
+        difference directions along which a kink would show."""
+        x = np.ones(self.dim)
+        return x / self._norm(x), []
+
     @abstractmethod
     def _norm(self, arr: np.ndarray) -> float: ...
 
@@ -255,11 +290,17 @@ class NormedSpace(ABC):
 class Lp(FrozenValue, NormedSpace):
     """R^dim with the p-norm, 1 < p < inf (smooth; p = inf is LInf)."""
 
-    _fields = ("dim", "p")
+    _fields, _tag, _type = ("dim", "p"), "lp", "lp"
 
     def __init__(self, dim: int, p: float):
         object.__setattr__(self, "dim", _check_dim(dim))
         object.__setattr__(self, "p", _check_exponent(p))
+        object.__setattr__(self, "_smooth_plane", self.dim == 2)
+
+    @property
+    def radon_candidate(self) -> bool:
+        """The Euclidean plane lp:2:2; other Lp planes are smooth but not Radon."""
+        return self._smooth_plane and self.p == 2.0
 
     def _norm(self, arr):
         if self.dim == 2:
@@ -302,10 +343,26 @@ class Lp(FrozenValue, NormedSpace):
 class LInf(FrozenValue, NormedSpace):
     """R^dim with the max norm (not smooth at coordinate ties)."""
 
-    _fields = ("dim",)
+    _fields, _tag, _type = ("dim",), "linf", "linf"
+    _exact_ties = True
 
     def __init__(self, dim: int):
         object.__setattr__(self, "dim", _check_dim(dim))
+
+    def _orth(self, xa, rng):
+        # A random vector with every tied max coordinate zeroed.
+        m = max(map(abs, xa.tolist()))
+        y = rng.standard_normal(self.dim)
+        y[np.abs(xa) >= (1.0 - 10.0 * TAU_TIE) * m] = 0.0
+        return y
+
+    def _orth_rows(self, X, V):
+        A = np.abs(X)
+        return np.where(A >= (1.0 - 10.0 * TAU_TIE) * A.max(axis=1, keepdims=True), 0.0, V)
+
+    def _tie_probe(self):
+        e = np.eye(self.dim)  # the kink along e0 - e1, none at dim 1
+        return np.ones(self.dim), list((e[:1] - e[1:2]) / math.sqrt(2.0))
 
     def _norm(self, arr):
         return max(map(abs, arr.tolist()))
@@ -343,7 +400,8 @@ class DayJames(FrozenValue, NormedSpace):
     derived ``radon_candidate`` flag.
     """
 
-    _fields = ("p", "q")
+    _fields, _tag, _type = ("p", "q"), "dayjames", "day_james"
+    _smooth_plane = True
 
     def __init__(self, p: float, q: float):
         object.__setattr__(self, "p", _check_exponent(p))
@@ -423,6 +481,33 @@ class InfSum(FrozenValue, NormedSpace):
         rows of an (n, dim) array)."""
         return [arr[c] for c in self._columns]
 
+    def _orth(self, xa, rng):
+        # The partner inside the first norm-attaining part, zero elsewhere,
+        # so the choice is immune to part ties.
+        pieces = self.split(xa)
+        norms = [part._norm(piece) for part, piece in zip(self.parts, pieces)]
+        k = norms.index(max(norms))
+        out = np.zeros(self.dim)
+        self.split(out)[k][:] = self.parts[k]._orth(pieces[k], rng)
+        return out
+
+    def _orth_rows(self, X, V):
+        # Each row's partner in its first part of largest row norm.
+        xs, out = self.split(X), np.zeros_like(X)
+        top = np.argmax([part._norms(x) for part, x in zip(self.parts, xs)], axis=0)
+        for k, (part, x, v, o) in enumerate(zip(self.parts, xs, self.split(V), self.split(out))):
+            rows = top == k
+            o[rows] = part._orth_rows(x[rows], v[rows])
+        return out
+
+    def _tie_probe(self):
+        units = [np.ones(p.dim) / p._norm(np.ones(p.dim)) for p in self.parts]
+        d = np.zeros(self.dim)
+        first, second = self.split(d)[:2]
+        first[:] = units[0] / math.sqrt(2.0)
+        second[:] = -units[1] / math.sqrt(2.0)
+        return np.concatenate(units), [d]
+
     def _norm(self, arr):
         off = self._offsets
         return max([part._norm(arr[off[k] : off[k + 1]]) for k, part in enumerate(self.parts)])
@@ -480,58 +565,45 @@ def validate_space(descriptor) -> NormedSpace:
     if not isinstance(descriptor, dict):
         raise ParseError(f"space description must be a dict, got {type(descriptor).__name__}")
     kind = descriptor.get("type")
-    if kind == "lp":
-        return Lp(dim=_field(descriptor, "dim", _parse_int),
-                  p=_field(descriptor, "p", _parse_float))
-    if kind == "linf":
-        return LInf(dim=_field(descriptor, "dim", _parse_int))
-    if kind == "day_james":
-        return DayJames(p=_field(descriptor, "p", _parse_float),
-                        q=_field(descriptor, "q", _parse_float))
     if kind == "inf_sum":
         parts = descriptor.get("parts")
         if not isinstance(parts, (list, tuple)):
             raise ParseError("inf_sum requires a list of parts")
         return InfSum(tuple(validate_space(p) for p in parts))
+    for cls in _LEAVES:  # compared, not hashed: a JSON type may be a list
+        if kind == cls._type:
+            return cls(*(_field(descriptor, key) for key in cls._fields))
     raise ParseError(f"unknown space type: {kind!r}")
 
 
-def _field(d: dict, key: str, parse):
-    """Field key of a JSON description, read by _parse_int or _parse_float."""
+def _field(d: dict, key: str):
+    """Field key of a JSON description, read by its reader in _READERS."""
     if key not in d:
         raise ParseError(f"missing field {key!r}")
-    return parse(d[key], f"field {key}")
+    return _READERS[key](d[key], f"field {key}")
 
 
 def space_to_dict(space: NormedSpace) -> dict:
     """JSON-ready description; inverse of validate_space."""
-    if isinstance(space, Lp):
-        return {"type": "lp", "dim": space.dim, "p": space.p}
-    if isinstance(space, LInf):
-        return {"type": "linf", "dim": space.dim}
-    if isinstance(space, DayJames):
-        return {"type": "day_james", "p": space.p, "q": space.q}
     if isinstance(space, InfSum):
         return {"type": "inf_sum", "parts": [space_to_dict(p) for p in space.parts]}
-    raise TypeError(f"unknown space: {space!r}")
+    if not isinstance(space, _LEAVES):
+        raise TypeError(f"unknown space: {space!r}")
+    return {"type": space._type, **dict(zip(space._fields, space._values()))}
 
 
-def _fmt_number(x: float) -> str:
-    s = repr(float(x))
+def _fmt_number(x) -> str:
+    s = repr(x if isinstance(x, int) else float(x))
     return s[:-2] if s.endswith(".0") else s
 
 
 def format_space(space: NormedSpace) -> str:
     """Compact string form: lp:2:3, linf:4, dayjames:3:1.5, sum(a,b)."""
-    if isinstance(space, Lp):
-        return f"lp:{space.dim}:{_fmt_number(space.p)}"
-    if isinstance(space, LInf):
-        return f"linf:{space.dim}"
-    if isinstance(space, DayJames):
-        return f"dayjames:{_fmt_number(space.p)}:{_fmt_number(space.q)}"
     if isinstance(space, InfSum):
         return "sum(" + ",".join(format_space(p) for p in space.parts) + ")"
-    raise TypeError(f"unknown space: {space!r}")
+    if not isinstance(space, _LEAVES):
+        raise TypeError(f"unknown space: {space!r}")
+    return ":".join([space._tag, *map(_fmt_number, space._values())])
 
 
 def parse_space(text: str) -> NormedSpace:
@@ -564,14 +636,10 @@ def parse_space(text: str) -> NormedSpace:
             except ParseError as exc:
                 raise ParseError(f"{exc}, in {text!r}") from exc
         return InfSum(tuple(parts))
-    fields = s.split(":")
-    head = fields[0]
-    if head == "lp" and len(fields) == 3:
-        return Lp(dim=_parse_int(fields[1], text), p=_parse_float(fields[2], text))
-    if head == "linf" and len(fields) == 2:
-        return LInf(dim=_parse_int(fields[1], text))
-    if head == "dayjames" and len(fields) == 3:
-        return DayJames(p=_parse_float(fields[1], text), q=_parse_float(fields[2], text))
+    head, *tokens = s.split(":")
+    for cls in _LEAVES:
+        if head == cls._tag and len(tokens) == len(cls._fields):
+            return cls(*(_READERS[key](t, text) for key, t in zip(cls._fields, tokens)))
     raise ParseError(f"cannot parse space descriptor {text!r}")
 
 
@@ -591,6 +659,11 @@ def _parse_float(token, context: str) -> float:
         return float(token)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"expected a number, got {token!r} in {context!r}") from exc
+
+
+# The leaf families of both grammars, and the reader of each of their fields.
+_LEAVES = (Lp, LInf, DayJames)
+_READERS = {"dim": _parse_int, "p": _parse_float, "q": _parse_float}
 
 
 def load_space_file(path) -> NormedSpace:
@@ -623,7 +696,7 @@ def unit2(plane: NormedSpace, theta: float) -> tuple[float, float]:
 
 def perp2(plane: NormedSpace, a: float, b: float) -> tuple[float, float]:
     """The Euclidean perp (-f_b, f_a) of the norming functional f of a smooth
-    plane (Lp or DayJames) at (a, b) != 0, on Python floats.  f annuls it
+    plane (_smooth_plane) at (a, b) != 0, on Python floats.  f annuls it
     exactly, as fa * -fb + fb * fa vanishes in floating point, so (a, b) is
     Birkhoff-James orthogonal to it; on an axis f is (+-1, 0) or (0, +-1)
     exactly.  A plane's functional leaves this module only through here."""

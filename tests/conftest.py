@@ -83,9 +83,9 @@ def non_radon_map(plane, grid_size=256):
     fault-injection control.  Its pairing of directions is not symmetric
     there, so images of orthogonal pairs whose first vector lies in the
     second quadrant are not orthogonal.  build_preserver refuses the plane,
-    so its Radon check is switched off while it builds."""
+    so its family's radon_candidate is set while it builds."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bj.preserver, "_is_radon_target", lambda plane: True)
+        mp.setattr(type(plane), "radon_candidate", True)
         return bj.build_preserver(plane, grid_size)
 
 

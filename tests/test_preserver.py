@@ -77,8 +77,10 @@ def test_pairing_matches_analytic_perp_on_grid():
 
 # Planes that are not smooth Radon planes, or not planes: a Day-James plane
 # off its conjugate pair, l_p planes with p != 2, l_inf and the 3-D l_2.
+# A non-Radon space of every family: the gate is each family's radon_candidate.
 NON_RADON_PLANES = [bj.Lp(2, 3.0), bj.Lp(2, 1.5), bj.DayJames(3.0, 2.0), bj.LInf(2),
-                    bj.Lp(3, 2.0)]
+                    bj.Lp(3, 2.0), bj.InfSum((bj.LInf(1), bj.LInf(1))),
+                    bj.InfSum((bj.Lp(1, 3.0), bj.LInf(1)))]
 
 
 @pytest.mark.parametrize("plane", NON_RADON_PLANES, ids=str)

@@ -120,8 +120,12 @@ def test_orthogonal_rows_matches_orthogonal_direction(space):
     X[0] = np.eye(space.dim)[0]
     if isinstance(space, bj.InfSum):  # an exact part tie: every part's first axis
         X[1] = np.concatenate([np.eye(p.dim)[0] for p in space.parts])
-    rows = orthogonal_rows(space, X, V)
-    stacked = np.array([bj.orthogonal_direction(space, x, _Draw(_partner_draw(space, x, v)))
-                        for x, v in zip(X, V)])
-    np.testing.assert_allclose(rows, stacked, rtol=1e-12, atol=1e-15)
-    assert bj.classify_many(space, X, rows).is_orthogonal.all()
+    # Every row at each magnitude the relation is defined on: agreement to a
+    # relative 1e-12 with no absolute slack, and every partner orthogonal.
+    for scale in (1e-300, 1e-200, 1e-100, 1.0, 1e100, 1e200, 1e300):
+        Xs = X * scale
+        rows = orthogonal_rows(space, Xs, V)
+        stacked = np.array([bj.orthogonal_direction(space, x, _Draw(_partner_draw(space, x, v)))
+                            for x, v in zip(Xs, V)])
+        np.testing.assert_allclose(rows, stacked, rtol=1e-12, atol=0.0, err_msg=f"{scale}")
+        assert bj.classify_many(space, Xs, rows).is_orthogonal.all(), scale

@@ -346,6 +346,94 @@ def test_parse_examples():
         bj.parse_space("sum(lp:2:2")
 
 
+_CANNOT = "cannot parse space descriptor {!r}"
+_EXPONENT = "exponent must be finite and > 1, got {}"
+# Malformed compact descriptors: the exception type and message of each.
+COMPACT_ERRORS = [
+    *[(text, ParseError, _CANNOT.format(text)) for text in (
+        "lp:2", "lp:2:3:4", "linf", "sum:1", "Lp:2:3", "day_james:3:1.5", "dayjames:3")],
+    ("lp:2.5:3", ParseError, "expected an integer, got '2.5' in 'lp:2.5:3'"),
+    ("linf:2.0", ParseError, "expected an integer, got '2.0' in 'linf:2.0'"),
+    ("lp:x:y", ParseError, "expected an integer, got 'x' in 'lp:x:y'"),
+    ("lp::3", ParseError, "expected an integer, got '' in 'lp::3'"),
+    ("dayjames:3:x", ParseError, "expected a number, got 'x' in 'dayjames:3:x'"),
+    ("lp:2:nan", InvalidExponent, _EXPONENT.format("nan")),
+    ("lp:2:1e999", InvalidExponent, _EXPONENT.format("inf")),
+    ("lp:2:1", InvalidExponent, _EXPONENT.format("1.0")),
+    ("dayjames:inf:2", InvalidExponent, _EXPONENT.format("inf")),
+    ("linf:0", BadDimension, "dimension must be a positive integer, got 0"),
+    ("linf:-3", BadDimension, "dimension must be a positive integer, got -3"),
+    ("  ", ParseError, "empty space descriptor"),
+    ("sum(linf:1)", EmptySum, "a max-sum needs at least 2 parts, got 1"),
+    ("sum(linf:1,)", ParseError, "empty space descriptor, in 'sum(linf:1,)'"),
+    ("sum(lp:2:3,linf:x)", ParseError,
+     "expected an integer, got 'x' in 'linf:x', in 'sum(lp:2:3,linf:x)'"),
+]
+# Malformed JSON descriptions: the first missing field in _fields order is
+# named, and a dim is read before a p is missed.
+JSON_ERRORS = [
+    ({"type": "lp"}, ParseError, "missing field 'dim'"),
+    ({"type": "lp", "p": 3}, ParseError, "missing field 'dim'"),
+    ({"type": "lp", "dim": 2}, ParseError, "missing field 'p'"),
+    ({"type": "linf"}, ParseError, "missing field 'dim'"),
+    ({"type": "day_james"}, ParseError, "missing field 'p'"),
+    ({"type": "day_james", "p": 3}, ParseError, "missing field 'q'"),
+    ({"type": ["lp"]}, ParseError, "unknown space type: ['lp']"),
+    ({"type": "dayjames"}, ParseError, "unknown space type: 'dayjames'"),
+    ({}, ParseError, "unknown space type: None"),
+    ([], ParseError, "space description must be a dict, got list"),
+    ({"type": "lp", "dim": True, "p": 3}, BadDimension,
+     "expected an integer, got True in 'field dim'"),
+    ({"type": "lp", "dim": True}, BadDimension, "expected an integer, got True in 'field dim'"),
+    ({"type": "lp", "dim": 2.5, "p": 3}, BadDimension,
+     "expected an integer, got 2.5 in 'field dim'"),
+    ({"type": "lp", "dim": "x", "p": 3}, ParseError, "expected an integer, got 'x' in 'field dim'"),
+    ({"type": "linf", "dim": None}, ParseError, "expected an integer, got None in 'field dim'"),
+    ({"type": "lp", "dim": 2, "p": "x"}, ParseError, "expected a number, got 'x' in 'field p'"),
+    ({"type": "lp", "dim": 2, "p": None}, ParseError, "expected a number, got None in 'field p'"),
+    ({"type": "lp", "dim": 2, "p": 10**400}, ParseError,
+     f"expected a number, got {10**400!r} in 'field p'"),
+    ({"type": "linf", "dim": 0}, BadDimension, "dimension must be a positive integer, got 0"),
+    ({"type": "day_james", "p": 3, "q": 0.5}, InvalidExponent, _EXPONENT.format("0.5")),
+    ({"type": "inf_sum"}, ParseError, "inf_sum requires a list of parts"),
+    ({"type": "inf_sum", "parts": [{"type": "linf", "dim": 1}]}, EmptySum,
+     "a max-sum needs at least 2 parts, got 1"),
+    ({"type": "inf_sum", "parts": [{"type": "linf", "dim": 1}, {"type": "x"}]}, ParseError,
+     "unknown space type: 'x'"),
+]
+
+
+def _raises(parse, descriptor, want, message):
+    with pytest.raises(bj.BjorthError) as err:
+        parse(descriptor)
+    assert type(err.value) is want and str(err.value) == message
+
+
+@pytest.mark.parametrize("text, want, message", COMPACT_ERRORS,
+                         ids=[repr(case[0]) for case in COMPACT_ERRORS])
+def test_malformed_compact_descriptors_keep_their_exception_and_message(text, want, message):
+    _raises(bj.parse_space, text, want, message)
+
+
+@pytest.mark.parametrize("descriptor, want, message", JSON_ERRORS,
+                         ids=[repr(case[0]) for case in JSON_ERRORS])
+def test_malformed_json_descriptions_keep_their_exception_and_message(descriptor, want,
+                                                                      message):
+    _raises(bj.validate_space, descriptor, want, message)
+
+
+@pytest.mark.parametrize("space, text, description", [
+    (bj.LInf(2**60), f"linf:{str(2**60)}", {"type": "linf", "dim": 2**60}),
+    (bj.Lp(10**17, 3.0), f"lp:{str(10**17)}:3", {"type": "lp", "dim": 10**17, "p": 3.0}),
+], ids=["linf:2**60", "lp:10**17:3"])
+def test_large_dimensions_round_trip_through_both_grammars(space, text, description):
+    # A dim is written as an integer, never as a float such as 1e+17.
+    assert bj.format_space(space) == text and bj.parse_space(text) == space
+    assert bj.space_to_dict(space) == description
+    assert type(bj.space_to_dict(space)["dim"]) is int
+    assert bj.validate_space(description) == space
+
+
 def test_parse_error_names_the_piece_and_the_descriptor():
     with pytest.raises(ParseError) as err:
         bj.parse_space("sum(lp:2:2,foo:1)")
@@ -794,6 +882,29 @@ def _package_modules():
     package = Path(bj.__file__).parent
     return [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
             for path in sorted(package.glob("*.py"))]
+
+
+FAMILIES = {"Lp", "LInf", "DayJames", "InfSum"}
+
+
+def test_only_spaces_asks_which_family_a_space_is():
+    # Each family states its capabilities (NormedSpace's docstring), so a new
+    # family needs no edit outside spaces; orthogonality does not even import
+    # one.  Other modules name the families only to build spaces.
+    def classes(node):
+        named = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+        return {getattr(n, "id", getattr(n, "attr", None)) for n in named}
+
+    tests, imports = [], []
+    for name, tree in _package_modules():
+        for node in ast.walk(tree):
+            if (name != "spaces" and isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "isinstance"
+                    and classes(node) & FAMILIES):
+                tests.append(f"{name}:{node.lineno}")
+            if name == "orthogonality" and isinstance(node, ast.ImportFrom):
+                imports += [a.name for a in node.names if a.name in FAMILIES]
+    assert tests == [] and imports == []
 
 
 def test_no_property_restates_a_stored_value():
