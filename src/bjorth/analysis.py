@@ -28,7 +28,7 @@ from .orthogonality import (
     witness_rows,
 )
 from .sampling import as_uniform, draw_rows, nonzero_rows
-from .spaces import (Frozen, FrozenValue, InfSum, NormedSpace, format_space, partner2,
+from .spaces import (Frozen, FrozenValue, InfSum, NormedSpace, Report, partner2, space_label,
                      unit_vector_at_angle)
 
 # Rows judged per block of array passes: orthograph pairs (all of them up to
@@ -48,10 +48,6 @@ class RadonScan(Frozen):
     forward_residual, reverse_deficit)."""
 
     _fields = ("defect", "witness", "rows")
-
-    def __init__(self, defect: float, witness: tuple[float, float] | None,
-                 rows: list[tuple[float, float, float, float]]):
-        vars(self).update(defect=defect, witness=witness, rows=rows)
 
 
 def radon_defect(plane: NormedSpace, grid: int = 720,
@@ -77,7 +73,7 @@ def radon_defect(plane: NormedSpace, grid: int = 720,
     grid = check_count(grid, "grid", 16)
     check_margin(margin)
     if not plane._smooth_plane:
-        raise NotSmooth(f"the scan needs a smooth plane, got {format_space(plane)}")
+        raise NotSmooth(f"the scan needs a smooth plane, got {space_label(plane)}")
     rows = []
     for theta in np.linspace(0.0, math.pi, grid, endpoint=False).tolist():
         y, theta_star, y_star, forward = partner2(plane, theta)
@@ -92,9 +88,6 @@ def radon_defect(plane: NormedSpace, grid: int = 720,
 
 class SmoothnessProbe(FrozenValue):
     _fields = ("smooth", "worst_gap")
-
-    def __init__(self, smooth: bool, worst_gap: float):
-        vars(self).update(smooth=smooth, worst_gap=worst_gap)
 
 
 def smoothness_probe(space: NormedSpace, samples: int = 200, seed: int = 0) -> SmoothnessProbe:
@@ -230,20 +223,16 @@ def _judge_rows(space: NormedSpace, X, Y, margin: float) -> tuple:
     return acute | orthogonal, orthogonal | ~live, acute_distance(mx, scale)
 
 
-class SumAcuteReport(FrozenValue):
+class SumAcuteReport(Report):
     """Outcome of the max-sum acute-angle equivalence sweep on the space
-    named by space (its format_space form); first_disagreement is the first
-    sample that disagrees."""
+    named by space_label; first_disagreement, the first that disagrees."""
 
     _fields = ("space", "samples", "evaluated", "disagreements", "boundary_excluded",
                "tie_excluded", "tie_samples", "seed", "first_disagreement")
-
-    def __init__(self, space: str, samples: int, evaluated: int, disagreements: int,
-                 boundary_excluded: int, tie_excluded: int, tie_samples: int, seed: int,
-                 first_disagreement: int | None = None):
-        vars(self).update(zip(self._fields, (space, samples, evaluated, disagreements,
-                                             boundary_excluded, tie_excluded, tie_samples,
-                                             seed, first_disagreement)))
+    _defaults = {"first_disagreement": None}
+    _json = ("space", "samples", "evaluated", "disagreements", "first_disagreement",
+             "boundary_excluded", "tie_excluded", "tie_samples", "excluded_fraction", "seed",
+             ("pass", "passed"))
 
     @property
     def excluded_fraction(self) -> float:
@@ -252,24 +241,6 @@ class SumAcuteReport(FrozenValue):
     @property
     def passed(self) -> bool:
         return self.disagreements == 0
-
-    def to_dict(self) -> dict:
-        from . import __version__
-
-        return {
-            "space": self.space,
-            "samples": self.samples,
-            "evaluated": self.evaluated,
-            "disagreements": self.disagreements,
-            "first_disagreement": self.first_disagreement,
-            "boundary_excluded": self.boundary_excluded,
-            "tie_excluded": self.tie_excluded,
-            "tie_samples": self.tie_samples,
-            "excluded_fraction": self.excluded_fraction,
-            "seed": self.seed,
-            "pass": self.passed,
-            "tool_version": __version__,
-        }
 
 
 def _exact_tie(sum_space: InfSum, k: int, z1: np.ndarray, draws: np.ndarray) -> np.ndarray | None:
@@ -372,7 +343,7 @@ def sum_acute_equivalence_check(space_x: NormedSpace, space_y: NormedSpace,
         evaluated += int(judged.sum())
         disagreements += len(wrong)
 
-    return SumAcuteReport(space=format_space(sum_space), samples=n_samples, evaluated=evaluated,
+    return SumAcuteReport(space=space_label(sum_space), samples=n_samples, evaluated=evaluated,
                           disagreements=disagreements, boundary_excluded=boundary_excluded,
                           tie_excluded=tie_excluded, tie_samples=tie_samples, seed=seed,
                           first_disagreement=first)
@@ -383,9 +354,6 @@ class Orthograph(Frozen):
     Birkhoff-James orthogonality."""
 
     _fields = ("vectors", "adjacency")
-
-    def __init__(self, vectors: list[np.ndarray], adjacency: np.ndarray):
-        vars(self).update(vectors=vectors, adjacency=adjacency)
 
     def edge_list(self) -> list[tuple[int, int]]:
         return [tuple(e) for e in np.argwhere(np.triu(self.adjacency, 1)).tolist()]

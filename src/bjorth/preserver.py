@@ -37,7 +37,7 @@ from .errors import (MonotonicityViolation, NoBracket, NonConvergence, NotRadonP
 from .orthogonality import (MARGIN, acute_distance, angle_masks, check_margin,
                             orthogonal_rows, orthogonality_distance, witness_rows)
 from .sampling import as_uniform, draw_rows, nonzero_rows
-from .spaces import Frozen, FrozenValue, InfSum, Lp, NormedSpace, partner2, perp2, unit2
+from .spaces import Frozen, InfSum, Lp, NormedSpace, Report, partner2, perp2, unit2
 
 HALF_PI = 0.5 * math.pi
 
@@ -231,44 +231,21 @@ def compose_inf_sum(parts) -> SumMap:
     return SumMap(parts=tuple(parts))
 
 
-class VerificationReport(FrozenValue):
+class VerificationReport(Report):
     """Outcome of a seeded preserver verification sweep; first_disagreement
     is the first sample that disagrees."""
 
     _fields = ("samples", "boundary_excluded", "orth_disagreements", "acute_disagreements",
                "max_norm_error", "max_homog_error", "continuity_modulus", "seed", "passed",
                "first_disagreement")
-
-    def __init__(self, samples: int, boundary_excluded: int, orth_disagreements: int,
-                 acute_disagreements: int, max_norm_error: float, max_homog_error: float,
-                 continuity_modulus: float, seed: int, passed: bool,
-                 first_disagreement: int | None = None):
-        vars(self).update(zip(self._fields, (samples, boundary_excluded, orth_disagreements,
-                                             acute_disagreements, max_norm_error,
-                                             max_homog_error, continuity_modulus, seed, passed,
-                                             first_disagreement)))
+    _defaults = {"first_disagreement": None}
+    _json = ("samples", "disagreements", "first_disagreement", "boundary_excluded",
+             "max_norm_error", "max_homog_error", "continuity_modulus", "seed", ("pass", "passed"),
+             ("orthogonality_disagreements", "orth_disagreements"), "acute_disagreements")
 
     @property
     def disagreements(self) -> int:
         return self.orth_disagreements + self.acute_disagreements
-
-    def to_dict(self) -> dict:
-        from . import __version__
-
-        return {
-            "samples": self.samples,
-            "disagreements": self.disagreements,
-            "first_disagreement": self.first_disagreement,
-            "boundary_excluded": self.boundary_excluded,
-            "max_norm_error": self.max_norm_error,
-            "max_homog_error": self.max_homog_error,
-            "continuity_modulus": self.continuity_modulus,
-            "seed": self.seed,
-            "pass": self.passed,
-            "orthogonality_disagreements": self.orth_disagreements,
-            "acute_disagreements": self.acute_disagreements,
-            "tool_version": __version__,
-        }
 
 
 def _pair_agreement(source: tuple, image: tuple, margin: float,

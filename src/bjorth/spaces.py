@@ -26,6 +26,7 @@ from functools import reduce
 
 import numpy as np
 
+from . import __version__
 from .errors import (
     BadDimension,
     DimensionMismatch,
@@ -152,10 +153,25 @@ def top_exponents(V: np.ndarray):
 
 class Frozen:
     """Base of the package's immutable records: a record names its fields in
-    _fields and sets them in __init__ through object.__setattr__ or
-    vars(self), after which assigning or deleting an attribute raises
+    _fields, after which assigning or deleting an attribute raises
     AttributeError.  repr is Name(field=value, ...); records compare by
-    identity, FrozenValue's by their fields."""
+    identity, FrozenValue's by their fields.  A plain record takes this
+    __init__: its fields by position or keyword, unset ones from _defaults.
+    A record that checks or derives attributes sets them in its own __init__
+    (vars(self) or object.__setattr__): the spaces, SectionCandidate, the
+    maps; and AngleRelation, built on every classify_angle, where this
+    binder costs about three times the explicit one."""
+
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        fields, bound = self._fields, dict(zip(self._fields, args))
+        unknown, twice = sorted(kwargs.keys() - set(fields)), sorted(kwargs.keys() & bound.keys())
+        missing = [k for k in fields[len(args):] if k not in kwargs and k not in self._defaults]
+        if len(args) > len(fields) or unknown or twice or missing:
+            raise TypeError(f"{type(self).__qualname__} takes {fields}: got {len(args)} by "
+                            f"position; unknown {unknown}, repeated {twice}, missing {missing}")
+        vars(self).update(self._defaults, **bound, **kwargs)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -184,6 +200,16 @@ class FrozenValue(Frozen):
         return hash(self._values())
 
 
+class Report(FrozenValue):
+    """A FrozenValue record with a JSON form: to_dict emits the keys _json
+    lays out, each an attribute name or a (key, attribute) pair, in order,
+    then tool_version."""
+
+    def to_dict(self) -> dict:
+        keys = [(e, e) if isinstance(e, str) else e for e in self._json]
+        return {**{key: getattr(self, attr) for key, attr in keys}, "tool_version": __version__}
+
+
 class NormedSpace(ABC):
     """Common interface: a norm and extreme points of the norming set.
 
@@ -199,14 +225,14 @@ class NormedSpace(ABC):
 
     Each family states its capabilities, so no other module asks which
     family a space is.  The defaults fit a smooth space; a family overrides
-    where it differs: ``_smooth_plane`` (a smooth plane, supplying
-    ``_norm2``, ``_grad2`` and a ``_line`` of 2-sequences on Python
-    floats), ``radon_candidate`` (a smooth Radon plane, the plane map's
-    target), ``_exact_ties`` (scaling a vector whose largest coordinate is
-    +-1 scales its norm exactly: the sum-acute ties), ``_orth`` and
-    ``_orth_rows`` (orthogonal_direction's and orthogonal_rows' rules and
-    draws), and ``_tie_probe``.  A leaf of the descriptor grammars
-    (_LEAVES) also names its compact ``_tag`` and its JSON ``_type``.
+    where it differs: ``_smooth_plane`` (a smooth plane: ``_norm2`` and
+    ``_grad2`` on Python floats, ``_line`` optional), ``radon_candidate``
+    (a smooth Radon plane, the plane map's target), ``_exact_ties``
+    (scaling a vector whose largest coordinate is +-1 scales its norm
+    exactly: the sum-acute ties), ``_orth`` and ``_orth_rows``
+    (orthogonal_direction's and orthogonal_rows' rules and draws), and
+    ``_tie_probe``.  A leaf of the descriptor grammars (_LEAVES) also
+    names its compact ``_tag`` and its JSON ``_type``.
     """
 
     dim: int
@@ -247,8 +273,9 @@ class NormedSpace(ABC):
             raise ZeroVector("support set is undefined at the zero vector")
         return self._support(arr)
 
-    def _line(self, xa: np.ndarray, ya: np.ndarray):
-        """The line oracles' objective t -> ||xa + t*ya||, on checked arrays."""
+    def _line(self, xa, ya):
+        """The line oracles' objective t -> ||xa + t*ya||, xa and ya array-like."""
+        xa, ya = np.asarray(xa, dtype=float), np.asarray(ya, dtype=float)
         return lambda t: self._norm(xa + t * ya)
 
     def _orth(self, xa: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -604,6 +631,14 @@ def format_space(space: NormedSpace) -> str:
     if not isinstance(space, _LEAVES):
         raise TypeError(f"unknown space: {space!r}")
     return ":".join([space._tag, *map(_fmt_number, space._values())])
+
+
+def space_label(space: NormedSpace) -> str:
+    """format_space's descriptor, or the repr of a space outside the grammars."""
+    try:
+        return format_space(space)
+    except TypeError:
+        return repr(space)
 
 
 def parse_space(text: str) -> NormedSpace:

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bjorth as bj
-from bjorth.analysis import _judge_rows
+from bjorth.analysis import _exact_tie, _judge_rows
 from bjorth.cli import _sections_record
 from bjorth.errors import DegenerateSection, InvalidCount, NotAPlane, NotSmooth, check_count
 from bjorth.orthogonality import witness_rows
@@ -647,3 +647,24 @@ def test_sum_acute_report_matches_its_classify_many_reference(label, margin, mon
                                           seed=5)
     assert got == want
     assert got.evaluated > 0
+
+
+class ClaimsTies(bj.Lp):
+    """A p-norm plane that states LInf's exact ties, which its norm lacks."""
+
+    _exact_ties = True
+
+
+def test_an_exact_tie_is_refused_when_it_cannot_be_built():
+    # The tie columns rebuild part 1 as target * (u, 1), u = 2 Phi(1) - 1.  A
+    # max-norm part then has the other part's norm exactly (LInf never
+    # misses), ClaimsTies does not, and a zero other part leaves no target.
+    draws = np.array([1.0, 1.0, 0.0, 1.0])
+    z1 = np.array([0.3, 0.4, 2.0, -1.0])
+    tied = _exact_tie(bj.InfSum((L2, bj.LInf(2))), 1, z1, draws)
+    assert tied[:2].tolist() == z1[:2].tolist() and bj.LInf(2).norm(tied[2:]) == L2.norm(z1[:2])
+    assert _exact_tie(bj.InfSum((L2, ClaimsTies(2, 2.0))), 1, z1, draws) is None
+    z1[:2] = 0.0
+    assert _exact_tie(bj.InfSum((L2, bj.LInf(2))), 1, z1, draws) is None
+    # In the sweep such a space draws no tie sample.
+    assert bj.sum_acute_equivalence_check(L2, ClaimsTies(2, 2.0), 64).tie_samples == 0

@@ -7,6 +7,7 @@ plane that no module names.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -99,3 +100,40 @@ def test_the_gates_read_the_family_flags(monkeypatch):
         bj.radon_defect(bj.DayJames(3.0, 1.5))
     with pytest.raises(TypeError, match="unknown space"):
         bj.format_space(PLANE)  # the grammars know only their own families
+
+
+def test_the_sweeps_name_a_space_outside_the_grammars_by_its_repr():
+    # The toy sum runs every sample, as lp:2:2's does, and is named by its
+    # repr; a grammar space keeps its descriptor.
+    toy = bj.sum_acute_equivalence_check(PLANE, bj.LInf(1), 2000, seed=0)
+    euclid = bj.sum_acute_equivalence_check(bj.Lp(2, 2.0), bj.LInf(1), 2000, seed=0)
+    assert toy.space == repr(bj.InfSum((PLANE, bj.LInf(1))))
+    assert toy.to_dict()["space"] == toy.space
+    assert euclid.space == "sum(lp:2:2,linf:1)"
+    for report in (toy, euclid):
+        assert (report.evaluated, report.disagreements, report.tie_samples) == (2000, 0, 250)
+
+    class Kinked(HypotPlane):
+        _smooth_plane = False
+
+    kinked = Kinked()
+    with pytest.raises(bj.NotSmooth, match="got " + re.escape(repr(kinked))):
+        bj.radon_defect(kinked)
+
+
+def test_the_grammars_refuse_a_family_they_do_not_know():
+    for space in (PLANE, bj.InfSum((bj.LInf(1), PLANE))):
+        with pytest.raises(TypeError, match="unknown space"):
+            bj.space_to_dict(space)
+
+
+def test_a_smooth_plane_needs_no_line_of_its_own():
+    # The default _line takes the scan's 2-sequences of Python floats, so a
+    # smooth plane supplies only _norm2 and _grad2; the scan reads the same
+    # rows as with the toy's own _line.
+    class NoLine(HypotPlane):
+        _line = bj.NormedSpace._line
+
+    scan, own = bj.radon_defect(NoLine()), bj.radon_defect(PLANE)
+    assert scan.witness is None and scan.defect <= 1e-12
+    assert scan.rows == own.rows

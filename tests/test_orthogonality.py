@@ -1054,3 +1054,9 @@ def test_single_queries_do_not_depend_on_cpu_dispatch():
     assert len(outs[0]) == 120
     for default, baseline in zip(*outs):
         assert default == baseline
+
+
+def test_the_oracle_on_a_line_through_the_origin_is_zero_at_zero():
+    # x = 0: the minimum is ||0|| = 0, at t = 0, with no search.
+    got = bj.oracle_min_over_line(bj.Lp(2, 3.0), [0, 0], [1, 2])
+    assert got == (0.0, 0.0) and [type(v) for v in got] == [float, float]

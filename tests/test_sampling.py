@@ -7,7 +7,7 @@ import pytest
 
 import bjorth as bj
 from bjorth.orthogonality import orthogonal_rows
-from bjorth.sampling import BLOCK, draw_rows
+from bjorth.sampling import BLOCK, MIN_SAMPLE_NORM, draw_rows, nonzero_rows
 
 from conftest import SPACE_ZOO
 
@@ -129,3 +129,19 @@ def test_orthogonal_rows_matches_orthogonal_direction(space):
                             for x, v in zip(Xs, V)])
         np.testing.assert_allclose(rows, stacked, rtol=1e-12, atol=0.0, err_msg=f"{scale}")
         assert bj.classify_many(space, Xs, rows).is_orthogonal.all(), scale
+
+
+@pytest.mark.parametrize("space", [DJ, bj.LInf(3), bj.InfSum((bj.Lp(2, 2.0), bj.LInf(1)))],
+                         ids=str)
+def test_nonzero_rows_replaces_only_the_rows_below_the_floor(space):
+    # A small row takes its reserve, or e1 when the reserve is small too; a
+    # row at or above the floor is kept, even with every coordinate below it
+    # (edge is below the floor only in the max norm).
+    dim, e1 = space.dim, np.eye(space.dim)[0]
+    big, small = np.linspace(1.0, 2.0, dim), np.full(dim, MIN_SAMPLE_NORM / 4)
+    edge = np.full(dim, 0.9 * MIN_SAMPLE_NORM)
+    X = np.array([big, small, small, np.zeros(dim), edge])
+    R = np.array([small, 3.0 * big, small, -big, small])
+    last = e1 if type(space) is bj.LInf else edge
+    np.testing.assert_array_equal(nonzero_rows(space, X, R), [big, 3.0 * big, e1, -big, last])
+    assert X[1].tolist() == small.tolist()  # the draws are left alone

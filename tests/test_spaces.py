@@ -956,3 +956,30 @@ def test_only_the_draw_table_and_the_section_search_build_generators():
                     callers.add(f"{name}.{getattr(top, 'name', '<module>')}")
     assert callers == {"sampling.draw_rows", "analysis.section_candidates",
                        "analysis.euclidean_section_search"}
+
+
+def test_nested_sums_round_trip_through_both_grammars():
+    text = "sum(sum(lp:2:2,linf:1),dayjames:3:1.5)"
+    space = bj.parse_space(text)
+    inner = bj.InfSum((bj.Lp(2, 2.0), bj.LInf(1)))
+    assert space == bj.InfSum((inner, bj.DayJames(3.0, 1.5))) and space.dim == 5
+    assert bj.format_space(space) == text and spaces.space_label(space) == text
+    assert bj.space_to_dict(space) == {"type": "inf_sum", "parts": [
+        {"type": "inf_sum", "parts": [{"type": "lp", "dim": 2, "p": 2.0},
+                                      {"type": "linf", "dim": 1}]},
+        {"type": "day_james", "p": 3.0, "q": 1.5}]}
+    assert bj.validate_space(bj.space_to_dict(space)) == space
+
+
+@pytest.mark.parametrize("text, message", [
+    ("sum(lp:2:2))", "unbalanced parentheses at position 10: 'sum(lp:2:2))'"),
+    ("sum((lp:2:2,linf:1)", "unbalanced parentheses in 'sum((lp:2:2,linf:1)'"),
+    ("sum(sum(lp:2:2,linf:1)", "unbalanced parentheses in 'sum(sum(lp:2:2,linf:1)'"),
+])
+def test_inner_parentheses_that_do_not_balance_keep_their_message(text, message):
+    _raises(bj.parse_space, text, ParseError, message)
+
+
+def test_a_sum_part_must_be_a_space():
+    with pytest.raises(TypeError, match="sum part is not a NormedSpace: 'lp:2:2'"):
+        bj.InfSum((bj.LInf(1), "lp:2:2"))
