@@ -239,8 +239,8 @@ class SumAcuteReport(Report):
         return (self.boundary_excluded + self.tie_excluded) / self.samples
 
     @property
-    def passed(self) -> bool:
-        return self.disagreements == 0
+    def passed(self) -> bool:  # a sweep that judged no sample shows nothing
+        return self.disagreements == 0 and self.evaluated > 0
 
 
 def _exact_tie(sum_space: InfSum, k: int, z1: np.ndarray, draws: np.ndarray) -> np.ndarray | None:

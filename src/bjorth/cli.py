@@ -150,7 +150,7 @@ def cmd_radon(args) -> int:
     if scan.witness is not None:
         print(f"witness: theta={fmt_float(scan.witness[0])} theta_star={fmt_float(scan.witness[1])}")
     _emit(args.out, lambda path: _write_radon(path, scan))
-    return 0 if scan.defect <= args.margin else 1
+    return 0 if scan.witness is None else 1
 
 
 def cmd_smooth(args) -> int:
@@ -320,80 +320,64 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"bjorth {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
+    # The options several verbs share, each declared once in a parent parser.
+    space, margin, seed, out = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    space.add_argument("--space", required=True)
+    margin.add_argument("--margin", type=float, default=MARGIN)
+    seed.add_argument("--seed", type=_seed, default=0)
+    out.add_argument("--out")
 
-    p = sub.add_parser("check", help="classify the angle relation of a vector pair")
-    p.add_argument("--space", required=True)
+    def verb(name, func, text, *shared):
+        p = sub.add_parser(name, help=text, parents=shared)
+        p.set_defaults(func=func)
+        return p
+
+    p = verb("check", cmd_check, "classify the angle relation of a vector pair", space, margin)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--margin", type=float, default=MARGIN)
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("radon", help="scan a plane for orthogonality symmetry")
-    p.add_argument("--space", required=True)
+    p = verb("radon", cmd_radon, "scan a plane for orthogonality symmetry", space, out)
     p.add_argument("--grid", type=int, default=720)
     p.add_argument("--margin", type=float, default=1e-8)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_radon)
 
-    p = sub.add_parser("smooth", help="probe norm smoothness")
-    p.add_argument("--space", required=True)
+    p = verb("smooth", cmd_smooth, "probe norm smoothness", space, seed)
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.set_defaults(func=cmd_smooth)
 
-    p = sub.add_parser("preserver-build", help="tabulate the plane preserver pairing")
+    p = verb("preserver-build", cmd_preserver_build, "tabulate the plane preserver pairing", out)
     p.add_argument("--target", required=True)
     p.add_argument("--grid", type=int, default=1024)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_preserver_build)
 
-    p = sub.add_parser("preserver-verify", help="build and certify a plane preserver")
+    p = verb("preserver-verify", cmd_preserver_verify, "build and certify a plane preserver",
+             margin, seed, out)
     p.add_argument("--target", required=True)
     p.add_argument("--grid", type=int, default=1024)
     p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--margin", type=float, default=MARGIN)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_preserver_verify)
 
-    p = sub.add_parser("sections", help="search 2-D sections for Euclidean ones")
-    p.add_argument("--space", required=True)
+    p = verb("sections", cmd_sections, "search 2-D sections for Euclidean ones", space, seed, out)
     p.add_argument("--candidates", type=int, default=1000)
     p.add_argument("--pair-samples", type=int, default=64)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_sections)
 
-    p = sub.add_parser("sum-acute", help="check the max-sum acute-angle trichotomy")
+    p = verb("sum-acute", cmd_sum_acute, "check the max-sum acute-angle trichotomy",
+             margin, seed, out)
     p.add_argument("--x-space", required=True)
     p.add_argument("--y-space", required=True)
     p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--margin", type=float, default=MARGIN)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_sum_acute)
 
-    p = sub.add_parser("orthograph", help="sample the mutual-orthogonality graph")
-    p.add_argument("--space", required=True)
+    p = verb("orthograph", cmd_orthograph, "sample the mutual-orthogonality graph",
+             space, margin, out)
     p.add_argument("--directions", type=int, default=360)
     p.add_argument("--angles", help="explicit comma-separated angles (plane only)")
-    p.add_argument("--margin", type=float, default=MARGIN)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_orthograph)
 
-    p = sub.add_parser("circle", help="sample the unit circle of a plane to CSV")
-    p.add_argument("--space", required=True)
+    p = verb("circle", cmd_circle, "sample the unit circle of a plane to CSV", space)
     p.add_argument("--grid", type=int, default=360)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_circle)
 
-    p = sub.add_parser("certify", help="run the full certification sweep and write every artifact")
+    p = verb("certify", cmd_certify, "run the full certification sweep and write every artifact",
+             seed)
     p.add_argument("--out", default="out")
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--fast", action="store_true",
                    help="smaller grids and sample counts for a quick pass")
-    p.set_defaults(func=cmd_certify)
 
     return parser
 

@@ -499,14 +499,3 @@ def orthogonal_direction(space: NormedSpace, x, rng: np.random.Generator) -> np.
     if not np.count_nonzero(xa):
         raise ZeroVector("orthogonal partner needs x != 0")
     return space._orth(xa, rng)
-
-
-def orthogonal_rows(space: NormedSpace, X: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """orthogonal_direction on every row of X, with row i of V as the random
-    vector that row draws.  It checks nothing: X and V are finite (n, dim)
-    arrays and every row of X is nonzero, as verify_preserver draws them.
-    The rules are orthogonal_direction's in array passes (_orth_rows); a
-    max-sum row's part is decided by the row norms, so only a part tie
-    within rounding may pick the other side of it.
-    """
-    return space._orth_rows(X, V)

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import (MonotonicityViolation, NoBracket, NonConvergence, NotRadonPlane,
                      check_count)
 from .orthogonality import (MARGIN, acute_distance, angle_masks, check_margin,
-                            orthogonal_rows, orthogonality_distance, witness_rows)
+                            orthogonality_distance, witness_rows)
 from .sampling import as_uniform, draw_rows, nonzero_rows
 from .spaces import Frozen, InfSum, Lp, NormedSpace, Report, partner2, perp2, unit2
 
@@ -226,9 +226,8 @@ def build_preserver(plane: NormedSpace, grid_size: int = 1024) -> RadonPlaneMap:
     return RadonPlaneMap(plane)
 
 
-def compose_inf_sum(parts) -> SumMap:
-    """Componentwise map between the max-sums of the part sources/targets."""
-    return SumMap(parts=tuple(parts))
+# A name of its own: the benchmark workloads, cmd_certify and the README build lifts by it.
+compose_inf_sum = SumMap
 
 
 class VerificationReport(Report):
@@ -292,7 +291,7 @@ def verify_preserver(pmap: PreserverMap, n_samples: int, margin: float = MARGIN,
     Three phases.  Draw: sample i reads row i of the seeded draw table
     (sampling.draw_rows), 6 * dim + 2 columns: x and its reserve, y and its
     reserve (sampling.nonzero_rows), the random vector of y_perp
-    (orthogonal_rows), the continuity direction d, then the sign and
+    (src._orth_rows), the continuity direction d, then the sign and
     log-uniform size of the homogeneity scale c; c and d are scaled on
     Python floats, and every sample reads every column, probed or not.
     Map: x, y, y_perp, c*x and x + d of every sample in one pmap._forward
@@ -309,7 +308,7 @@ def verify_preserver(pmap: PreserverMap, n_samples: int, margin: float = MARGIN,
     W = draw_rows(seed, 0, n, 6 * m + 2)
     X = nonzero_rows(src, W[:, :m], W[:, m : 2 * m])
     Y = nonzero_rows(src, W[:, 2 * m : 3 * m], W[:, 3 * m : 4 * m])
-    Yp = orthogonal_rows(src, X, W[:, 4 * m : 5 * m])
+    Yp = src._orth_rows(X, W[:, 4 * m : 5 * m])
     nxs = [src._norm(x) for x in X]
     lo, hi = math.log(0.1), math.log(10.0)  # |c| is log-uniform on [0.1, 10]
     homog = [(5 * k, math.copysign(math.exp(lo + (hi - lo) * as_uniform(u)), s))

@@ -230,7 +230,7 @@ class NormedSpace(ABC):
     (a smooth Radon plane, the plane map's target), ``_exact_ties``
     (scaling a vector whose largest coordinate is +-1 scales its norm
     exactly: the sum-acute ties), ``_orth`` and ``_orth_rows``
-    (orthogonal_direction's and orthogonal_rows' rules and draws), and
+    (orthogonal_direction's rule and draws, one row or every row), and
     ``_tie_probe``.  A leaf of the descriptor grammars (_LEAVES) also
     names its compact ``_tag`` and its JSON ``_type``.
     """
@@ -290,10 +290,16 @@ class NormedSpace(ABC):
         return v - (float(np.dot(f, v)) / float(np.dot(f, xa))) * xa
 
     def _orth_rows(self, X: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """orthogonal_rows: _orth's rule in array passes, row i of V drawn."""
+        """_orth on every row of X in array passes, row i of V the vector row
+        i draws.  It checks nothing: X and V are finite (n, dim) arrays and no
+        row of X is zero.  A max-sum picks each row's part by the row norms,
+        so only a part tie within rounding may pick the other side of it."""
         if self._smooth_plane:
             return np.array([perp2(self, a, b) for a, b in X.tolist()]).reshape(-1, 2)
         return V - (self._bounds(X, V)[0] / self._bounds(X, X)[0])[:, None] * X
+
+    def __repr__(self):  # a family outside the grammars; Frozen's comes first in theirs
+        return f"{type(self).__qualname__}(dim={self.dim})"
 
     def _tie_probe(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """A deterministic probe point at a norm-attainment tie, with the

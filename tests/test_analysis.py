@@ -12,6 +12,7 @@ from bjorth.cli import _sections_record
 from bjorth.errors import DegenerateSection, InvalidCount, NotAPlane, NotSmooth, check_count
 from bjorth.orthogonality import witness_rows
 from bjorth.sampling import BLOCK
+from bjorth.serialize import to_json_text
 from bjorth.spaces import partner2
 
 from conftest import KIND, SPACE_ZOO, judge_stack
@@ -308,6 +309,23 @@ def test_section_candidates_are_the_first_count():
             np.testing.assert_array_equal(a.v, b.v)
 
 
+def test_a_degenerate_random_section_is_redrawn():
+    # Seed 2's 67th random pair in lp:2:2 fails the Gram bound (sin^2 7.6e-7),
+    # so 68 candidates take 69 pairs: the coordinate section, then the seeded
+    # pairs with the 67th left out.
+    cands = bj.section_candidates(L2, 68, seed=2)
+    rng = np.random.default_rng(2)
+    pairs = [(rng.standard_normal(2), rng.standard_normal(2)) for _ in range(68)]
+    assert len(cands) == 68
+    assert (cands[0].u.tolist(), cands[0].v.tolist()) == ([1.0, 0.0], [0.0, 1.0])
+    assert [(c.u.tolist(), c.v.tolist()) for c in cands[1:]] == [
+        (u.tolist(), v.tolist()) for u, v in pairs[:66] + pairs[67:]]
+    for c in cands:
+        assert 1.0 - (c.u @ c.v) ** 2 / ((c.u @ c.u) * (c.v @ c.v)) > 1e-6
+    with pytest.raises(DegenerateSection):
+        bj.SectionCandidate(*pairs[66])
+
+
 def test_degenerate_section_rejected():
     # A line has no 2-D sections; random candidates would be redrawn forever.
     with pytest.raises(DegenerateSection):
@@ -406,6 +424,17 @@ def test_sum_acute_counts_boundary_exclusions():
     assert rep.disagreements == 0
 
 
+@pytest.mark.parametrize("space_y, seed, excluded", [(bj.LInf(1), 534, "boundary_excluded"),
+                                                      (bj.Lp(2, 3.0), 5990, "tie_excluded")])
+def test_a_sum_acute_sweep_that_evaluates_nothing_fails(space_y, seed, excluded):
+    # The one sample is excluded, at the acute boundary or, before any part
+    # is judged, in the tie band; a sweep that judged nothing shows nothing.
+    rep = bj.sum_acute_equivalence_check(L2, space_y, n_samples=1, seed=seed)
+    assert (rep.evaluated, rep.disagreements, getattr(rep, excluded)) == (0, 0, 1)
+    assert rep.excluded_fraction == 1.0
+    assert not rep.passed and rep.to_dict()["pass"] is False
+
+
 @pytest.mark.parametrize("knob, value", [("boundary_band", 0.2), ("tie_band", 0.05),
                                          ("tie_every", 4)])
 def test_sum_acute_knobs_are_retired(knob, value):
@@ -454,7 +483,7 @@ def test_numpy_counts_and_seeds_give_reports_that_serialize(name):
     record = report.to_dict()
     assert type(record["samples"]) is int and type(record["seed"]) is int
     assert record == SEEDED_CALLS[name](5, 3).to_dict()
-    assert '"samples": 5' in bj.serialize.to_json_text(record)
+    assert '"samples": 5' in to_json_text(record)
 
 
 @pytest.mark.parametrize("name", sorted(SEEDED_CALLS))

@@ -188,6 +188,17 @@ def test_sum_acute_verb(capsys):
     assert "disagreements: 0" in out
 
 
+@pytest.mark.parametrize("y_space, seed", [("linf:1", "534"), ("lp:2:3", "5990")])
+def test_sum_acute_verb_fails_when_it_evaluates_nothing(capsys, tmp_path, y_space, seed):
+    path = tmp_path / "sum_acute.json"
+    code, out, _ = run(capsys, "sum-acute", "--x-space", "lp:2:2", "--y-space", y_space,
+                       "--samples", "1", "--seed", seed, "--out", str(path))
+    assert code == 1
+    assert "disagreements: 0\nexcluded_fraction: 1\n" in out
+    record = json.loads(path.read_text())
+    assert (record["evaluated"], record["pass"]) == (0, False)
+
+
 def test_orthograph_verb(capsys, tmp_path):
     path = tmp_path / "edges.txt"
     code, out, _ = run(capsys, "orthograph", "--space", "lp:2:2",
@@ -205,6 +216,35 @@ def test_circle_csv(capsys, tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "theta,x,y"
     assert len(lines) == 17
+
+
+SHARED_OPTIONS = [
+    (["check", "--space", "lp:2:2", "--x", "1,0", "--y", "0,1"],
+     {"space": "lp:2:2", "margin": bj.MARGIN}),
+    (["radon", "--space", "lp:2:2"], {"space": "lp:2:2", "margin": 1e-8, "out": None}),
+    (["smooth", "--space", "lp:2:2"], {"space": "lp:2:2", "seed": 0}),
+    (["preserver-build", "--target", "dayjames:3:1.5"], {"out": None}),
+    (["preserver-verify", "--target", "dayjames:3:1.5"],
+     {"margin": bj.MARGIN, "seed": 0, "out": None}),
+    (["sections", "--space", "lp:2:2"], {"space": "lp:2:2", "seed": 0, "out": None}),
+    (["sum-acute", "--x-space", "lp:2:2", "--y-space", "linf:1"],
+     {"margin": bj.MARGIN, "seed": 0, "out": None}),
+    (["orthograph", "--space", "lp:2:2"], {"space": "lp:2:2", "margin": bj.MARGIN, "out": None}),
+    (["circle", "--space", "lp:2:2", "--out", "c.csv"], {"space": "lp:2:2", "out": "c.csv"}),
+    (["certify"], {"seed": 0, "out": "out"}),
+]
+
+
+@pytest.mark.parametrize("argv, shared", SHARED_OPTIONS, ids=[a[0] for a, _ in SHARED_OPTIONS])
+def test_each_verb_takes_its_shared_options_with_its_defaults(capsys, argv, shared):
+    # --space, --margin, --seed and --out are each declared once; radon's
+    # margin, circle's required --out and certify's --out are their own.
+    args = vars(cli._build_parser().parse_args(argv))
+    assert {k: args[k] for k in args.keys() & {"space", "margin", "seed", "out"}} == shared
+    if "space" in shared:
+        assert main([a for a in argv if a not in ("--space", "lp:2:2")]) == 2
+    if argv[0] == "circle":
+        assert main(argv[:-2]) == 2  # its --out is required
 
 
 def test_usage_error_exits_two(capsys):

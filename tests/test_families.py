@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import bjorth as bj
-from bjorth.orthogonality import orthogonal_rows
 
 
 class HypotPlane(bj.NormedSpace):
@@ -60,7 +59,7 @@ def test_orthogonal_rows_and_direction_agree_on_the_toy_plane():
     rng = np.random.default_rng(5)
     X = np.concatenate([np.eye(2), -np.eye(2), rng.standard_normal((50, 2))])
     V = rng.standard_normal(X.shape)
-    rows = orthogonal_rows(PLANE, X, V)
+    rows = PLANE._orth_rows(X, V)
     # A smooth plane's partner is perp2's, with no draw.
     assert rows.tolist() == [bj.orthogonal_direction(PLANE, x, None).tolist() for x in X]
     assert bj.classify_many(PLANE, X, rows).is_orthogonal.all()
@@ -119,6 +118,16 @@ def test_the_sweeps_name_a_space_outside_the_grammars_by_its_repr():
     kinked = Kinked()
     with pytest.raises(bj.NotSmooth, match="got " + re.escape(repr(kinked))):
         bj.radon_defect(kinked)
+
+
+def test_a_space_outside_the_grammars_has_a_fixed_label():
+    # NormedSpace's repr names the class and dimension, not an address, so
+    # the toy sum's report reads the same in every process; the grammar
+    # families keep Frozen's repr of their fields.
+    report = bj.sum_acute_equivalence_check(PLANE, bj.LInf(1), 50)
+    assert report.space == "InfSum(parts=(HypotPlane(dim=2), LInf(dim=1)))"
+    assert report.to_dict()["space"] == report.space
+    assert repr(bj.DayJames(3.0, 1.5)) == "DayJames(p=3.0, q=1.5)"
 
 
 def test_the_grammars_refuse_a_family_they_do_not_know():

@@ -395,6 +395,13 @@ def test_compose_preserves_max_norm(dj_map):
         assert sm.target.norm(sm.apply(v)) == pytest.approx(sm.source.norm(v), rel=1e-9)
 
 
+def test_compose_inf_sum_is_the_sum_map(dj_map):
+    # The name its callers use; SumMap takes any iterable of parts itself.
+    assert bj.compose_inf_sum is bj.SumMap
+    parts = [dj_map, bj.IdentityMap(bj.LInf(1))]
+    assert bj.compose_inf_sum(iter(parts)).parts == tuple(parts)
+
+
 def test_compose_requires_two_parts(dj_map):
     with pytest.raises(EmptySum):
         bj.compose_inf_sum([dj_map])

@@ -846,7 +846,7 @@ def test_only_spaces_reads_the_max_sum_layout():
 
 def test_only_spaces_reads_a_plane_functional():
     # A plane's functional leaves spaces only through the perp kernel perp2,
-    # which the plane map, orthogonal_rows and orthogonal_direction share.
+    # which the plane map, _orth_rows and orthogonal_direction share.
     package = Path(bj.__file__).parent
     readers = sorted({path.name for path in package.glob("*.py")
                       for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
