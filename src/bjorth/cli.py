@@ -206,8 +206,10 @@ def cmd_sum_acute(args) -> int:
         space_x, space_y, n_samples=args.samples, margin=args.margin, seed=args.seed
     )
     print(f"spaces: {format_space(space_x)} (+) {format_space(space_y)}")
+    print(f"pass: {'yes' if report.passed else 'no'}")
     print(f"disagreements: {report.disagreements}")
     print(f"excluded_fraction: {fmt_float(report.excluded_fraction)}")
+    print(f"evaluated: {report.evaluated}")
     _emit(args.out, lambda path: write_json(path, report.to_dict()))
     return 0 if report.passed else 1
 

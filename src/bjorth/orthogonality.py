@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidMargin, NonFiniteInput, ZeroDirection, ZeroVector
-from .spaces import FrozenValue, NormedSpace, top_exponents
+from .spaces import FrozenValue, NormedSpace, top_exponent, top_exponents
 
 # Default decision margin, relative to the norm of the right argument.
 MARGIN = 1e-9
@@ -159,7 +159,7 @@ def _classify(space: NormedSpace, xa: np.ndarray, ya: np.ndarray,
     k = 0
     if scale == math.inf:
         # The relation is homogeneous in y: decide on y * 2**-k instead.
-        k = int(top_exponents(ya))
+        k = top_exponent(ya.tolist())
         ya = np.ldexp(ya, -k)
         scale = space._norm(ya)
     vals = [float(np.dot(f, ya)) for f in space._support(xa)]
@@ -362,7 +362,7 @@ def _min_on_line(space: NormedSpace, xa: np.ndarray, ya: np.ndarray,
     nx, ny = space._norm(xa), space._norm(ya)  # scalar norms overflow to inf quietly
     s = 0
     if nx > _MAX_NORM or 0.0 < nx < _MIN_NORM:
-        s = int(top_exponents(xa))
+        s = top_exponent(xa.tolist())
         xa = np.ldexp(xa, -s)
         nx = space._norm(xa)
     if nx == 0.0:
@@ -372,7 +372,7 @@ def _min_on_line(space: NormedSpace, xa: np.ndarray, ya: np.ndarray,
     if not _MIN_BRACKET <= lam < math.inf:
         # An overflowing ||y|| takes its exponent from y's largest coordinate.
         e = math.frexp(nx)[1] - (math.frexp(ny)[1] if ny < math.inf
-                                 else int(top_exponents(ya)))
+                                 else top_exponent(ya.tolist()))
         ya = np.ldexp(ya, e)
         lam = 2.0 * nx / space._norm(ya)
     t, val = golden_section_min(space._line(xa, ya), lo * lam, lam)

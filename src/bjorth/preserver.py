@@ -309,7 +309,7 @@ def verify_preserver(pmap: PreserverMap, n_samples: int, margin: float = MARGIN,
     X = nonzero_rows(src, W[:, :m], W[:, m : 2 * m])
     Y = nonzero_rows(src, W[:, 2 * m : 3 * m], W[:, 3 * m : 4 * m])
     Yp = src._orth_rows(X, W[:, 4 * m : 5 * m])
-    nxs = [src._norm(x) for x in X]
+    nxs = [src._norm_of(x) for x in X.tolist()]
     lo, hi = math.log(0.1), math.log(10.0)  # |c| is log-uniform on [0.1, 10]
     homog = [(5 * k, math.copysign(math.exp(lo + (hi - lo) * as_uniform(u)), s))
              for k, (s, u) in enumerate(W[::5, -2:].tolist())]
@@ -324,7 +324,7 @@ def verify_preserver(pmap: PreserverMap, n_samples: int, margin: float = MARGIN,
     ))
     TX = images[:n]
 
-    max_norm_err = max(abs(tgt._norm(tx) - nx) / nx for tx, nx in zip(TX, nxs))
+    max_norm_err = max(abs(tgt._norm_of(tx) - nx) / nx for tx, nx in zip(TX.tolist(), nxs))
     max_homog_err = max(
         tgt._norm(tcx - c * TX[i]) / (abs(c) * nxs[i])
         for tcx, (i, c) in zip(images[3 * n : 3 * n + h], homog)

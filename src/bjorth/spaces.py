@@ -146,9 +146,14 @@ def _pbounds(X: np.ndarray, Y: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
 
 
 def top_exponents(V: np.ndarray):
-    """The exponents e that put the largest coordinate of V * 2**-e (of a
-    vector, or of each row) in [1/2, 1)."""
+    """The exponents e that put the largest coordinate of each row of an
+    (n, dim) stack V * 2**-e in [1/2, 1); one vector takes top_exponent."""
     return np.frexp(np.abs(V).max(axis=-1))[1]
+
+
+def top_exponent(coords) -> int:
+    """top_exponents of one vector, on its coordinates as Python floats."""
+    return math.frexp(max(map(abs, coords)))[1]
 
 
 class Frozen:
@@ -214,10 +219,12 @@ class NormedSpace(ABC):
     """Common interface: a norm and extreme points of the norming set.
 
     Subclasses expose ``dim`` (field or property), ``_norm`` on a checked
-    array, and ``_support`` on a checked nonzero array, plus their row-wise
-    array forms: ``_norms`` on an (n, dim) array, and ``_bounds``, the
-    (min, max) of f(y) over the extreme norming functionals f of x, row by
-    row, for rows x of X (NaN allowed at x = 0) and y of Y.  The line
+    array, ``_norm_of``, the same floats on a list of Python floats (the
+    max-sums' part norms; a family that defines only ``_norm`` is adapted),
+    and ``_support`` on a checked nonzero array, plus their row-wise array
+    forms: ``_norms`` on an (n, dim) array, and ``_bounds``, the (min, max)
+    of f(y) over the extreme norming functionals f of x, row by row, for
+    rows x of X (NaN allowed at x = 0) and y of Y.  The line
     oracles minimize ``_line``, which Lp and Day-James planes evaluate on
     Python floats (``_line2``).  Public entry points pass each caller's
     vector through ``check_vector`` (a stack of rows through ``check_rows``)
@@ -278,6 +285,11 @@ class NormedSpace(ABC):
         xa, ya = np.asarray(xa, dtype=float), np.asarray(ya, dtype=float)
         return lambda t: self._norm(xa + t * ya)
 
+    def _norm_of(self, coords: list) -> float:
+        """_norm on a list of Python floats: a family that defines only _norm
+        is adapted here."""
+        return self._norm(np.array(coords))
+
     def _orth(self, xa: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """orthogonal_direction on a checked nonzero array: perp2 on a smooth
         plane, else a random vector projected onto the kernel of the first
@@ -285,7 +297,7 @@ class NormedSpace(ABC):
         if self._smooth_plane:
             return np.array(perp2(self, *xa.tolist()))
         f = self._support(xa)[0]
-        xa = np.ldexp(xa, -top_exponents(xa))  # f(x) = ||x|| >= 1/2: f(v) / f(x) stays finite
+        xa = np.ldexp(xa, -top_exponent(xa.tolist()))  # f(x) = ||x|| >= 1/2: f(v)/f(x) is finite
         v = rng.standard_normal(self.dim)
         return v - (float(np.dot(f, v)) / float(np.dot(f, xa))) * xa
 
@@ -339,7 +351,13 @@ class Lp(FrozenValue, NormedSpace):
         if self.dim == 2:
             a, b = arr.tolist()
             return _pnorm2(a, b, self.p)
-        A = [abs(c) for c in arr.tolist()]
+        return self._norm_of(arr.tolist())
+
+    def _norm_of(self, coords):
+        if self.dim == 2:
+            a, b = coords
+            return _pnorm2(a, b, self.p)
+        A = [abs(c) for c in coords]
         m = max(A)
         if m == 0.0:
             return 0.0
@@ -354,7 +372,8 @@ class Lp(FrozenValue, NormedSpace):
         m = max(map(abs, coords))
         T = [abs(c) / m for c in coords]
         d = math.pow(math.fsum([math.pow(t, p) for t in T]) ** (1.0 / p), p - 1.0)
-        return [np.array([_sign(c) * math.pow(t, p - 1.0) / d for c, t in zip(coords, T)])]
+        return [np.array([(1.0 if c > 0.0 else -1.0 if c < 0.0 else 0.0) * math.pow(t, p - 1.0) / d
+                          for c, t in zip(coords, T)])]
 
     def _norms(self, X):
         return _pnorms(X, self.p)
@@ -399,6 +418,9 @@ class LInf(FrozenValue, NormedSpace):
 
     def _norm(self, arr):
         return max(map(abs, arr.tolist()))
+
+    def _norm_of(self, coords):
+        return max(map(abs, coords))
 
     def _support(self, arr):
         # One vertex sign(x_i) e_i per coordinate attaining the max,
@@ -453,6 +475,9 @@ class DayJames(FrozenValue, NormedSpace):
     def _norm(self, arr):
         a, b = arr.tolist()
         return self._norm2(a, b)
+
+    def _norm_of(self, coords):
+        return self._norm2(*coords)
 
     def _support(self, arr):
         a, b = arr.tolist()
@@ -517,11 +542,10 @@ class InfSum(FrozenValue, NormedSpace):
     def _orth(self, xa, rng):
         # The partner inside the first norm-attaining part, zero elsewhere,
         # so the choice is immune to part ties.
-        pieces = self.split(xa)
-        norms = [part._norm(piece) for part, piece in zip(self.parts, pieces)]
+        norms = self._part_norms(xa.tolist())
         k = norms.index(max(norms))
         out = np.zeros(self.dim)
-        self.split(out)[k][:] = self.parts[k]._orth(pieces[k], rng)
+        out[self._columns[k]] = self.parts[k]._orth(xa[self._columns[k]], rng)
         return out
 
     def _orth_rows(self, X, V):
@@ -541,25 +565,30 @@ class InfSum(FrozenValue, NormedSpace):
         second[:] = -units[1] / math.sqrt(2.0)
         return np.concatenate(units), [d]
 
-    def _norm(self, arr):
+    def _part_norms(self, coords: list) -> list[float]:
         off = self._offsets
-        return max([part._norm(arr[off[k] : off[k + 1]]) for k, part in enumerate(self.parts)])
+        return [part._norm_of(coords[off[k] : off[k + 1]]) for k, part in enumerate(self.parts)]
+
+    def _norm(self, arr):
+        return max(self._part_norms(arr.tolist()))
+
+    def _norm_of(self, coords):
+        return max(self._part_norms(coords))
 
     def _support(self, arr):
         # Embed the extreme functionals of every norm-attaining part
         # (within the tie tolerance) at zero elsewhere.
-        off = self._offsets
-        pieces = self.split(arr)
-        norms = [part._norm(piece) for part, piece in zip(self.parts, pieces)]
+        coords, off = arr.tolist(), self._offsets
+        norms = self._part_norms(coords)
         total = max(norms)
         if total == math.inf:
             # Finite parts whose norm overflows.  Functionals do not change
             # with the scale of x: take them at x scaled by a power of two.
-            return self._support(np.ldexp(arr, -top_exponents(arr)))
+            return self._support(np.ldexp(arr, -top_exponent(coords)))
         out = []
         for k, part in enumerate(self.parts):
             if norms[k] >= (1.0 - TAU_TIE) * total:
-                for f in part._support(pieces[k]):
+                for f in part._support(arr[off[k] : off[k + 1]]):
                     g = np.zeros(self.dim)
                     g[off[k] : off[k + 1]] = f
                     out.append(g)

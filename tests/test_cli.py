@@ -186,6 +186,8 @@ def test_sum_acute_verb(capsys):
                        "--y-space", "linf:1", "--samples", "300", "--seed", "5")
     assert code == 0
     assert "disagreements: 0" in out
+    assert "spaces: lp:2:2 (+) linf:1\npass: yes\n" in out
+    assert "excluded_fraction: 0.0033333333333333335\nevaluated: 299\n" in out
 
 
 @pytest.mark.parametrize("y_space, seed", [("linf:1", "534"), ("lp:2:3", "5990")])
@@ -195,6 +197,8 @@ def test_sum_acute_verb_fails_when_it_evaluates_nothing(capsys, tmp_path, y_spac
                        "--samples", "1", "--seed", seed, "--out", str(path))
     assert code == 1
     assert "disagreements: 0\nexcluded_fraction: 1\n" in out
+    assert f"spaces: lp:2:2 (+) {y_space}\npass: no\n" in out
+    assert "excluded_fraction: 1\nevaluated: 0\n" in out
     record = json.loads(path.read_text())
     assert (record["evaluated"], record["pass"]) == (0, False)
 

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bjorth as bj
-from bjorth import spaces
+from bjorth import orthogonality, spaces
 from bjorth.errors import (
     BadDimension,
     DimensionMismatch,
@@ -21,6 +21,7 @@ from bjorth.errors import (
 )
 
 from conftest import SPACE_ZOO, outcome, random_nonzero
+from test_families import HypotPlane
 
 
 # ---------------------------------------------------------------------------
@@ -983,3 +984,129 @@ def test_inner_parentheses_that_do_not_balance_keep_their_message(text, message)
 def test_a_sum_part_must_be_a_space():
     with pytest.raises(TypeError, match="sum part is not a NormedSpace: 'lp:2:2'"):
         bj.InfSum((bj.LInf(1), "lp:2:2"))
+
+
+# ---------------------------------------------------------------------------
+# Single vectors read their floats once: _norm_of on a list is _norm on the
+# array, a max-sum slices its coordinate list for the part norms, and one
+# vector's power of two is top_exponent's on Python floats.  The references
+# below are the array forms they replaced.
+
+SIGNS = st.sampled_from([1.0, -1.0])
+# Magnitudes 1e-300 to 1e300 by exponent, both zeros, and subnormals.
+MAGNITUDES = st.one_of(
+    st.builds(lambda m, e, s: s * math.ldexp(m, e), st.floats(0.5, 1.0, exclude_max=True),
+              st.integers(-996, 996), SIGNS),
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda k, s: s * k * 5e-324, st.integers(1, 2**52 - 1), SIGNS),
+)
+LIST_NORM_SPACES = [
+    bj.Lp(2, 3.0), bj.Lp(2, 1.5), bj.Lp(3, 1.1), bj.Lp(5, 1.5), bj.LInf(1), bj.LInf(4),
+    bj.DayJames(3.0, 1.5), bj.DayJames(1.5, 3.0), bj.parse_space("sum(lp:3:4,linf:2)"),
+    bj.parse_space("sum(dayjames:3:1.5,linf:2)"),
+    bj.parse_space("sum(sum(lp:3:4,linf:2),dayjames:3:1.5)"),
+    HypotPlane(), bj.InfSum((HypotPlane(), bj.LInf(2))),
+]
+
+
+def draw_coords(data, space, values=MAGNITUDES):
+    return data.draw(st.lists(values, min_size=space.dim, max_size=space.dim))
+
+
+@settings(max_examples=300)
+@given(data=st.data(), space=st.sampled_from(LIST_NORM_SPACES))
+def test_list_norms_are_the_array_norms_bit_for_bit(data, space):
+    arr = space.check_vector(draw_coords(data, space))
+    assert same_bits(space._norm_of(arr.tolist()), space._norm(arr))
+
+
+def embedded_support(space, arr):
+    """A max-sum's support set as the embedding, at zero elsewhere, of the
+    functionals of every part within TAU_TIE of the largest array norm."""
+    pieces = space.split(arr)
+    norms = [part._norm(piece) for part, piece in zip(space.parts, pieces)]
+    total = max(norms)
+    if total == math.inf:
+        return embedded_support(space, np.ldexp(arr, -spaces.top_exponents(arr[None])[0]))
+    out = []
+    for k, (part, piece) in enumerate(zip(space.parts, pieces)):
+        if norms[k] >= (1.0 - bj.TAU_TIE) * total:
+            for f in part._support(piece):
+                g = np.zeros(space.dim)
+                space.split(g)[k][:] = f
+                out.append(g)
+    return out
+
+
+@settings(max_examples=300)
+@given(data=st.data(), space=st.sampled_from(
+    [s for s in LIST_NORM_SPACES if isinstance(s, bj.InfSum)]))
+def test_max_sum_support_embeds_its_parts_functionals(data, space):
+    v = draw_coords(data, space, st.one_of(MAGNITUDES, st.sampled_from([1.7e308, -1.5e308])))
+    arr = space.check_vector(v)
+    assume(np.count_nonzero(arr))
+    if data.draw(st.booleans()):  # unit parts: norms within rounding, a tie for TAU_TIE
+        for part, piece in zip(space.parts, space.split(arr)):
+            n = part._norm(piece)
+            if 0.0 < n < math.inf:
+                piece /= n
+    got, want = outcome(space._support, arr), outcome(embedded_support, space, arr)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert [f.tobytes() for f in got] == [g.tobytes() for g in want]
+
+
+def projected_direction(space, xa, rng):
+    """orthogonal_direction's rule with the array exponent top_exponents."""
+    if isinstance(space, bj.InfSum):
+        pieces = space.split(xa)
+        norms = [part._norm(piece) for part, piece in zip(space.parts, pieces)]
+        k = norms.index(max(norms))
+        out = np.zeros(space.dim)
+        space.split(out)[k][:] = projected_direction(space.parts[k], pieces[k], rng)
+        return out
+    if isinstance(space, bj.LInf):
+        y = rng.standard_normal(space.dim)
+        y[np.abs(xa) >= (1.0 - 10.0 * bj.TAU_TIE) * np.abs(xa).max()] = 0.0
+        return y
+    f = space._support(xa)[0]
+    xs = np.ldexp(xa, -spaces.top_exponents(xa[None])[0])
+    v = rng.standard_normal(space.dim)
+    return v - (float(np.dot(f, v)) / float(np.dot(f, xs))) * xs
+
+
+@settings(max_examples=300)
+@given(data=st.data(), space=st.sampled_from(
+    [bj.Lp(5, 1.5), bj.Lp(3, 1.1), bj.parse_space("sum(lp:3:4,linf:2)")]),
+       seed=st.integers(0, 2**32 - 1))
+def test_orthogonal_direction_is_the_array_exponent_projection_bit_for_bit(data, space, seed):
+    arr = space.check_vector(draw_coords(data, space))
+    assume(np.count_nonzero(arr))
+    got = bj.orthogonal_direction(space, arr, np.random.default_rng(seed))
+    want = projected_direction(space, arr, np.random.default_rng(seed))
+    assert got.tobytes() == want.tobytes()
+
+
+GRAMMAR_SPACES = [bj.Lp(2, 3.0), bj.Lp(5, 1.5), bj.LInf(3), bj.DayJames(3.0, 1.5),
+                  bj.parse_space("sum(dayjames:3:1.5,linf:2)"),
+                  bj.parse_space("sum(sum(lp:3:4,linf:2),dayjames:3:1.5)")]
+
+
+@pytest.mark.parametrize("space", GRAMMAR_SPACES, ids=bj.format_space)
+def test_single_queries_take_no_row_exponent(monkeypatch, space):
+    # top_exponents serves row stacks only: a single query that reached it
+    # would send its vector through numpy again.
+    def refuse(V):
+        raise AssertionError("a single query called top_exponents")
+
+    monkeypatch.setattr(spaces, "top_exponents", refuse)
+    monkeypatch.setattr(orthogonality, "top_exponents", refuse)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        x, y = rng.standard_normal(space.dim), rng.standard_normal(space.dim)
+        assert space.norm(x) > 0.0 and space.support_set(x)
+        bj.classify_angle(space, x, y)
+        bj.is_mutually_orthogonal(space, x, y)
+        yp = bj.orthogonal_direction(space, x, rng)
+        assert bj.classify_angle(space, x, yp).is_orthogonal
